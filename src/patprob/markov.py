@@ -4,7 +4,8 @@ From a non-absorbing state i the chain moves to i+1 with probability 1/L,
 to s_i with probability 1/L, and to 0 with probability (L-2)/L; when
 s_i = 0 the last two masses merge. State n is absorbing. P_k(i) is the
 probability of reaching n within k steps from i; P_k(0) is the occurrence
-probability of the bifix class that s encodes.
+probability of the bifix class that s encodes. The reach DP runs on the
+integer counts R_k(i) = L**k P_k(i), with no division.
 """
 
 from __future__ import annotations
@@ -37,61 +38,68 @@ class ChainSpec:
         return {"s": list(self.s.targets), "L": self.L}
 
 
-def transition_matrix(spec: ChainSpec) -> Matrix:
-    """(n+1) x (n+1) one-step transition probabilities; rows sum to 1 exactly."""
+def _step_counts(spec: ChainSpec) -> tuple[tuple[int, ...], ...]:
+    """(n+1) x (n+1) one-step counts: entry (i, j) is how many of the L
+    symbols move state i to state j, so every row sums to L."""
     n, L = spec.n, spec.L
-    zero = ExactProb.zero(L)
-    one = ExactProb.one(L)
-    step = ExactProb.inv_power(L, 1)
-    reset = ExactProb(L - 2, 1, L)  # 0 when L = 2, no special-casing needed
     rows = []
     for i in range(n):
-        row = [zero] * (n + 1)
-        row[i + 1] = row[i + 1] + step
-        row[spec.s.targets[i]] = row[spec.s.targets[i]] + step
-        row[0] = row[0] + reset
+        row = [0] * (n + 1)
+        row[i + 1] += 1
+        row[spec.s.targets[i]] += 1
+        row[0] += L - 2  # 0 when L = 2, no special-casing needed
         rows.append(tuple(row))
-    last = [zero] * (n + 1)
-    last[n] = one
-    rows.append(tuple(last))
+    rows.append(tuple([0] * n + [L]))
     for i, row in enumerate(rows):
-        total = zero
-        for entry in row:
-            total = total + entry
-        if total != one:
-            raise AssertionError(f"row {i} of transition matrix sums to {total}, not 1")
+        if sum(row) != L:
+            raise AssertionError(f"row {i} of transition matrix sums to {sum(row)}/{L}, not 1")
     return tuple(rows)
+
+
+def transition_matrix(spec: ChainSpec) -> Matrix:
+    """(n+1) x (n+1) one-step transition probabilities; rows sum to 1 exactly."""
+    return tuple(
+        tuple(ExactProb(count, 1, spec.L) for count in row) for row in _step_counts(spec)
+    )
 
 
 @dataclass(frozen=True)
 class ReachTable:
-    """P[k][i] = probability of reaching state n within k steps from state i."""
+    """P[k][i] = number of length-k symbol sequences that take state i to n.
+
+    The probability of reaching state n within k steps from state i is
+    P[k][i] / L**k, which `prob` returns exactly.
+    """
 
     spec: ChainSpec
     upto: int
-    P: tuple[tuple[ExactProb, ...], ...]
+    P: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         n, L = self.spec.n, self.spec.L
         if len(self.P) != self.upto + 1 or any(len(row) != n + 1 for row in self.P):
             raise ValueError("reach table must be (upto+1) x (n+1)")
-        zero, one = ExactProb.zero(L), ExactProb.one(L)
-        if self.P[0] != tuple([zero] * n + [one]):
+        if self.P[0] != tuple([0] * n + [1]):
             raise ValueError("row k=0 must be the unit vector at the absorbing state")
+        power = 1  # L**k
         for row in self.P:
-            if row[n] != one:
+            if row[n] != power:
                 raise ValueError("absorbing state must have probability 1 at every k")
-            if any(one < entry for entry in row):
+            if any(not 0 <= entry <= power for entry in row):
                 raise ValueError("reach probabilities must stay within [0, 1]")
+            power *= L
 
     def prob(self, k: int, i: int) -> ExactProb:
-        return self.P[k][i]
+        return ExactProb(self.P[k][i], k, self.spec.L)
 
     def to_json_dict(self) -> dict:
         return {
             "spec": self.spec.to_json_dict(),
             "upto": self.upto,
-            "rows": [[entry.to_json_dict() for entry in row] for row in self.P],
+            "rows": [
+                [self.prob(k, i).to_json_dict() for i in range(self.spec.n + 1)]
+                for k in range(self.upto + 1)
+            ],
         }
 
 
@@ -99,9 +107,10 @@ _FORWARD_CHECK_SAMPLES = 10
 
 
 def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
-    """Exact DP fill of P_k(i) by increasing k.
+    """Exact DP fill of R_k(i) = L**k P_k(i) by increasing k.
 
-    P_k(i) = P_{k-1}(i+1)/L + P_{k-1}(s_i)/L + (L-2)/L * P_{k-1}(0) for i < n.
+    P_k(i) = P_{k-1}(i+1)/L + P_{k-1}(s_i)/L + (L-2)/L * P_{k-1}(0) for i < n,
+    on counts R_k(i) = R_{k-1}(i+1) + R_{k-1}(s_i) + (L-2) R_{k-1}(0).
 
     As a transcription guard, the start-state column is cross-checked at up
     to ten sampled k values against forward evolution of the distribution
@@ -110,18 +119,13 @@ def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
     n, L = spec.n, spec.L
-    zero, one = ExactProb.zero(L), ExactProb.one(L)
-    step = ExactProb.inv_power(L, 1)
-    reset = ExactProb(L - 2, 1, L)
     targets = spec.s.targets
-    rows = [tuple([zero] * n + [one])]
+    rows = [tuple([0] * n + [1])]
     for _ in range(upto):
         prev = rows[-1]
-        row = [
-            step * prev[i + 1] + step * prev[targets[i]] + reset * prev[0]
-            for i in range(n)
-        ]
-        row.append(one)
+        reset = (L - 2) * prev[0]
+        row = [prev[i + 1] + prev[targets[i]] + reset for i in range(n)]
+        row.append(L * prev[n])
         rows.append(tuple(row))
     table = ReachTable(spec, upto, tuple(rows))
     _forward_cross_check(table)
@@ -129,38 +133,32 @@ def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
 
 
 def _forward_cross_check(table: ReachTable) -> None:
-    """Evolve the start distribution forward and compare absorption mass."""
+    """Evolve the start state's word counts forward and compare absorption."""
     spec, upto = table.spec, table.upto
     if upto == 0:
         return
     n = spec.n
-    matrix = transition_matrix(spec)
+    moves = [[(j, count) for j, count in enumerate(row) if count] for row in _step_counts(spec)]
     samples = {max(1, upto * j // _FORWARD_CHECK_SAMPLES) for j in range(1, _FORWARD_CHECK_SAMPLES + 1)}
-    dist = [ExactProb.one(spec.L) if i == 0 else ExactProb.zero(spec.L) for i in range(n + 1)]
+    dist = [1] + [0] * n
     for k in range(1, max(samples) + 1):
-        nxt = [ExactProb.zero(spec.L)] * (n + 1)
-        for i, mass in enumerate(dist):
-            if mass.is_zero():
-                continue
-            for j in range(n + 1):
-                if not matrix[i][j].is_zero():
-                    nxt[j] = nxt[j] + mass * matrix[i][j]
+        nxt = [0] * (n + 1)
+        for mass, row in zip(dist, moves):
+            if mass:
+                for j, count in row:
+                    nxt[j] += mass * count
         dist = nxt
         if k in samples and dist[n] != table.P[k][0]:
             raise AssertionError(
                 f"forward evolution disagrees with reach DP at k={k}: "
-                f"{dist[n]} vs {table.P[k][0]}"
+                f"{dist[n]} vs {table.P[k][0]} words of {spec.L}^{k}"
             )
 
 
 def chain_prob_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """Occurrence-probability table of a bifix class via its chain."""
     table = reach_table(ChainSpec(s_from_h(h), L), upto)
-    P = [table.P[k][0] for k in range(upto + 1)]
-    p = [ExactProb.zero(L)]
-    for k in range(1, upto + 1):
-        p.append(P[k] - P[k - 1])
-    return ProbTable(h, L, upto, tuple(p), tuple(P), "markov")
+    return ProbTable.from_counts(h, L, upto, [row[0] for row in table.P], "markov")
 
 
 @dataclass(frozen=True)
@@ -208,8 +206,8 @@ def compare_chains(s: SWord, s_prime: SWord, L: int, upto: int) -> ChainComparis
     relations = []
     violations = []
     for k in range(upto + 1):
-        a, b = table.P[k][0], table_prime.P[k][0]
-        rel = "=" if a == b else (">" if b < a else "<")
+        a, b = table.P[k][0], table_prime.P[k][0]  # counts over the same L**k
+        rel = "=" if a == b else (">" if a > b else "<")
         relations.append(rel)
         expected = "=" if k < k0 else ">"
         if rel != expected:
@@ -259,22 +257,24 @@ def check_lemmas(spec: ChainSpec, upto: int) -> LemmaReport:
     if upto < n:
         raise ValueError(f"need upto >= n = {n} to exercise the laws, got {upto}")
     table = reach_table(spec, upto)
-    zero = ExactProb.zero(spec.L)
+    L = spec.L
     mono_k = []
     zero_pattern = []
     mono_i = []
+    # Counts: P_k(i) > P_{k+1}(i) iff L R_k(i) > R_{k+1}(i); one row shares L**k.
     for k in range(upto + 1):
+        row = table.P[k]
         for i in range(n + 1):
-            value = table.P[k][i]
-            if k + 1 <= upto and value > table.P[k + 1][i]:
+            value = row[i]
+            if k + 1 <= upto and L * value > table.P[k + 1][i]:
                 mono_k.append((k, i))
-            if (value > zero) != (k + i >= n):
+            if (value > 0) != (k + i >= n):
                 zero_pattern.append((k, i))
             if i < n:
-                nxt = table.P[k][i + 1]
+                nxt = row[i + 1]
                 if k + i + 1 >= n:
                     if not value < nxt:
                         mono_i.append((k, i))
-                elif not (value == zero and nxt == zero):
+                elif not (value == 0 and nxt == 0):
                     mono_i.append((k, i))
     return LemmaReport(spec, upto, tuple(mono_k), tuple(zero_pattern), tuple(mono_i))

@@ -1,9 +1,11 @@
 """Exact nonnegative rationals whose denominator is a power of the alphabet size.
 
 Every probability produced by this package is a count of words divided by
-L**k, so the full generality of big rationals is never needed. Keeping the
-denominator as an exponent of a fixed base makes equality checks exact and
-cheap and avoids gcd churn.
+L**k, so the full generality of big rationals is never needed. The routes
+compute those word counts as plain integers; `ExactProb(count, k, L)` is
+the output type, built where a value leaves a route (tables, JSON, CSV).
+Keeping the denominator as an exponent of a fixed base makes equality
+checks exact and cheap and avoids gcd churn.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ class ExactProb:
         return Fraction(self.num, self.base**self.den_exp)
 
     def __float__(self) -> float:
-        # Fraction handles correct rounding for arbitrarily large operands.
-        return float(self.as_fraction())
+        # int true division is correctly rounded for arbitrarily large operands.
+        return self.num / self.base**self.den_exp
 
     def to_decimal(self, digits: int) -> str:
         """Correctly rounded decimal string with `digits` fractional digits.

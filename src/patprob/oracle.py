@@ -120,11 +120,11 @@ def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> Occ
     return OccurrenceCounts(pattern, k, contains, tuple(first_at))
 
 
-def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
-    """Occurrence counts via dynamic programming over automaton states.
+def _absorbed_counts(pattern: Word, k: int) -> list[int]:
+    """Entry j: how many length-j words contain the pattern, for j = 0..k.
 
-    Tracks how many length-j words sit in each state; runs in O(k*n*L).
-    Must agree with enum_counts wherever both run.
+    Dynamic programming over automaton states: tracks how many length-j
+    words sit in each state; runs in O(k*n*L).
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -132,7 +132,7 @@ def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
     L, n = aut.L, aut.n
     state_counts = [0] * (n + 1)
     state_counts[0] = 1
-    absorbed = [0] * (k + 1)  # words of length j containing the pattern
+    absorbed = [0] * (k + 1)
     for j in range(1, k + 1):
         nxt = [0] * (n + 1)
         for state, count in enumerate(state_counts):
@@ -141,6 +141,16 @@ def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
                     nxt[aut.delta[state][c]] += count
         state_counts = nxt
         absorbed[j] = state_counts[n]
+    return absorbed
+
+
+def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
+    """Occurrence counts via dynamic programming over automaton states.
+
+    Must agree with enum_counts wherever both run.
+    """
+    L = pattern.alphabet_size
+    absorbed = _absorbed_counts(pattern, k)
     first_at = [0] * (k + 1)
     for j in range(1, k + 1):
         fresh = absorbed[j] - L * absorbed[j - 1]  # first arrivals at step j
@@ -150,12 +160,13 @@ def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
 
 def automaton_prob_table(pattern: Word, upto: int) -> ProbTable:
     """Probability table of a concrete pattern from automaton state counts."""
-    L = pattern.alphabet_size
-    counts = automaton_counts(pattern, upto)
-    # first_at entries are counts over L**upto words of the full horizon
-    P = [ExactProb(sum(counts.first_at[1 : k + 1]), upto, L) for k in range(upto + 1)]
-    p = [ExactProb.zero(L)] + [P[k] - P[k - 1] for k in range(1, upto + 1)]
-    return ProbTable(bifix_indicator(pattern), L, upto, tuple(p), tuple(P), "automaton")
+    return ProbTable.from_counts(
+        bifix_indicator(pattern),
+        pattern.alphabet_size,
+        upto,
+        _absorbed_counts(pattern, upto),
+        "automaton",
+    )
 
 
 def automaton_matches_class_chain(pattern: Word) -> bool:

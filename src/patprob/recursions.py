@@ -8,10 +8,11 @@ routes compute the same table:
 
   * the long recursion on p_k, with the full history sum,
   * the differenced (n+1)-term recursion on p_k,
-  * the direct recursion on P_k (with p recovered as first differences).
+  * the direct recursion on P_k.
 
-All three use exact arithmetic only; an underflowing subtraction means a
-transcription bug and aborts instead of clamping.
+All three run on exact integer word counts (L**k p_k or L**k P_k) and build
+`ExactProb` values only for the finished table; a count that goes negative
+means a transcription bug and aborts instead of clamping.
 """
 
 from __future__ import annotations
@@ -37,20 +38,34 @@ class ProbTable:
     method: str
 
     def __post_init__(self) -> None:
-        n = self.h.n
+        n, L = self.h.n, self.L
         if len(self.p) != self.upto + 1 or len(self.P) != self.upto + 1:
             raise ValueError("table arrays must cover k = 0..upto")
-        zero = ExactProb.zero(self.L)
-        for k in range(min(self.upto, n - 1) + 1):
-            if self.p[k] != zero or self.P[k] != zero:
-                raise ValueError(f"p_{k} and P_{k} must be 0 below the pattern length")
-        running = zero
+        # Checked on word counts a_k = L**k p_k and C_k = L**k P_k.
+        prev = 0
         for k in range(self.upto + 1):
-            running = running + self.p[k]
-            if running != self.P[k]:
+            a, C = _count(self.p[k], k, L), _count(self.P[k], k, L)
+            if k < n and (a or C):
+                raise ValueError(f"p_{k} and P_{k} must be 0 below the pattern length")
+            if C != L * prev + a:
                 raise ValueError(f"P_{k} does not equal the prefix sum of p")
-        if self.upto >= 0 and ExactProb.one(self.L) < self.P[self.upto]:
+            prev = C
+        if prev > L**self.upto:
             raise ValueError("P exceeded 1")
+
+    @classmethod
+    def from_counts(
+        cls, h: BifixIndicator, L: int, upto: int, C: list[int], method: str
+    ) -> ProbTable:
+        """Table from C_k = L**k P_k, the number of length-k words containing b.
+
+        p_k = (C_k - L C_{k-1}) / L**k; a negative first-occurrence count
+        raises, as does any invariant broken in __post_init__.
+        """
+        previous = [0] + C[:-1]
+        p = tuple(ExactProb(c - L * b, k, L) for k, (b, c) in enumerate(zip(previous, C)))
+        P = tuple(ExactProb(c, k, L) for k, c in enumerate(C))
+        return cls(h, L, upto, p, P, method)
 
     @property
     def n(self) -> int:
@@ -75,113 +90,126 @@ class ProbTable:
         return "\n".join(lines) + "\n"
 
 
-def _border_coeffs(h: BifixIndicator, L: int) -> list[tuple[int, ExactProb]]:
-    """(i, 1/L**(n-i)) for every border position i with h_i = 1."""
-    n = h.n
-    return [(i, ExactProb.inv_power(L, n - i)) for i in range(1, n) if h.bits[i - 1] == 1]
+def _count(x: ExactProb, k: int, L: int) -> int:
+    """Numerator of x over L**k; raises unless x is a count of length-k words."""
+    if x.base != L:
+        raise ValueError(f"mismatched bases: {x.base} vs {L}")
+    if x.den_exp > k:
+        raise ValueError(f"{x} is not a multiple of 1/{L}^{k}")
+    return x.num * L ** (k - x.den_exp)
 
 
-def _prefix_sums(p: list[ExactProb], L: int) -> list[ExactProb]:
-    out = []
-    running = ExactProb.zero(L)
-    for value in p:
-        running = running + value
-        out.append(running)
-    return out
+def _borders(h: BifixIndicator) -> list[int]:
+    """Border lengths i (1 <= i < n) with h_i = 1."""
+    return [i for i in range(1, h.n) if h.bits[i - 1] == 1]
+
+
+def _nonneg(count: int, k: int) -> int:
+    if count < 0:
+        raise ValueError(f"count underflow at k={k}: {count}")
+    return count
+
+
+def _accumulate(a: list[int], L: int) -> list[int]:
+    """C_k = L C_{k-1} + a_k: occurrence counts from first-occurrence counts."""
+    C = []
+    running = 0
+    for count in a:
+        running = L * running + count
+        C.append(running)
+    return C
 
 
 def p_table_long(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """p_k = 1/L**n - (1/L**n) * sum_{i=n}^{k-n} p_i - sum_i h_i/L**(n-i) * p_{k-n+i}.
 
-    The middle sum is empty while k < 2n.
+    The middle sum is empty while k < 2n. On counts a_k = L**k p_k:
+    a_k = L**(k-n) - M_k - sum_i h_i a_{k-n+i}, where the history
+    M_k = sum_{i=n}^{k-n} a_i L**(k-n-i) = L M_{k-1} + a_{k-n}.
     """
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
     n = h.n
-    zero = ExactProb.zero(L)
-    inv_ln = ExactProb.inv_power(L, n)
-    borders = _border_coeffs(h, L)
-    p = [zero] * min(n, upto + 1)
-    mid = zero  # sum of p_i for n <= i <= k - n
+    borders = _borders(h)
+    a = [0] * min(n, upto + 1)
+    history = 0
+    power = 1  # L**(k-n)
     for k in range(n, upto + 1):
-        if k - n >= n:
-            mid = mid + p[k - n]
-        subtrahend = inv_ln * mid
-        for i, coeff in borders:
-            subtrahend = subtrahend + coeff * p[k - n + i]
-        p.append(inv_ln - subtrahend)
-    return ProbTable(h, L, upto, tuple(p), tuple(_prefix_sums(p, L)), "long-recursion")
+        history = L * history + a[k - n]
+        a.append(_nonneg(power - history - sum(a[k - n + i] for i in borders), k))
+        power *= L
+    return ProbTable.from_counts(h, L, upto, _accumulate(a, L), "long-recursion")
 
 
 def p_table_short(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """(n+1)-term recursion obtained by differencing the long one.
 
-    p_{k+1} = p_k - p_{k+1-n}/L**n - sum_i h_i/L**(n-i) * (p_{k-n+i+1} - p_{k-n+i}).
-    Positive and negative contributions are accumulated separately so the
-    nonnegative arithmetic type never sees an intermediate negative.
+    p_{k+1} = p_k - p_{k+1-n}/L**n - sum_i h_i/L**(n-i) * (p_{k-n+i+1} - p_{k-n+i}),
+    on counts a_k = L**k p_k:
+    a_{k+1} = L a_k - a_{k+1-n} - sum_i h_i (a_{k-n+i+1} - L a_{k-n+i}).
     """
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
     n = h.n
-    zero = ExactProb.zero(L)
-    inv_ln = ExactProb.inv_power(L, n)
-    borders = _border_coeffs(h, L)
-    p = [zero] * min(n, upto + 1)
+    borders = _borders(h)
+    a = [0] * min(n, upto + 1)
     if upto >= n:
-        p.append(inv_ln)
+        a.append(1)
     for k in range(n, upto):
-        pos = p[k]
-        neg = inv_ln * p[k + 1 - n]
-        for i, coeff in borders:
-            pos = pos + coeff * p[k - n + i]
-            neg = neg + coeff * p[k - n + i + 1]
-        p.append(pos - neg)
-    return ProbTable(h, L, upto, tuple(p), tuple(_prefix_sums(p, L)), "short-recursion")
+        nxt = L * a[k] - a[k + 1 - n]
+        for i in borders:
+            nxt -= a[k - n + i + 1] - L * a[k - n + i]
+        a.append(_nonneg(nxt, k + 1))
+    return ProbTable.from_counts(h, L, upto, _accumulate(a, L), "short-recursion")
 
 
-def iter_P(h: BifixIndicator, L: int) -> Iterator[ExactProb]:
-    """Yield P_0, P_1, ... indefinitely, keeping only a window of n+1 values.
+def _iter_counts(h: BifixIndicator, L: int) -> Iterator[int]:
+    """Yield C_0, C_1, ... with C_k = L**k P_k, keeping a window of n+1 values.
 
     P_{k+1} = 1/L**n + P_k - P_{k+1-n}/L**n
-              - sum_i h_i/L**(n-i) * (P_{k-n+i+1} - P_{k-n+i}).
+              - sum_i h_i/L**(n-i) * (P_{k-n+i+1} - P_{k-n+i}),
+    on counts
+    C_{k+1} = L**(k+1-n) + L C_k - C_{k+1-n} - sum_i h_i (C_{k-n+i+1} - L C_{k-n+i}).
     """
     n = h.n
-    zero = ExactProb.zero(L)
-    inv_ln = ExactProb.inv_power(L, n)
-    borders = _border_coeffs(h, L)
-    window: deque[ExactProb] = deque(maxlen=n + 1)  # P_{k-n} .. P_k
+    borders = _borders(h)
+    window: deque[int] = deque(maxlen=n + 1)  # C_{k-n} .. C_k
     for _ in range(n):
-        window.append(zero)
-        yield zero
-    window.append(inv_ln)
-    yield inv_ln
+        window.append(0)
+        yield 0
+    window.append(1)
+    yield 1
+    power = 1  # L**(k-n)
+    k = n
     while True:
-        pos = inv_ln + window[n]
-        neg = inv_ln * window[1]
-        for i, coeff in borders:
-            pos = pos + coeff * window[i]
-            neg = neg + coeff * window[i + 1]
-        nxt = pos - neg
-        window.append(nxt)  # maxlen evicts P_{k-n}
+        power *= L
+        k += 1
+        nxt = power + L * window[n] - window[1]
+        for i in borders:
+            nxt -= window[i + 1] - L * window[i]
+        window.append(_nonneg(nxt, k))  # maxlen evicts C_{k-1-n}
         yield nxt
 
 
+def iter_P(h: BifixIndicator, L: int) -> Iterator[ExactProb]:
+    """Yield P_0, P_1, ... indefinitely in constant memory (see _iter_counts)."""
+    for k, count in enumerate(_iter_counts(h, L)):
+        yield ExactProb(count, k, L)
+
+
 def P_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
-    """Table built from the direct recursion on P; p recovered by differencing."""
+    """Table built from the direct recursion on P."""
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
-    P = list(itertools.islice(iter_P(h, L), upto + 1))
-    p = [ExactProb.zero(L)]
-    for k in range(1, upto + 1):
-        p.append(P[k] - P[k - 1])
-    return ProbTable(h, L, upto, tuple(p), tuple(P), "P-recursion")
+    C = list(itertools.islice(_iter_counts(h, L), upto + 1))
+    return ProbTable.from_counts(h, L, upto, C, "P-recursion")
 
 
 def P_at(h: BifixIndicator, L: int, k: int) -> ExactProb:
     """Single P_k without materializing the table (constant memory in k)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return next(itertools.islice(iter_P(h, L), k, None))
+    return ExactProb(next(itertools.islice(_iter_counts(h, L), k, None)), k, L)
 
 
 def expected_wait_closed(h: BifixIndicator, L: int) -> int:
@@ -226,16 +254,18 @@ def expected_wait_series(
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    one = ExactProb.one(L)
-    total = ExactProb.zero(L)
+    total = 0  # L**k * sum_{j<=k} (1 - P_j)
+    power = 1  # L**k
     ratios: deque[float] = deque(maxlen=_STABLE_RATIOS)
     prev_q = None
     bound = float("inf")
     upto = 0
-    for k, P_k in enumerate(iter_P(h, L)):
-        q = one - P_k
-        total = total + q
-        q_float = float(q)
+    for k, C_k in enumerate(_iter_counts(h, L)):
+        if k:
+            power *= L
+        q = _nonneg(power - C_k, k)
+        total = L * total + q
+        q_float = q / power
         if prev_q is not None and prev_q > 0.0:
             ratios.append(q_float / prev_q)
         prev_q = q_float
@@ -245,7 +275,7 @@ def expected_wait_series(
             if r < 1.0 and max(ratios) - min(ratios) <= _RATIO_SPREAD:
                 bound = q_float * r / (1.0 - r)
                 if bound < tol:
-                    return SeriesResult(float(total), bound, k, True)
+                    return SeriesResult(total / power, bound, k, True)
         if k >= k_max:
             break
-    return SeriesResult(float(total), bound, upto, False)
+    return SeriesResult(total / power, bound, upto, False)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -291,3 +292,29 @@ class TestTopLevel:
     def test_version_in_envelope(self, capsys):
         _, env, _ = run_json(capsys, "bifix", "--word", "11")
         assert env["version"] == "0.1.0"
+
+
+class TestByteIdentity:
+    # stdout SHA-256 digests recorded in bench/golden.json; any change in
+    # the numbers or their rendering shows up here.
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "prob --h 1000 --K 2000",
+                "e2611b9df39d1d47feabe756670005fd19f0cbc93bb7a48e359b71a6101af3f1",
+            ),
+            (
+                "prob --word 1000110001 --K 400 --check-all",
+                "bb995d86009f4fb21d639b395bffb73c7c921956a5f6a264a2cdfbd1366a44ea",
+            ),
+            (
+                "prob --h 11 --L 2 --K 9 --format csv --digits 8",
+                "189e18daefd9ff89484542f851f3c63bc9a385b4baf652f0ec15ac3a19fddfd1",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,6 +4,8 @@ import pytest
 
 from patprob.markov import (
     ChainSpec,
+    ReachTable,
+    _forward_cross_check,
     chain_prob_table,
     check_lemmas,
     compare_chains,
@@ -103,6 +105,51 @@ class TestReachTable:
                 power = nxt
                 for i in range(n + 1):
                     assert power[i][n] == t.prob(k, i), (targets, L, k, i)
+
+
+class TestReachTableInvariants:
+    def rows(self, targets=(0, 1, 0), L=2, upto=6):
+        sp = spec(targets, L)
+        return sp, [list(row) for row in reach_table(sp, upto).P]
+
+    def build(self, sp, rows):
+        return ReachTable(sp, len(rows) - 1, tuple(tuple(row) for row in rows))
+
+    def test_counts_are_words_over_L_to_the_k(self):
+        sp, rows = self.rows(L=3)
+        t = self.build(sp, rows)
+        assert t.P[2][0] == 0
+        assert t.P[3][0] == 1  # the one word that climbs 0 -> 1 -> 2 -> 3
+        assert t.prob(3, 0) == ExactProb(1, 3, 3)
+        assert t.P[5][sp.n] == 3**5
+
+    def test_bad_row_zero(self):
+        sp, rows = self.rows()
+        rows[0][0] = 1
+        with pytest.raises(ValueError, match="row k=0"):
+            self.build(sp, rows)
+
+    def test_bad_absorbing_column(self):
+        sp, rows = self.rows()
+        rows[4][sp.n] -= 1
+        with pytest.raises(ValueError, match="absorbing"):
+            self.build(sp, rows)
+
+    @pytest.mark.parametrize("count", [-1, 2**4 + 1])
+    def test_entry_outside_unit_interval(self, count):
+        sp, rows = self.rows()
+        rows[4][1] = count  # row k=4 counts words out of 2**4
+        with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+            self.build(sp, rows)
+
+    def test_forward_cross_check_catches_in_range_corruption(self):
+        sp, rows = self.rows(upto=10)
+        _forward_cross_check(self.build(sp, rows))  # untouched table passes
+        assert 0 < rows[6][0] < 2**6
+        rows[6][0] += 1
+        corrupted = self.build(sp, rows)  # still within [0, 1]
+        with pytest.raises(AssertionError, match="k=6"):
+            _forward_cross_check(corrupted)
 
 
 class TestChainProbTable:

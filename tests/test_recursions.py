@@ -108,12 +108,62 @@ class TestTableInvariants:
         with pytest.raises(ValueError, match="prefix sum"):
             ProbTable(h, 2, 4, good.p, tuple(broken_P), "P-recursion")
 
+    def test_nonzero_below_pattern_length_rejected(self):
+        from patprob.recursions import ProbTable
+
+        good = P_table(H1, 2, 4)
+        p, P = list(good.p), list(good.P)
+        p[1] = P[1] = ep(1, 1)
+        with pytest.raises(ValueError, match="below the pattern length"):
+            ProbTable(H1, 2, 4, tuple(p), tuple(P), "P-recursion")
+
+    def test_P_above_one_rejected(self):
+        from patprob.recursions import ProbTable
+
+        zero, one, half = ExactProb.zero(2), ExactProb.one(2), ep(1, 1)
+        p = (zero, zero, one, half)
+        P = (zero, zero, one, ep(3, 1))  # prefix sums, but P_3 = 3/2
+        with pytest.raises(ValueError, match="P exceeded 1"):
+            ProbTable(H1, 2, 3, p, P, "P-recursion")
+
+    def test_from_counts_rejects_decreasing_counts(self):
+        from patprob.recursions import ProbTable
+
+        # C_3 < 2 C_2 would make the first-occurrence count a_3 negative
+        with pytest.raises(ValueError):
+            ProbTable.from_counts(H1, 2, 3, [0, 0, 1, 1], "P-recursion")
+
     def test_windowed_iterator_matches_table(self):
         h = BifixIndicator((1, 0, 1, 0))
         full = P_table(h, 2, 25)
         streamed = list(itertools.islice(iter_P(h, 2), 26))
         assert tuple(streamed) == full.P
         assert P_at(h, 2, 25) == full.P[25]
+
+
+class TestLongHorizonAgreement:
+    # Enumeration stops near k = 20; the routes must still agree exactly far
+    # beyond it, where the counts run to hundreds of bits.
+    @pytest.mark.parametrize("text,L,K", [("2102", 3, 600), ("100100100100", 2, 640)])
+    def test_five_routes_agree(self, text, L, K):
+        from patprob.markov import chain_prob_table
+        from patprob.oracle import automaton_prob_table
+
+        word = Word.parse(text, L)
+        h = bifix_indicator(word)
+        tables = [
+            p_table_long(h, L, K),
+            p_table_short(h, L, K),
+            P_table(h, L, K),
+            chain_prob_table(h, L, K),
+            automaton_prob_table(word, K),
+        ]
+        first = tables[0]
+        for t in tables[1:]:
+            assert t.p == first.p, t.method
+            assert t.P == first.P, t.method
+        assert P_at(h, L, K) == first.P[K]
+        assert first.P[K].den_exp > 0  # still short of certainty at K
 
 
 class TestExpectedWait:
