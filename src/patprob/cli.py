@@ -5,7 +5,8 @@ Every successful invocation prints exactly one JSON envelope
 rendering when requested). Diagnostics go to stderr.
 
 Exit codes: 0 success / property conforms, 1 a checked property does not
-hold, 2 usage error.
+hold, 2 usage error. Every rejected input, from argparse or from the
+library's own `ValueError` checks, is mapped to exit 2 in `main` alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .budget import DEFAULT_ENUM_BUDGET, EnumerationBudgetError
+from .budget import DEFAULT_ENUM_BUDGET
 from .markov import ChainSpec, chain_prob_table, check_lemmas, compare_chains
 from .oracle import (
     DEFAULT_MC_SEED,
@@ -51,10 +52,6 @@ EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    """Bad arguments or violated preconditions; maps to exit code 2."""
-
-
 def _enum_budget() -> int:
     raw = os.environ.get("PATPROB_ENUM_BUDGET")
     if raw is None:
@@ -62,7 +59,19 @@ def _enum_budget() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise UsageError(f"PATPROB_ENUM_BUDGET must be an integer, got {raw!r}") from exc
+        raise ValueError(f"PATPROB_ENUM_BUDGET must be an integer, got {raw!r}") from exc
+
+
+def _write(text: str) -> None:
+    """Write to stdout; a reader that closed the pipe early is not an error."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit(command: str, params: dict, result: dict) -> None:
@@ -72,26 +81,11 @@ def _emit(command: str, params: dict, result: dict) -> None:
         "result": result,
         "version": __version__,
     }
-    print(json.dumps(envelope, indent=2))
-
-
-def _parse_word(text: str, alphabet_size: int) -> Word:
-    try:
-        word = Word.parse(text, alphabet_size)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return word
-
-
-def _parse_pattern(text: str, alphabet_size: int) -> Word:
-    word = _parse_word(text, alphabet_size)
-    if len(word) < 2:
-        raise UsageError(f"patterns must have length >= 2, got {len(word)}")
-    return word
+    _write(json.dumps(envelope, indent=2) + "\n")
 
 
 def cmd_bifix(args) -> int:
-    word = _parse_pattern(args.word, args.L)
+    word = Word.parse(args.word, args.L)
     h = bifix_indicator(word)
     s = s_from_h(h)
     _emit(
@@ -128,16 +122,13 @@ def _render_table(table: ProbTable, fmt: str, digits: int) -> str:
 
 def cmd_prob(args) -> int:
     if (args.h is None) == (args.word is None):
-        raise UsageError("give exactly one of --h or --word")
+        raise ValueError("give exactly one of --h or --word")
     word = None
     if args.word is not None:
-        word = _parse_pattern(args.word, args.L)
+        word = Word.parse(args.word, args.L)
         h = bifix_indicator(word)
     else:
-        try:
-            h = BifixIndicator.parse(args.h)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        h = BifixIndicator.parse(args.h)
     upto = args.K if args.K is not None else 3 * h.n
 
     if args.check_all:
@@ -159,12 +150,12 @@ def cmd_prob(args) -> int:
 
     if args.method == "automaton":
         if word is None:
-            raise UsageError("--method automaton needs --word, not --h")
+            raise ValueError("--method automaton needs --word, not --h")
         table = automaton_prob_table(word, upto)
     else:
         table = _TABLE_BUILDERS[args.method](h, args.L, upto)
     if args.format in ("csv", "table"):
-        sys.stdout.write(_render_table(table, args.format, args.digits))
+        _write(_render_table(table, args.format, args.digits))
     else:
         _emit(
             "prob",
@@ -179,37 +170,31 @@ def _oriented_swords(args) -> tuple[SWord, SWord, dict]:
     by_h = args.h is not None or args.h2 is not None
     by_s = args.s is not None or args.s2 is not None
     if by_h == by_s:
-        raise UsageError("give either --h and --h2, or --s and --s2")
+        raise ValueError("give either --h and --h2, or --s and --s2")
     if by_h:
         if args.h is None or args.h2 is None:
-            raise UsageError("need both --h and --h2")
-        try:
-            h_a = BifixIndicator.parse(args.h)
-            h_b = BifixIndicator.parse(args.h2)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+            raise ValueError("need both --h and --h2")
+        h_a = BifixIndicator.parse(args.h)
+        h_b = BifixIndicator.parse(args.h2)
         order = compare_indicators(h_a, h_b)
         if order is Ordering.INCOMPARABLE:
-            raise UsageError("indicators are incomparable: neither h <= h2 nor h2 <= h")
+            raise ValueError("indicators are incomparable: neither h <= h2 nor h2 <= h")
         if order is Ordering.EQUAL:
-            raise UsageError("indicators are equal; nothing to compare")
+            raise ValueError("indicators are equal; nothing to compare")
         low, high = (h_a, h_b) if order is Ordering.LESS else (h_b, h_a)
         params = {"h": h_a.text(), "h2": h_b.text(), "oriented": [low.text(), high.text()]}
         params["k0_indicator_formula"] = k0_of_pair(low, high)
         params["k0_sharp"] = k0_sharp(low, high)
         return s_from_h(low), s_from_h(high), params
     if args.s is None or args.s2 is None:
-        raise UsageError("need both --s and --s2")
-    try:
-        s_a = SWord.parse(args.s)
-        s_b = SWord.parse(args.s2)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError("need both --s and --s2")
+    s_a = SWord.parse(args.s)
+    s_b = SWord.parse(args.s2)
     order = compare_swords(s_a, s_b)
     if order is Ordering.INCOMPARABLE:
-        raise UsageError("jump-target words are incomparable")
+        raise ValueError("jump-target words are incomparable")
     if order is Ordering.EQUAL:
-        raise UsageError("jump-target words are equal; nothing to compare")
+        raise ValueError("jump-target words are equal; nothing to compare")
     big, small = (s_a, s_b) if order is Ordering.GREATER else (s_b, s_a)
     return big, small, {"s": s_a.text(), "s2": s_b.text()}
 
@@ -224,10 +209,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_census(args) -> int:
-    try:
-        classes = census(args.n, args.L, budget=_enum_budget(), max_representatives=args.max_reps)
-    except EnumerationBudgetError as exc:
-        raise UsageError(str(exc)) from exc
+    classes = census(args.n, args.L, budget=_enum_budget(), max_representatives=args.max_reps)
     _emit(
         "census",
         {"n": args.n, "L": args.L, "max_representatives": args.max_reps},
@@ -252,12 +234,10 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    word = _parse_pattern(args.word, args.L)
-    try:
-        config = McConfig(trials=args.trials, k=args.k, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    result = monte_carlo(word, config)
+    word = Word.parse(args.word, args.L)
+    if len(word) < 2:
+        raise ValueError(f"patterns must have length >= 2, got {len(word)}")
+    result = monte_carlo(word, McConfig(trials=args.trials, k=args.k, seed=args.seed))
     _emit(
         "simulate",
         {"word": word.text(), "L": args.L, "trials": args.trials, "k": args.k, "seed": args.seed},
@@ -267,13 +247,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    try:
-        s = SWord.parse(args.s)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    s = SWord.parse(args.s)
     upto = args.K if args.K is not None else 3 * s.n
-    if upto < s.n:
-        raise UsageError(f"K must be at least n = {s.n}, got {upto}")
     report = check_lemmas(ChainSpec(s, args.L), upto)
     _emit("lemmas", {"s": s.text(), "L": args.L, "K": upto}, report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_PROPERTY_FAILED
@@ -349,10 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EnumerationBudgetError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -285,6 +285,8 @@ class McConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.k < 1:
             raise ValueError(f"horizon k must be >= 1, got {self.k}")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128), the Philox key range, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -152,12 +152,12 @@ def bifix_indicator(word: Word) -> BifixIndicator:
     return BifixIndicator(tuple(bits))
 
 
-def compare_indicators(h: BifixIndicator, h_prime: BifixIndicator) -> Ordering:
-    """Componentwise partial order; LESS means h <= h' with h != h'."""
-    if len(h.bits) != len(h_prime.bits):
-        raise ValueError(f"indicator lengths differ: {len(h.bits)} vs {len(h_prime.bits)}")
-    le = all(a <= b for a, b in zip(h.bits, h_prime.bits))
-    ge = all(a >= b for a, b in zip(h.bits, h_prime.bits))
+def _componentwise(x: tuple[int, ...], y: tuple[int, ...], what: str) -> Ordering:
+    """Componentwise partial order of two equal-length vectors; LESS means x <= y, x != y."""
+    if len(x) != len(y):
+        raise ValueError(f"{what} lengths differ: {len(x)} vs {len(y)}")
+    le = all(a <= b for a, b in zip(x, y))
+    ge = all(a >= b for a, b in zip(x, y))
     if le and ge:
         return Ordering.EQUAL
     if le:
@@ -165,6 +165,11 @@ def compare_indicators(h: BifixIndicator, h_prime: BifixIndicator) -> Ordering:
     if ge:
         return Ordering.GREATER
     return Ordering.INCOMPARABLE
+
+
+def compare_indicators(h: BifixIndicator, h_prime: BifixIndicator) -> Ordering:
+    """Componentwise partial order; LESS means h <= h' with h != h'."""
+    return _componentwise(h.bits, h_prime.bits, "indicator")
 
 
 def _strict_positions(h: BifixIndicator, h_prime: BifixIndicator) -> list[int]:
@@ -204,17 +209,8 @@ def s_from_h(h: BifixIndicator) -> SWord:
 
 
 def compare_swords(s: SWord, s_prime: SWord) -> Ordering:
-    if s.n != s_prime.n:
-        raise ValueError(f"jump-target word lengths differ: {s.n} vs {s_prime.n}")
-    le = all(a <= b for a, b in zip(s.targets, s_prime.targets))
-    ge = all(a >= b for a, b in zip(s.targets, s_prime.targets))
-    if le and ge:
-        return Ordering.EQUAL
-    if ge:
-        return Ordering.GREATER
-    if le:
-        return Ordering.LESS
-    return Ordering.INCOMPARABLE
+    """Componentwise partial order; GREATER means s >= s' with s != s'."""
+    return _componentwise(s.targets, s_prime.targets, "jump-target word")
 
 
 def comparison_threshold(s: SWord, s_prime: SWord) -> int:
@@ -254,6 +250,8 @@ def census(
         raise ValueError(f"census needs pattern length >= 2, got {n}")
     if alphabet_size < 2:
         raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
+    if max_representatives < 0:
+        raise ValueError(f"max_representatives must be >= 0, got {max_representatives}")
     check_enum_budget(alphabet_size**n, budget, f"census(n={n}, L={alphabet_size})")
     counts: dict[BifixIndicator, int] = {}
     reps: dict[BifixIndicator, list[Word]] = {}

@@ -99,8 +99,14 @@ def _count(x: ExactProb, k: int, L: int) -> int:
     return x.num * L ** (k - x.den_exp)
 
 
-def _borders(h: BifixIndicator) -> list[int]:
-    """Border lengths i (1 <= i < n) with h_i = 1."""
+def _borders(h: BifixIndicator, L: int) -> list[int]:
+    """Border lengths i (1 <= i < n) with h_i = 1.
+
+    Every recursion calls this before its first step, so it also rejects an
+    alphabet size below 2 before any work is done.
+    """
+    if L < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {L}")
     return [i for i in range(1, h.n) if h.bits[i - 1] == 1]
 
 
@@ -130,7 +136,7 @@ def p_table_long(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
     n = h.n
-    borders = _borders(h)
+    borders = _borders(h, L)
     a = [0] * min(n, upto + 1)
     history = 0
     power = 1  # L**(k-n)
@@ -151,7 +157,7 @@ def p_table_short(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
     n = h.n
-    borders = _borders(h)
+    borders = _borders(h, L)
     a = [0] * min(n, upto + 1)
     if upto >= n:
         a.append(1)
@@ -172,7 +178,7 @@ def _iter_counts(h: BifixIndicator, L: int) -> Iterator[int]:
     C_{k+1} = L**(k+1-n) + L C_k - C_{k+1-n} - sum_i h_i (C_{k-n+i+1} - L C_{k-n+i}).
     """
     n = h.n
-    borders = _borders(h)
+    borders = _borders(h, L)
     window: deque[int] = deque(maxlen=n + 1)  # C_{k-n} .. C_k
     for _ in range(n):
         window.append(0)

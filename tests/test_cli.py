@@ -1,10 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patprob.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXACT_PROB_SCHEMA = {
     "type": "object",
@@ -318,3 +328,143 @@ class TestByteIdentity:
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "prob --h 1 --K -1",
+            "prob --h 1 --L 1",
+            "prob --h 1 --L 0",
+            "prob --h 1 --digits 0 --format csv",
+            "prob --h 1 --digits 0 --format table",
+            "simulate --word 11 --seed -1",
+            f"simulate --word 11 --seed {2**128}",
+            "simulate --word 1",
+            "census --n 1",
+            "census --n 3 --max-reps -1",
+            "lemmas --s 0,1 --L 1",
+            "compare --h 0 --h2 1 --L 1",
+            "counterexample --L 1",
+            "compare --h 00 --h2 10 --K -3",
+        ],
+    )
+    def test_bad_argument_exits_2_with_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_closed_stdout_is_not_an_error(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "patprob.cli", "prob", "--h", "1000", "--K", "2000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()  # the 1.8 MB envelope is far larger than the pipe buffer
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert head == b'{\n  "comma'
+        assert err == b""
+
+
+# Argv fuzzing: bounded values keep every run small (large K, trials and k
+# are unbounded work, which no budget refuses yet).
+_NON_NUMERIC = st.sampled_from(["x", "1.5", "", "0x10"])
+
+
+def _int(lo, hi):
+    """Mostly an integer in [lo, hi], now and then a token argparse refuses."""
+    return st.tuples(st.integers(0, 4), st.integers(lo, hi), _NON_NUMERIC).map(
+        lambda t: t[2] if t[0] == 0 else str(t[1])
+    )
+
+
+_WORDS = st.one_of(
+    st.text("01", min_size=1, max_size=6),
+    st.text("0123", min_size=1, max_size=6),
+    st.text("0123,x -", max_size=5),
+)
+# Short indicators and jump words, so that compare often draws a comparable pair.
+_INDICATORS = st.text("01", min_size=1, max_size=3) | st.text("012x ", max_size=4)
+_SWORDS = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+    lambda xs: ",".join(str(min(x, i)) for i, x in enumerate(xs))
+) | st.text("0123,x ", max_size=6)
+_L = _int(-1, 4)
+_K = _int(-3, 40)
+
+# (subcommand, flags always given, flags given half the time); each flag maps to
+# the strategy for its value, or to None when it takes no value. Flags that
+# argparse requires, and compare's --h/--h2 or --s/--s2 pair, are always given
+# so that most calls get past argparse; TestBifix, TestCompare and TestTopLevel
+# cover a missing or mixed flag.
+_CALLS = [
+    ("bifix", {"--word": _WORDS}, {"--L": _L}),
+    (
+        "prob",
+        {},
+        {
+            "--h": _INDICATORS,
+            "--word": _WORDS,
+            "--L": _L,
+            "--K": _K,
+            "--method": st.sampled_from(["long", "short", "P", "markov", "automaton", "x"]),
+            "--check-all": None,
+            "--format": st.sampled_from(["json", "csv", "table"]),
+            "--digits": _int(-1, 15),
+        },
+    ),
+    ("compare", {"--h": _INDICATORS, "--h2": _INDICATORS}, {"--L": _L, "--K": _K}),
+    ("compare", {"--s": _SWORDS, "--s2": _SWORDS}, {"--L": _L, "--K": _K}),
+    ("census", {"--n": _int(-1, 7)}, {"--L": _L, "--max-reps": _int(-2, 5)}),
+    ("counterexample", {}, {"--L": _L}),
+    (
+        "simulate",
+        {"--word": _WORDS},
+        {
+            "--L": _L,
+            "--trials": _int(-2, 30),
+            "--k": _int(-2, 20),
+            "--seed": st.sampled_from(["-1", "0", "5", str(2**128)]),
+        },
+    ),
+    ("lemmas", {"--s": _SWORDS}, {"--L": _L, "--K": _K}),
+]
+
+# The only calls that check a property and so may exit 1.
+_PROPERTY_COMMANDS = {"compare", "counterexample", "lemmas"}
+
+
+@st.composite
+def _argvs(draw):
+    command, always, optional = draw(st.sampled_from(_CALLS))
+    argv = [command]
+    for flag, values in always.items():
+        argv += [flag, draw(values)]
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs())
+def test_argv_fuzz_keeps_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert "error:" in err.getvalue()
+        return
+    if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
+        jsonschema.validate(json.loads(out.getvalue()), ENVELOPE_SCHEMA)
+    if code == 1:
+        assert argv[0] in _PROPERTY_COMMANDS or (argv[0] == "prob" and "--check-all" in argv)

@@ -207,6 +207,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             McConfig(trials=1, k=0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+            McConfig(trials=1, k=1, seed=seed)
+
+    def test_seed_range_ends_are_valid_philox_keys(self):
+        for seed in (0, 2**128 - 1):
+            monte_carlo(w("11"), McConfig(trials=2, k=4, seed=seed))
+
     def test_three_sigma_band_sweep(self):
         # Over all binary patterns of length 2..5, at most a 1% fraction of
         # (pattern, k) cells may sit outside three standard errors; the

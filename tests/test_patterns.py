@@ -263,6 +263,12 @@ class TestCensus:
         with pytest.raises(EnumerationBudgetError, match="budget of 100"):
             census(12, 2, budget=100)
 
+    def test_negative_representative_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_representatives must be >= 0, got -1"):
+            census(3, 2, max_representatives=-1)
+        classes = census(3, 2, max_representatives=0)
+        assert all(cls.representatives == () for cls in classes.values())
+
     def test_every_key_is_its_members_indicator(self):
         for h, cls in census(5, 2).items():
             for word in cls.representatives:

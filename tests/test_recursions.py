@@ -166,6 +166,14 @@ class TestLongHorizonAgreement:
         assert first.P[K].den_exp > 0  # still short of certainty at K
 
 
+class TestAlphabetCheck:
+    @pytest.mark.parametrize("route", [p_table_long, p_table_short, P_table])
+    @pytest.mark.parametrize("L", [1, 0, -1])
+    def test_rejected_before_the_recursion_runs(self, route, L):
+        with pytest.raises(ValueError, match=f"alphabet size must be >= 2, got {L}"):
+            route(H1, L, 100_000)
+
+
 class TestExpectedWait:
     @pytest.mark.parametrize(
         "bits,L,expected",
