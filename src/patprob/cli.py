@@ -17,7 +17,6 @@ import os
 import sys
 
 from . import __version__
-from .budget import DEFAULT_ENUM_BUDGET
 from .markov import ChainSpec, chain_prob_table, check_lemmas, compare_chains
 from .oracle import (
     DEFAULT_MC_SEED,
@@ -27,6 +26,7 @@ from .oracle import (
     monte_carlo,
 )
 from .patterns import (
+    DEFAULT_ENUM_BUDGET,
     BifixIndicator,
     Ordering,
     SWord,
@@ -57,9 +57,12 @@ def _enum_budget() -> int:
     if raw is None:
         return DEFAULT_ENUM_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as exc:
         raise ValueError(f"PATPROB_ENUM_BUDGET must be an integer, got {raw!r}") from exc
+    if budget < 0:
+        raise ValueError(f"PATPROB_ENUM_BUDGET must be >= 0, got {budget}")
+    return budget
 
 
 def _write(text: str) -> None:
@@ -132,12 +135,14 @@ def cmd_prob(args) -> int:
     upto = args.K if args.K is not None else 3 * h.n
 
     if args.check_all:
+        if args.format != "json":
+            raise ValueError(f"--check-all prints JSON only, not --format {args.format}")
         tables = {name: build(h, args.L, upto) for name, build in _TABLE_BUILDERS.items()}
         if word is not None:
             tables["automaton"] = automaton_prob_table(word, upto)
         names = sorted(tables)
         first = tables[names[0]]
-        agree = all(tables[m].p == first.p and tables[m].P == first.P for m in names)
+        agree = all(tables[m].C == first.C for m in names)
         _emit(
             "prob",
             {"h": h.text(), "L": args.L, "K": upto, "check_all": True, "methods": names},
@@ -274,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["long", "short", "P", "markov", "automaton"],
                    default="short")
     p.add_argument("--check-all", action="store_true",
-                   help="run every applicable method and require exact agreement")
+                   help="run every applicable method (--method is not used) and require "
+                        "exact agreement; prints JSON only")
     p.add_argument("--format", choices=["json", "csv", "table"], default="json")
     p.add_argument("--digits", type=int, default=12, help="decimal digits for csv/table")
     p.set_defaults(func=cmd_prob)

@@ -158,7 +158,7 @@ def _forward_cross_check(table: ReachTable) -> None:
 def chain_prob_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """Occurrence-probability table of a bifix class via its chain."""
     table = reach_table(ChainSpec(s_from_h(h), L), upto)
-    return ProbTable.from_counts(h, L, upto, [row[0] for row in table.P], "markov")
+    return ProbTable(h, L, upto, tuple(row[0] for row in table.P), "markov")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,8 @@ from math import sqrt
 
 import numpy as np
 
-from .budget import DEFAULT_ENUM_BUDGET, check_enum_budget
-from .markov import ChainSpec, Matrix, transition_matrix
 from .numerics import ExactProb
-from .patterns import BifixIndicator, Word, bifix_indicator, s_from_h
+from .patterns import DEFAULT_ENUM_BUDGET, BifixIndicator, Word, bifix_indicator, check_enum_budget
 from .recursions import ProbTable
 
 
@@ -57,18 +55,6 @@ class PatternAutomaton:
             delta.append(row)
         delta.append([self.n] * self.L)
         self.delta = delta
-
-    def step(self, state: int, symbol: int) -> int:
-        return self.delta[state][symbol]
-
-    def markov_matrix(self) -> Matrix:
-        """One-step transition probabilities induced by uniform symbols."""
-        L = self.L
-        rows = []
-        for row in self.delta:
-            counts = Counter(row)
-            rows.append(tuple(ExactProb(counts.get(j, 0), 1, L) for j in range(self.n + 1)))
-        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -160,57 +146,13 @@ def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
 
 def automaton_prob_table(pattern: Word, upto: int) -> ProbTable:
     """Probability table of a concrete pattern from automaton state counts."""
-    return ProbTable.from_counts(
+    return ProbTable(
         bifix_indicator(pattern),
         pattern.alphabet_size,
         upto,
-        _absorbed_counts(pattern, upto),
+        tuple(_absorbed_counts(pattern, upto)),
         "automaton",
     )
-
-
-def automaton_matches_class_chain(pattern: Word) -> bool:
-    """Whether the pattern's automaton induces exactly its class chain.
-
-    True for many class representatives but not all: the class chain only
-    promises equal absorption probabilities, not equal transition structure.
-    """
-    spec = ChainSpec(s_from_h(bifix_indicator(pattern)), pattern.alphabet_size)
-    return PatternAutomaton(pattern).markov_matrix() == transition_matrix(spec)
-
-
-@dataclass(frozen=True)
-class CoincidenceStats:
-    """Per bifix class: how many member words induce exactly the class chain."""
-
-    indicator: BifixIndicator
-    matching: int
-    total: int
-
-    @property
-    def any_match(self) -> bool:
-        return self.matching > 0
-
-
-def chain_coincidence_census(
-    n: int, alphabet_size: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> dict[BifixIndicator, CoincidenceStats]:
-    """For every class at (n, L), count members whose automaton equals the chain."""
-    if n < 2:
-        raise ValueError(f"needs pattern length >= 2, got {n}")
-    check_enum_budget(alphabet_size**n, budget, f"chain_coincidence_census(n={n}, L={alphabet_size})")
-    matching: dict[BifixIndicator, int] = {}
-    totals: dict[BifixIndicator, int] = {}
-    for symbols in itertools.product(range(alphabet_size), repeat=n):
-        word = Word(symbols, alphabet_size)
-        h = bifix_indicator(word)
-        totals[h] = totals.get(h, 0) + 1
-        if automaton_matches_class_chain(word):
-            matching[h] = matching.get(h, 0) + 1
-    return {
-        h: CoincidenceStats(h, matching.get(h, 0), totals[h])
-        for h in sorted(totals, key=lambda ind: ind.bits)
-    }
 
 
 # Binary words whose class indicators sum to the same vector pairwise yet

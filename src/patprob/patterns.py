@@ -12,8 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-
-from .budget import DEFAULT_ENUM_BUDGET, check_enum_budget
+from typing import Iterable
 
 
 class Ordering(enum.Enum):
@@ -23,6 +22,20 @@ class Ordering(enum.Enum):
     LESS = "less"
     GREATER = "greater"
     INCOMPARABLE = "incomparable"
+
+
+def _ascii_ints(parts: Iterable[str], what: str) -> tuple[int, ...]:
+    """Each part as an int; every part must be a nonempty run of ASCII digits 0-9.
+
+    `int` alone also reads other Unicode digits, signs, underscores and
+    surrounding spaces, and `str.isdigit` accepts other Unicode digits.
+    """
+    values = []
+    for part in parts:
+        if not (part.isascii() and part.isdigit()):
+            raise ValueError(f"malformed {what}: expected ASCII digits 0-9, got {part!r}")
+        values.append(int(part))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -51,16 +64,10 @@ class Word:
         if not text:
             raise ValueError("empty word")
         if "," in text:
-            symbols = tuple(int(part) for part in text.split(","))
-        else:
-            if alphabet_size > 10:
-                raise ValueError(
-                    f"alphabet size {alphabet_size} needs comma-separated symbols"
-                )
-            if not text.isdigit():
-                raise ValueError(f"malformed word {text!r}: expected digits")
-            symbols = tuple(int(ch) for ch in text)
-        return cls(symbols, alphabet_size)
+            return cls(_ascii_ints(text.split(","), f"word {text!r}"), alphabet_size)
+        if alphabet_size > 10:
+            raise ValueError(f"alphabet size {alphabet_size} needs comma-separated symbols")
+        return cls(_ascii_ints(text, f"word {text!r}"), alphabet_size)
 
     def text(self) -> str:
         if self.alphabet_size <= 10:
@@ -116,11 +123,8 @@ class SWord:
 
     @classmethod
     def parse(cls, text: str) -> SWord:
-        try:
-            targets = tuple(int(part) for part in text.strip().split(","))
-        except ValueError as exc:
-            raise ValueError(f"malformed jump-target word {text!r}") from exc
-        return cls(targets)
+        """Parse comma-separated targets such as "0,1,1"."""
+        return cls(_ascii_ints(text.strip().split(","), f"jump-target word {text!r}"))
 
     def text(self) -> str:
         return ",".join(str(t) for t in self.targets)
@@ -223,6 +227,20 @@ def comparison_threshold(s: SWord, s_prime: SWord) -> int:
         raise ValueError("jump-target pair is not strictly ordered (need s > s')")
     gaps = [i - a for i, (a, b) in enumerate(zip(s.targets, s_prime.targets)) if a > b]
     return s.n + 1 + min(gaps)
+
+
+DEFAULT_ENUM_BUDGET = 2**24
+
+
+class EnumerationBudgetError(ValueError):
+    """Raised when an exhaustive enumeration would exceed its word budget."""
+
+
+def check_enum_budget(total: int, budget: int, what: str) -> None:
+    if total > budget:
+        raise EnumerationBudgetError(
+            f"{what} would enumerate {total} words, exceeding the budget of {budget}"
+        )
 
 
 @dataclass(frozen=True)

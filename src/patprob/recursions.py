@@ -10,8 +10,8 @@ routes compute the same table:
   * the differenced (n+1)-term recursion on p_k,
   * the direct recursion on P_k.
 
-All three run on exact integer word counts (L**k p_k or L**k P_k) and build
-`ExactProb` values only for the finished table; a count that goes negative
+All three run on exact integer word counts (L**k p_k or L**k P_k) and return
+the counts C_k = L**k P_k in a `ProbTable`; a count that goes negative
 means a transcription bug and aborts instead of clamping.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .numerics import ExactProb
@@ -28,44 +29,41 @@ from .patterns import BifixIndicator
 
 @dataclass(frozen=True)
 class ProbTable:
-    """Per-k table of p_k and P_k (exact), with the method that produced it."""
+    """Counts C_k = L**k P_k of the length-k words containing the pattern.
+
+    `p` and `P` are the exact probability views, each built once on first use.
+    """
 
     h: BifixIndicator
     L: int
     upto: int
-    p: tuple[ExactProb, ...]
-    P: tuple[ExactProb, ...]
+    C: tuple[int, ...]
     method: str
 
     def __post_init__(self) -> None:
         n, L = self.h.n, self.L
-        if len(self.p) != self.upto + 1 or len(self.P) != self.upto + 1:
-            raise ValueError("table arrays must cover k = 0..upto")
-        # Checked on word counts a_k = L**k p_k and C_k = L**k P_k.
+        if len(self.C) != self.upto + 1:
+            raise ValueError("table counts must cover k = 0..upto")
         prev = 0
-        for k in range(self.upto + 1):
-            a, C = _count(self.p[k], k, L), _count(self.P[k], k, L)
-            if k < n and (a or C):
+        for k, count in enumerate(self.C):
+            if k < n and count:
                 raise ValueError(f"p_{k} and P_{k} must be 0 below the pattern length")
-            if C != L * prev + a:
-                raise ValueError(f"P_{k} does not equal the prefix sum of p")
-            prev = C
+            # The first-occurrence count a_k = C_k - L C_{k-1} cannot be negative.
+            if count < L * prev:
+                raise ValueError(f"C_{k} = {count} is below L * C_{k - 1} = {L * prev}")
+            prev = count
         if prev > L**self.upto:
             raise ValueError("P exceeded 1")
 
-    @classmethod
-    def from_counts(
-        cls, h: BifixIndicator, L: int, upto: int, C: list[int], method: str
-    ) -> ProbTable:
-        """Table from C_k = L**k P_k, the number of length-k words containing b.
+    @cached_property
+    def P(self) -> tuple[ExactProb, ...]:
+        return tuple(ExactProb(c, k, self.L) for k, c in enumerate(self.C))
 
-        p_k = (C_k - L C_{k-1}) / L**k; a negative first-occurrence count
-        raises, as does any invariant broken in __post_init__.
-        """
-        previous = [0] + C[:-1]
-        p = tuple(ExactProb(c - L * b, k, L) for k, (b, c) in enumerate(zip(previous, C)))
-        P = tuple(ExactProb(c, k, L) for k, c in enumerate(C))
-        return cls(h, L, upto, p, P, method)
+    @cached_property
+    def p(self) -> tuple[ExactProb, ...]:
+        """p_k = (C_k - L C_{k-1}) / L**k."""
+        L, C = self.L, self.C
+        return tuple(ExactProb(c - L * b, k, L) for k, (b, c) in enumerate(zip((0,) + C, C)))
 
     @property
     def n(self) -> int:
@@ -90,15 +88,6 @@ class ProbTable:
         return "\n".join(lines) + "\n"
 
 
-def _count(x: ExactProb, k: int, L: int) -> int:
-    """Numerator of x over L**k; raises unless x is a count of length-k words."""
-    if x.base != L:
-        raise ValueError(f"mismatched bases: {x.base} vs {L}")
-    if x.den_exp > k:
-        raise ValueError(f"{x} is not a multiple of 1/{L}^{k}")
-    return x.num * L ** (k - x.den_exp)
-
-
 def _borders(h: BifixIndicator, L: int) -> list[int]:
     """Border lengths i (1 <= i < n) with h_i = 1.
 
@@ -116,14 +105,14 @@ def _nonneg(count: int, k: int) -> int:
     return count
 
 
-def _accumulate(a: list[int], L: int) -> list[int]:
+def _accumulate(a: list[int], L: int) -> tuple[int, ...]:
     """C_k = L C_{k-1} + a_k: occurrence counts from first-occurrence counts."""
     C = []
     running = 0
     for count in a:
         running = L * running + count
         C.append(running)
-    return C
+    return tuple(C)
 
 
 def p_table_long(h: BifixIndicator, L: int, upto: int) -> ProbTable:
@@ -144,7 +133,7 @@ def p_table_long(h: BifixIndicator, L: int, upto: int) -> ProbTable:
         history = L * history + a[k - n]
         a.append(_nonneg(power - history - sum(a[k - n + i] for i in borders), k))
         power *= L
-    return ProbTable.from_counts(h, L, upto, _accumulate(a, L), "long-recursion")
+    return ProbTable(h, L, upto, _accumulate(a, L), "long-recursion")
 
 
 def p_table_short(h: BifixIndicator, L: int, upto: int) -> ProbTable:
@@ -166,7 +155,7 @@ def p_table_short(h: BifixIndicator, L: int, upto: int) -> ProbTable:
         for i in borders:
             nxt -= a[k - n + i + 1] - L * a[k - n + i]
         a.append(_nonneg(nxt, k + 1))
-    return ProbTable.from_counts(h, L, upto, _accumulate(a, L), "short-recursion")
+    return ProbTable(h, L, upto, _accumulate(a, L), "short-recursion")
 
 
 def _iter_counts(h: BifixIndicator, L: int) -> Iterator[int]:
@@ -207,8 +196,8 @@ def P_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """Table built from the direct recursion on P."""
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
-    C = list(itertools.islice(_iter_counts(h, L), upto + 1))
-    return ProbTable.from_counts(h, L, upto, C, "P-recursion")
+    C = tuple(itertools.islice(_iter_counts(h, L), upto + 1))
+    return ProbTable(h, L, upto, C, "P-recursion")
 
 
 def P_at(h: BifixIndicator, L: int, k: int) -> ExactProb:

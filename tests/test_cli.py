@@ -140,6 +140,23 @@ class TestProb:
         assert code == 0
         assert "automaton" not in env["params"]["methods"]
 
+    def test_check_all_disagreement_exits_1(self, capsys, monkeypatch):
+        import patprob.cli as cli_module
+        from patprob.recursions import ProbTable
+
+        real = cli_module._TABLE_BUILDERS["long"]
+
+        def one_count_off(h, L, upto):
+            table = real(h, L, upto)
+            C = table.C[:-1] + (table.C[-1] + 1,)
+            return ProbTable(table.h, table.L, table.upto, C, table.method)
+
+        monkeypatch.setitem(cli_module._TABLE_BUILDERS, "long", one_count_off)
+        code, env, err = run_json(capsys, "prob", "--h", "1", "--K", "6", "--check-all")
+        assert code == 1
+        assert env["result"]["agreement"] is False
+        assert "methods disagree" in err
+
     def test_automaton_requires_word(self, capsys):
         code, _, err = run(capsys, "prob", "--h", "1", "--method", "automaton")
         assert code == 2
@@ -231,6 +248,12 @@ class TestCensus:
     def test_bad_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PATPROB_ENUM_BUDGET", "lots")
         assert run(capsys, "census", "--n", "2", "--L", "2")[0] == 2
+
+    def test_negative_budget_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("PATPROB_ENUM_BUDGET", "-1")
+        code, _, err = run(capsys, "census", "--n", "2", "--L", "2")
+        assert code == 2
+        assert "PATPROB_ENUM_BUDGET must be >= 0" in err
 
 
 class TestCounterexample:
@@ -348,6 +371,11 @@ class TestErrorBoundary:
             "compare --h 0 --h2 1 --L 1",
             "counterexample --L 1",
             "compare --h 00 --h2 10 --K -3",
+            "prob --h 1 --K 2 --check-all --format csv",
+            "prob --h 1 --K 2 --check-all --format table",
+            "bifix --word \u0661\u0660\u0660",
+            "bifix --word 1_0,1 --L 11",
+            "lemmas --s 0,+1,0_1",
         ],
     )
     def test_bad_argument_exits_2_with_one_error_line(self, capsys, argv):

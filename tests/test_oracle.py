@@ -3,19 +3,17 @@ import random
 
 import pytest
 
-from patprob.budget import EnumerationBudgetError
+from patprob import EnumerationBudgetError
 from patprob.numerics import ExactProb
 from patprob.oracle import (
     McConfig,
     PatternAutomaton,
     automaton_counts,
-    automaton_matches_class_chain,
-    chain_coincidence_census,
     counterexample_check,
     enum_counts,
     monte_carlo,
 )
-from patprob.patterns import Word, bifix_indicator, census
+from patprob.patterns import Word, bifix_indicator
 from patprob.recursions import P_table
 
 
@@ -45,7 +43,7 @@ class TestAutomaton:
             aut = PatternAutomaton(word)
             for state in range(aut.n + 1):
                 for symbol in range(aut.L):
-                    assert aut.step(state, symbol) == naive_step(word, state, symbol)
+                    assert aut.delta[state][symbol] == naive_step(word, state, symbol)
 
     def test_structural_invariants(self):
         for text in ["11011", "10010", "0000", "10"]:
@@ -53,12 +51,12 @@ class TestAutomaton:
             aut = PatternAutomaton(word)
             n = aut.n
             for i in range(n):
-                assert aut.step(i, word.symbols[i]) == i + 1
+                assert aut.delta[i][word.symbols[i]] == i + 1
             for c in range(aut.L):
-                assert aut.step(n, c) == n
+                assert aut.delta[n][c] == n
             for i in range(n + 1):
                 for c in range(aut.L):
-                    assert aut.step(i, c) <= i + 1
+                    assert aut.delta[i][c] <= i + 1
 
 
 class TestCounts:
@@ -147,25 +145,6 @@ class TestCounterexample:
         report = counterexample_check()
         for word, prob in zip(report.words, report.probabilities):
             assert enum_counts(word, 12).prob_contains() == prob
-
-
-class TestChainCoincidence:
-    def test_often_but_not_always(self):
-        stats = chain_coincidence_census(5, 2)
-        by_text = {h.text(): st for h, st in stats.items()}
-        assert by_text["1000"].any_match        # e.g. 10001
-        assert not by_text["1100"].any_match    # no member of this class matches
-        assert by_text["1100"].total == 2
-
-    def test_specific_words(self):
-        assert automaton_matches_class_chain(w("10001"))
-        assert automaton_matches_class_chain(w("10000"))
-        assert not automaton_matches_class_chain(w("11011"))
-
-    def test_totals_partition(self):
-        stats = chain_coincidence_census(4, 2)
-        assert sum(st.total for st in stats.values()) == 16
-        assert {h.text() for h in stats} == {h.text() for h in census(4, 2)}
 
 
 class TestMonteCarlo:

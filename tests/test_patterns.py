@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from patprob.budget import EnumerationBudgetError
+from patprob import EnumerationBudgetError
 from patprob.patterns import (
     BifixIndicator,
     Ordering,
@@ -63,6 +63,20 @@ class TestWord:
             Word.parse("1a0", 2)
         with pytest.raises(ValueError):
             Word.parse("", 2)
+
+    @pytest.mark.parametrize(
+        "text,L",
+        [
+            ("\u0661\u0660\u0660", 2),  # Arabic-Indic digits for 100
+            ("\uff11\uff10", 2),  # fullwidth digits for 10
+            ("1_0,1", 11),
+            ("+1,0", 11),
+            ("1, 0", 11),
+        ],
+    )
+    def test_only_ascii_digit_runs(self, text, L):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            Word.parse(text, L)
 
 
 class TestBifixIndicator:
@@ -202,6 +216,11 @@ class TestSWords:
         assert SWord.parse("0,1,2").targets == (0, 1, 2)
         with pytest.raises(ValueError):
             SWord.parse("0,x")
+
+    @pytest.mark.parametrize("text", [" 0, +1,0_1", "0,\u0661", "0,1 ,1"])
+    def test_parse_only_ascii_digit_runs(self, text):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            SWord.parse(text)
 
     def test_order_swaps_under_mapping(self):
         # h < h' corresponds to s_from_h(h) > s_from_h(h')

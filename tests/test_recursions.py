@@ -98,40 +98,38 @@ class TestTableInvariants:
                 assert not t.P[k] < t.P[k - 1]
                 assert not one < t.P[k]
 
-    def test_prefix_sum_consistency_enforced(self):
-        h = H1
-        good = P_table(h, 2, 4)
-        from patprob.recursions import ProbTable
-
-        broken_P = list(good.P)
-        broken_P[4] = ep(7, 4)
-        with pytest.raises(ValueError, match="prefix sum"):
-            ProbTable(h, 2, 4, good.p, tuple(broken_P), "P-recursion")
-
     def test_nonzero_below_pattern_length_rejected(self):
         from patprob.recursions import ProbTable
 
-        good = P_table(H1, 2, 4)
-        p, P = list(good.p), list(good.P)
-        p[1] = P[1] = ep(1, 1)
         with pytest.raises(ValueError, match="below the pattern length"):
-            ProbTable(H1, 2, 4, tuple(p), tuple(P), "P-recursion")
+            ProbTable(H1, 2, 4, (0, 1, 3, 7, 15), "P-recursion")
 
     def test_P_above_one_rejected(self):
         from patprob.recursions import ProbTable
 
-        zero, one, half = ExactProb.zero(2), ExactProb.one(2), ep(1, 1)
-        p = (zero, zero, one, half)
-        P = (zero, zero, one, ep(3, 1))  # prefix sums, but P_3 = 3/2
+        # C_3 = 9 > 2**3: more length-3 words than there are
         with pytest.raises(ValueError, match="P exceeded 1"):
-            ProbTable(H1, 2, 3, p, P, "P-recursion")
+            ProbTable(H1, 2, 3, (0, 0, 1, 9), "P-recursion")
 
     def test_from_counts_rejects_decreasing_counts(self):
         from patprob.recursions import ProbTable
 
         # C_3 < 2 C_2 would make the first-occurrence count a_3 negative
-        with pytest.raises(ValueError):
-            ProbTable.from_counts(H1, 2, 3, [0, 0, 1, 1], "P-recursion")
+        with pytest.raises(ValueError, match="below L"):
+            ProbTable(H1, 2, 3, (0, 0, 1, 1), "P-recursion")
+
+    def test_counts_must_cover_the_horizon(self):
+        from patprob.recursions import ProbTable
+
+        with pytest.raises(ValueError, match="cover k = 0..upto"):
+            ProbTable(H1, 2, 4, (0, 0, 1, 3), "P-recursion")
+
+    def test_views_are_built_once(self):
+        t = P_table(H1, 2, 12)
+        assert t.P is t.P
+        assert t.p is t.p
+        assert t.C == tuple(x.num * 2 ** (k - x.den_exp) for k, x in enumerate(t.P))
+        assert t.P[12] == sum(t.p, ExactProb.zero(2))
 
     def test_windowed_iterator_matches_table(self):
         h = BifixIndicator((1, 0, 1, 0))
