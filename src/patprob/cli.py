@@ -31,6 +31,7 @@ from .patterns import (
     Ordering,
     SWord,
     Word,
+    _ascii_ints,
     bifix_indicator,
     census,
     compare_indicators,
@@ -56,12 +57,10 @@ def _enum_budget() -> int:
     raw = os.environ.get("PATPROB_ENUM_BUDGET")
     if raw is None:
         return DEFAULT_ENUM_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PATPROB_ENUM_BUDGET must be an integer, got {raw!r}") from exc
-    if budget < 0:
-        raise ValueError(f"PATPROB_ENUM_BUDGET must be >= 0, got {budget}")
+    digits = raw.removeprefix("-")
+    (budget,) = _ascii_ints([digits], "PATPROB_ENUM_BUDGET")
+    if digits != raw:
+        raise ValueError(f"PATPROB_ENUM_BUDGET must be >= 0, got {raw}")
     return budget
 
 

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import ExactProb
 from .patterns import BifixIndicator, SWord, comparison_threshold, s_from_h
 from .recursions import ProbTable
-
-Matrix = tuple[tuple[ExactProb, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -56,19 +53,12 @@ def _step_counts(spec: ChainSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def transition_matrix(spec: ChainSpec) -> Matrix:
-    """(n+1) x (n+1) one-step transition probabilities; rows sum to 1 exactly."""
-    return tuple(
-        tuple(ExactProb(count, 1, spec.L) for count in row) for row in _step_counts(spec)
-    )
-
-
 @dataclass(frozen=True)
 class ReachTable:
     """P[k][i] = number of length-k symbol sequences that take state i to n.
 
     The probability of reaching state n within k steps from state i is
-    P[k][i] / L**k, which `prob` returns exactly.
+    P[k][i] / L**k.
     """
 
     spec: ChainSpec
@@ -88,19 +78,6 @@ class ReachTable:
             if any(not 0 <= entry <= power for entry in row):
                 raise ValueError("reach probabilities must stay within [0, 1]")
             power *= L
-
-    def prob(self, k: int, i: int) -> ExactProb:
-        return ExactProb(self.P[k][i], k, self.spec.L)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "upto": self.upto,
-            "rows": [
-                [self.prob(k, i).to_json_dict() for i in range(self.spec.n + 1)]
-                for k in range(self.upto + 1)
-            ],
-        }
 
 
 _FORWARD_CHECK_SAMPLES = 10

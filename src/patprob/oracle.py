@@ -15,7 +15,14 @@ from math import sqrt
 import numpy as np
 
 from .numerics import ExactProb
-from .patterns import DEFAULT_ENUM_BUDGET, BifixIndicator, Word, bifix_indicator, check_enum_budget
+from .patterns import (
+    DEFAULT_ENUM_BUDGET,
+    BifixIndicator,
+    Word,
+    _failure,
+    bifix_indicator,
+    check_enum_budget,
+)
 from .recursions import ProbTable
 
 
@@ -34,14 +41,7 @@ class PatternAutomaton:
         self.n = len(pattern)
         self.L = pattern.alphabet_size
         b = pattern.symbols
-        fail = [0] * self.n
-        k = 0
-        for i in range(1, self.n):
-            while k > 0 and b[i] != b[k]:
-                k = fail[k - 1]
-            if b[i] == b[k]:
-                k += 1
-            fail[i] = k
+        fail = _failure(b)
         delta = []
         for i in range(self.n):
             row = []
@@ -73,18 +73,6 @@ class OccurrenceCounts:
 
     def prob_contains(self) -> ExactProb:
         return ExactProb(self.contains, self.k, self.pattern.alphabet_size)
-
-    def prob_first_at(self, j: int) -> ExactProb:
-        return ExactProb(self.first_at[j], self.k, self.pattern.alphabet_size)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "b": self.pattern.text(),
-            "L": self.pattern.alphabet_size,
-            "k": self.k,
-            "contains": str(self.contains),
-            "first_at": [str(c) for c in self.first_at[1:]],
-        }
 
 
 def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> OccurrenceCounts:
@@ -202,11 +190,15 @@ def counterexample_check(alphabet_size: int = 2) -> CounterexampleReport:
     sums_equal = tuple(a + d for a, d in zip(h1.bits, h4.bits)) == tuple(
         b + c for b, c in zip(h2.bits, h3.bits)
     )
-    probs = tuple(automaton_counts(w, NON_AFFINE_HORIZON).prob_contains() for w in words)
-    left = probs[0] + probs[3]
-    right = probs[1] + probs[2]
+    counts = tuple(automaton_counts(w, NON_AFFINE_HORIZON) for w in words)
+    c1, c2, c3, c4 = (c.contains for c in counts)  # all over L**NON_AFFINE_HORIZON
     return CounterexampleReport(
-        words, indicators, NON_AFFINE_HORIZON, probs, sums_equal, left == right
+        words,
+        indicators,
+        NON_AFFINE_HORIZON,
+        tuple(c.prob_contains() for c in counts),
+        sums_equal,
+        c1 + c4 == c2 + c3,
     )
 
 

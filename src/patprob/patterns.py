@@ -130,24 +130,33 @@ class SWord:
         return ",".join(str(t) for t in self.targets)
 
 
-def bifix_indicator(word: Word) -> BifixIndicator:
-    """Bifix indicator of a pattern, computed from its border chain.
+def _failure(b: tuple[int, ...]) -> list[int]:
+    """Failure function: entry i is the length of the longest proper border of b[:i+1].
 
-    Runs in O(n) via the classic failure-function construction; the
-    quadratic prefix/suffix comparison serves as the test oracle.
+    The classic O(n) construction; `bifix_indicator` and the pattern
+    automaton both build on it.
     """
-    n = len(word)
-    if n < 2:
-        raise ValueError(f"patterns must have length >= 2, got {n}")
-    b = word.symbols
-    fail = [0] * n  # fail[i] = longest proper border of b[:i+1]
+    fail = [0] * len(b)
     k = 0
-    for i in range(1, n):
+    for i in range(1, len(b)):
         while k > 0 and b[i] != b[k]:
             k = fail[k - 1]
         if b[i] == b[k]:
             k += 1
         fail[i] = k
+    return fail
+
+
+def bifix_indicator(word: Word) -> BifixIndicator:
+    """Bifix indicator of a pattern, computed from its border chain.
+
+    Runs in O(n) via the failure function; the quadratic prefix/suffix
+    comparison serves as the test oracle.
+    """
+    n = len(word)
+    if n < 2:
+        raise ValueError(f"patterns must have length >= 2, got {n}")
+    fail = _failure(word.symbols)
     bits = [0] * (n - 1)
     length = fail[n - 1]
     while length > 0:

@@ -42,6 +42,8 @@ class ProbTable:
 
     def __post_init__(self) -> None:
         n, L = self.h.n, self.L
+        if self.upto < 0:
+            raise ValueError(f"upto must be >= 0, got {self.upto}")
         if len(self.C) != self.upto + 1:
             raise ValueError("table counts must cover k = 0..upto")
         prev = 0
@@ -122,8 +124,6 @@ def p_table_long(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     a_k = L**(k-n) - M_k - sum_i h_i a_{k-n+i}, where the history
     M_k = sum_{i=n}^{k-n} a_i L**(k-n-i) = L M_{k-1} + a_{k-n}.
     """
-    if upto < 0:
-        raise ValueError(f"upto must be >= 0, got {upto}")
     n = h.n
     borders = _borders(h, L)
     a = [0] * min(n, upto + 1)
@@ -143,8 +143,6 @@ def p_table_short(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     on counts a_k = L**k p_k:
     a_{k+1} = L a_k - a_{k+1-n} - sum_i h_i (a_{k-n+i+1} - L a_{k-n+i}).
     """
-    if upto < 0:
-        raise ValueError(f"upto must be >= 0, got {upto}")
     n = h.n
     borders = _borders(h, L)
     a = [0] * min(n, upto + 1)
@@ -186,17 +184,10 @@ def _iter_counts(h: BifixIndicator, L: int) -> Iterator[int]:
         yield nxt
 
 
-def iter_P(h: BifixIndicator, L: int) -> Iterator[ExactProb]:
-    """Yield P_0, P_1, ... indefinitely in constant memory (see _iter_counts)."""
-    for k, count in enumerate(_iter_counts(h, L)):
-        yield ExactProb(count, k, L)
-
-
 def P_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """Table built from the direct recursion on P."""
-    if upto < 0:
-        raise ValueError(f"upto must be >= 0, got {upto}")
-    C = tuple(itertools.islice(_iter_counts(h, L), upto + 1))
+    # zip, not islice: a negative upto yields no counts, and ProbTable rejects it.
+    C = tuple(count for _, count in zip(range(upto + 1), _iter_counts(h, L)))
     return ProbTable(h, L, upto, C, "P-recursion")
 
 
@@ -220,14 +211,6 @@ class SeriesResult:
     tail_bound: float
     upto: int
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "tail_bound": self.tail_bound,
-            "upto": self.upto,
-            "converged": self.converged,
-        }
 
 
 # Ratio window that must agree before the geometric tail bound is trusted.

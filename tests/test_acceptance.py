@@ -343,13 +343,12 @@ def test_criterion_7_non_affine_counterexample():
         and result.probabilities == golden
         and [h.text() for h in result.indicators] == ["0000", "1000", "0100", "1100"]
     )
-    left = result.probabilities[0] + result.probabilities[3]
-    right = result.probabilities[1] + result.probabilities[2]
+    c1, c2, c3, c4 = (p.num * 2 ** (12 - p.den_exp) for p in result.probabilities)
     report(
         7,
         "indicator sums equal, probability sums differ at k=12",
         ok,
-        f"P1+P4 = {left}, P2+P3 = {right}",
+        f"P1+P4 = {c1 + c4}/2^12, P2+P3 = {c2 + c3}/2^12",
     )
     assert result.indicator_sums_equal
     assert not result.probability_sums_equal

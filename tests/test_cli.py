@@ -255,6 +255,14 @@ class TestCensus:
         assert code == 2
         assert "PATPROB_ENUM_BUDGET must be >= 0" in err
 
+    @pytest.mark.parametrize("raw", ["١٠", "1_0", " 10 "])
+    def test_budget_env_only_ascii_digits(self, capsys, monkeypatch, raw):
+        # int() would read each of these as 10
+        monkeypatch.setenv("PATPROB_ENUM_BUDGET", raw)
+        code, out, err = run(capsys, "census", "--n", "4", "--L", "2")
+        assert (code, out) == (2, "")
+        assert "malformed PATPROB_ENUM_BUDGET" in err
+
 
 class TestCounterexample:
     def test_reproduces(self, capsys):
@@ -327,29 +335,21 @@ class TestTopLevel:
         assert env["version"] == "0.1.0"
 
 
+# Every digest-checked call in bench/golden.json: exit code and stdout SHA-256.
+# Any change in the numbers or their rendering shows up here. The one call
+# without a digest is simulate, which the benchmark checks against bands.
+GOLDEN_CLI = json.loads((SRC.parent / "bench" / "golden.json").read_text())["cli"]
+
+
 class TestByteIdentity:
-    # stdout SHA-256 digests recorded in bench/golden.json; any change in
-    # the numbers or their rendering shows up here.
     @pytest.mark.parametrize(
         "argv,digest",
-        [
-            (
-                "prob --h 1000 --K 2000",
-                "e2611b9df39d1d47feabe756670005fd19f0cbc93bb7a48e359b71a6101af3f1",
-            ),
-            (
-                "prob --word 1000110001 --K 400 --check-all",
-                "bb995d86009f4fb21d639b395bffb73c7c921956a5f6a264a2cdfbd1366a44ea",
-            ),
-            (
-                "prob --h 11 --L 2 --K 9 --format csv --digits 8",
-                "189e18daefd9ff89484542f851f3c63bc9a385b4baf652f0ec15ac3a19fddfd1",
-            ),
-        ],
+        [(argv, golden["sha256"]) for argv, golden in GOLDEN_CLI.items() if golden["sha256"]],
     )
-    def test_stdout_digest(self, capsys, argv, digest):
+    def test_stdout_digest(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("PATPROB_ENUM_BUDGET", raising=False)
         code, out, _ = run(capsys, *argv.split())
-        assert code == 0
+        assert code == GOLDEN_CLI[argv]["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -6,11 +6,11 @@ from patprob.markov import (
     ChainSpec,
     ReachTable,
     _forward_cross_check,
+    _step_counts,
     chain_prob_table,
     check_lemmas,
     compare_chains,
     reach_table,
-    transition_matrix,
 )
 from patprob.numerics import ExactProb
 from patprob.patterns import BifixIndicator, SWord, census, k0_sharp, s_from_h
@@ -26,34 +26,25 @@ def spec(targets, L=2):
 
 
 class TestTransitionMatrix:
+    # The one-step matrix as counts: entry (i, j) is how many of the L
+    # symbols move state i to state j, i.e. L times the probability.
     def test_binary_restart_chain(self):
-        m = transition_matrix(spec((0, 0)))
-        zero, half, one = ExactProb.zero(2), ep(1, 1), ExactProb.one(2)
-        assert m[0] == (half, half, zero)
-        assert m[1] == (half, zero, half)
-        assert m[2] == (zero, zero, one)
+        m = _step_counts(spec((0, 0)))
+        assert m == ((1, 1, 0), (1, 0, 1), (0, 0, 2))
 
     def test_binary_sticky_chain(self):
-        m = transition_matrix(spec((0, 1)))
-        zero, half = ExactProb.zero(2), ep(1, 1)
-        assert m[1] == (zero, half, half)
+        m = _step_counts(spec((0, 1)))
+        assert m[1] == (0, 1, 1)
 
     def test_three_letter_split(self):
-        m = transition_matrix(spec((0, 1), 3))
-        third = ExactProb.inv_power(3, 1)
-        two_thirds = ExactProb(2, 1, 3)
-        assert m[0] == (two_thirds, third, ExactProb.zero(3))
-        assert m[1] == (third, third, third)
+        m = _step_counts(spec((0, 1), 3))
+        assert m[0] == (2, 1, 0)
+        assert m[1] == (1, 1, 1)
 
     @pytest.mark.parametrize("targets,L", [((0,), 2), ((0, 1, 2), 4), ((0, 0, 2, 3), 5)])
     def test_rows_sum_to_one(self, targets, L):
-        m = transition_matrix(spec(targets, L))
-        one = ExactProb.one(L)
-        for row in m:
-            total = ExactProb.zero(L)
-            for entry in row:
-                total = total + entry
-            assert total == one
+        for row in _step_counts(spec(targets, L)):
+            assert sum(row) == L
 
     def test_rejects_tiny_alphabet(self):
         with pytest.raises(ValueError):
@@ -63,48 +54,40 @@ class TestTransitionMatrix:
 class TestReachTable:
     def test_forced_path(self):
         t = reach_table(spec((0, 0)), 3)
-        assert t.prob(2, 0) == ep(1, 2)
+        assert t.P[2][0] == 1  # 1 of the 4 length-2 words
 
     def test_sticky_chain_value(self):
         t = reach_table(spec((0, 1)), 3)
-        assert t.prob(3, 0) == ep(1, 1)
+        assert t.P[3][0] == 4  # half of the 8 length-3 words
 
     def test_zero_exactly_below_diagonal(self):
         t = reach_table(spec((0, 1, 2, 3)), 12)
         n = 4
         for k in range(13):
             for i in range(n + 1):
-                assert (t.prob(k, i) != ExactProb.zero(2)) == (k + i >= n)
+                assert (t.P[k][i] != 0) == (k + i >= n)
 
     def test_absorbing_row_is_one(self):
         t = reach_table(spec((0, 1, 0), 3), 8)
-        one = ExactProb.one(3)
         for k in range(9):
-            assert t.prob(k, 3) == one
+            assert t.P[k][3] == 3**k
 
     def test_matches_matrix_powers_for_all_start_states(self):
-        # Independent route: k-step absorption mass from every start state.
+        # Independent route: entry (i, n) of the k-th power of the one-step
+        # count matrix is the number of length-k words that take i to n.
         for targets, L in [((0, 1, 1), 2), ((0, 0, 2), 3)]:
             sp = spec(targets, L)
             n = sp.n
-            m = transition_matrix(sp)
+            m = _step_counts(sp)
             t = reach_table(sp, 10)
-            power = [
-                [ExactProb.one(L) if i == j else ExactProb.zero(L) for j in range(n + 1)]
-                for i in range(n + 1)
-            ]
+            power = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
             for k in range(1, 11):
-                nxt = [[ExactProb.zero(L)] * (n + 1) for _ in range(n + 1)]
+                power = [
+                    [sum(power[i][mid] * m[mid][j] for mid in range(n + 1)) for j in range(n + 1)]
+                    for i in range(n + 1)
+                ]
                 for i in range(n + 1):
-                    for mid in range(n + 1):
-                        if power[i][mid].is_zero():
-                            continue
-                        for j in range(n + 1):
-                            if not m[mid][j].is_zero():
-                                nxt[i][j] = nxt[i][j] + power[i][mid] * m[mid][j]
-                power = nxt
-                for i in range(n + 1):
-                    assert power[i][n] == t.prob(k, i), (targets, L, k, i)
+                    assert power[i][n] == t.P[k][i], (targets, L, k, i)
 
 
 class TestReachTableInvariants:
@@ -120,7 +103,6 @@ class TestReachTableInvariants:
         t = self.build(sp, rows)
         assert t.P[2][0] == 0
         assert t.P[3][0] == 1  # the one word that climbs 0 -> 1 -> 2 -> 3
-        assert t.prob(3, 0) == ExactProb(1, 3, 3)
         assert t.P[5][sp.n] == 3**5
 
     def test_bad_row_zero(self):
@@ -155,12 +137,12 @@ class TestReachTableInvariants:
 class TestChainProbTable:
     def test_repeated_symbol_class(self):
         t = chain_prob_table(BifixIndicator((1,)), 2, 3)
-        assert t.P == (ExactProb.zero(2), ExactProb.zero(2), ep(1, 2), ep(3, 3))
+        assert t.P == (ep(0, 0), ep(0, 0), ep(1, 2), ep(3, 3))
         assert t.method == "markov"
 
     def test_borderless_class(self):
         t = chain_prob_table(BifixIndicator((0,)), 2, 3)
-        assert t.P == (ExactProb.zero(2), ExactProb.zero(2), ep(1, 2), ep(1, 1))
+        assert t.P == (ep(0, 0), ep(0, 0), ep(1, 2), ep(1, 1))
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_equals_direct_recursion(self, L):

@@ -1,24 +1,29 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from patprob.numerics import ExactProb, compare
+from patprob.numerics import ExactProb
 
 
 def ep(num, exp, base=2):
     return ExactProb(num, exp, base)
 
 
+def fraction(x):
+    return Fraction(x.num, x.base**x.den_exp)
+
+
 class TestConstruction:
     def test_zero_normalizes_exponent(self):
-        assert ExactProb(0, 7, 2) == ExactProb.zero(2)
+        assert ExactProb(0, 7, 2) == ExactProb(0, 0, 2)
 
     def test_strips_base_factors(self):
         assert ep(4, 3) == ep(1, 1)
         assert ep(6, 2) == ep(3, 1)
 
     def test_composite_base(self):
-        assert ExactProb(6, 1, 6) == ExactProb.one(6)
+        assert ExactProb(6, 1, 6) == ExactProb(1, 0, 6)
         assert ExactProb(2, 1, 6).num == 2  # 2 not divisible by 6, stays
 
     def test_canonicalization_idempotent(self):
@@ -35,32 +40,9 @@ class TestConstruction:
 
 
 class TestArithmetic:
-    def test_quarter_plus_quarter(self):
-        assert ep(1, 2) + ep(1, 2) == ep(1, 1)
-
-    def test_add_zero_is_identity(self):
-        x = ep(3, 5)
-        assert x + ExactProb.zero(2) == x
-
-    def test_cross_exponent_add(self):
-        # 1/32 + 3/8 = 1/32 + 12/32 = 13/32
-        assert ep(1, 5) + ep(3, 3) == ep(13, 5)
-
-    def test_mul(self):
-        assert ep(1, 1) * ep(1, 1) == ep(1, 2)
-
-    def test_sub(self):
-        assert ep(1, 1) - ep(3, 3) == ep(1, 3)
-
-    def test_sub_underflow_raises(self):
-        with pytest.raises(ValueError, match="underflow"):
-            ep(1, 2) - ep(1, 1)
-
     def test_base_mismatch_raises(self):
         with pytest.raises(ValueError, match="base"):
-            ExactProb(1, 1, 2) + ExactProb(1, 1, 3)
-        with pytest.raises(ValueError, match="base"):
-            compare(ExactProb(1, 1, 2), ExactProb(1, 1, 3))
+            ExactProb(1, 1, 2) < ExactProb(1, 1, 3)
 
     def test_agrees_with_fraction_reference(self):
         rng = random.Random(1729)
@@ -68,19 +50,16 @@ class TestArithmetic:
             base = rng.choice([2, 3, 5, 10])
             a = ExactProb(rng.randrange(0, 5000), rng.randrange(0, 10), base)
             b = ExactProb(rng.randrange(0, 5000), rng.randrange(0, 10), base)
-            fa, fb = a.as_fraction(), b.as_fraction()
-            assert (a + b).as_fraction() == fa + fb
-            assert (a * b).as_fraction() == fa * fb
-            if fb <= fa:
-                assert (a - b).as_fraction() == fa - fb
-            assert compare(a, b) == (fa > fb) - (fa < fb)
+            fa, fb = fraction(a), fraction(b)
+            assert (a == b) == (fa == fb)
+            assert (a < b) == (fa < fb)
+            assert (a > b) == (fa > fb)
 
     def test_ordering_operators(self):
         assert ep(3, 3) < ep(1, 1)
         assert ep(1, 1) <= ep(1, 1)
         assert ep(1, 1) > ep(3, 3)
-        assert compare(ep(3, 3), ep(1, 1)) == -1
-        assert compare(ep(1, 1), ep(1, 1)) == 0
+        assert not ep(1, 1) < ep(2, 2)
 
 
 class TestRendering:
@@ -116,14 +95,10 @@ class TestRendering:
         big = ExactProb(3**60, 0, 2)
         assert isinstance(big.to_json_dict()["num"], str)
 
-    def test_str(self):
-        assert str(ep(3, 3)) == "3/2^3"
-        assert str(ExactProb(5, 0, 2)) == "5"
-
 
 def test_values_match_fraction_on_float_conversion():
     rng = random.Random(99)
     for _ in range(200):
         base = rng.choice([2, 3])
         x = ExactProb(rng.randrange(0, 10**6), rng.randrange(0, 40), base)
-        assert float(x) == float(x.as_fraction())
+        assert float(x) == float(fraction(x))

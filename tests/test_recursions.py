@@ -7,10 +7,11 @@ from patprob.oracle import enum_counts
 from patprob.patterns import BifixIndicator, Word, bifix_indicator, census
 from patprob.recursions import (
     P_at,
+    ProbTable,
+    _iter_counts,
     P_table,
     expected_wait_closed,
     expected_wait_series,
-    iter_P,
     p_table_long,
     p_table_short,
 )
@@ -42,12 +43,12 @@ class TestFrozenValues:
         for bits, L in [((1,), 2), ((0, 0), 3), ((1, 0, 1, 0), 2)]:
             h = BifixIndicator(bits)
             t = p_table_short(h, L, h.n)
-            assert t.p[h.n] == ExactProb.inv_power(L, h.n)
+            assert t.p[h.n] == ExactProb(1, h.n, L)
 
     def test_zero_below_pattern_length(self):
         t = P_table(BifixIndicator((1, 0, 0)), 2, 2)
-        assert all(v == ExactProb.zero(2) for v in t.p)
-        assert all(v == ExactProb.zero(2) for v in t.P)
+        assert all(v == ep(0, 0) for v in t.p)
+        assert all(v == ep(0, 0) for v in t.P)
 
 
 class TestThreeWayEquality:
@@ -85,7 +86,7 @@ class TestAgainstEnumeration:
         counts = enum_counts(word, 9)
         table = P_table(h, 2, 9)
         for j in range(1, 10):
-            assert table.p[j] == counts.prob_first_at(j)
+            assert table.p[j] == ExactProb(counts.first_at[j], 9, 2)
 
 
 class TestTableInvariants:
@@ -93,49 +94,50 @@ class TestTableInvariants:
         for bits, L in [((1, 1, 0, 0), 2), ((0, 0, 0), 3)]:
             h = BifixIndicator(bits)
             t = P_table(h, L, 40)
-            one = ExactProb.one(L)
+            one = ExactProb(1, 0, L)
             for k in range(1, 41):
                 assert not t.P[k] < t.P[k - 1]
                 assert not one < t.P[k]
 
     def test_nonzero_below_pattern_length_rejected(self):
-        from patprob.recursions import ProbTable
-
         with pytest.raises(ValueError, match="below the pattern length"):
             ProbTable(H1, 2, 4, (0, 1, 3, 7, 15), "P-recursion")
 
     def test_P_above_one_rejected(self):
-        from patprob.recursions import ProbTable
-
         # C_3 = 9 > 2**3: more length-3 words than there are
         with pytest.raises(ValueError, match="P exceeded 1"):
             ProbTable(H1, 2, 3, (0, 0, 1, 9), "P-recursion")
 
     def test_from_counts_rejects_decreasing_counts(self):
-        from patprob.recursions import ProbTable
-
         # C_3 < 2 C_2 would make the first-occurrence count a_3 negative
         with pytest.raises(ValueError, match="below L"):
             ProbTable(H1, 2, 3, (0, 0, 1, 1), "P-recursion")
 
     def test_counts_must_cover_the_horizon(self):
-        from patprob.recursions import ProbTable
-
         with pytest.raises(ValueError, match="cover k = 0..upto"):
             ProbTable(H1, 2, 4, (0, 0, 1, 3), "P-recursion")
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="upto must be >= 0, got -1"):
+            ProbTable(H1, 2, -1, (), "P-recursion")
+
+    @pytest.mark.parametrize("route", [p_table_long, p_table_short, P_table])
+    def test_routes_leave_the_horizon_check_to_the_table(self, route):
+        with pytest.raises(ValueError, match="upto must be >= 0, got -3"):
+            route(H1, 2, -3)
 
     def test_views_are_built_once(self):
         t = P_table(H1, 2, 12)
         assert t.P is t.P
         assert t.p is t.p
         assert t.C == tuple(x.num * 2 ** (k - x.den_exp) for k, x in enumerate(t.P))
-        assert t.P[12] == sum(t.p, ExactProb.zero(2))
+        assert t.C[12] == sum(x.num * 2 ** (12 - x.den_exp) for x in t.p)
 
     def test_windowed_iterator_matches_table(self):
         h = BifixIndicator((1, 0, 1, 0))
         full = P_table(h, 2, 25)
-        streamed = list(itertools.islice(iter_P(h, 2), 26))
-        assert tuple(streamed) == full.P
+        streamed = tuple(itertools.islice(_iter_counts(h, 2), 26))
+        assert streamed == full.C
         assert P_at(h, 2, 25) == full.P[25]
 
 
