@@ -1,8 +1,9 @@
 """Independent ground truth: exhaustive enumeration, the pattern automaton
 and a seeded Monte Carlo stream simulator.
 
-The enumeration oracle scans every word naively and never consults the
-automaton, so the two routes stay independent.
+The enumeration oracle scans every word naively, and the Monte Carlo
+simulator searches the drawn symbols for the pattern; neither consults the
+automaton, so the routes stay independent.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import sqrt
-
-import numpy as np
 
 from .numerics import ExactProb
 from .patterns import (
@@ -261,31 +260,44 @@ class McResult:
 def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     """Simulate seeded uniform streams and record first-occurrence times.
 
-    Each trial draws its symbols from a counter-split Philox stream, so
-    results are identical for a given (seed, trials, k) no matter how the
-    trials are partitioned over workers.
+    Trial t draws its k symbols as int64 from the Philox stream with key
+    `seed` and counter `t << 128`, so results are identical for a given
+    (seed, trials, k) no matter how the trials are partitioned over workers.
+    One bit generator serves every trial: before trial t its state is reset
+    to what a fresh `Philox(key=seed, counter=t << 128)` holds. The first
+    occurrence is the first 8-byte-aligned match of the pattern's int64
+    bytes in the drawn bytes; the pattern automaton is not consulted, so
+    Monte Carlo checks the automaton route independently.
+
+    numpy is imported here, so only callers of this function load it.
     """
-    aut = PatternAutomaton(pattern)
-    L, n = aut.L, aut.n
-    delta = aut.delta
+    L, n = pattern.alphabet_size, len(pattern)
+    if n < 1:
+        raise ValueError("pattern must be nonempty")
+    if L > 2**63:
+        raise ValueError(f"Monte Carlo draws int64 symbols, so alphabet size L must be <= 2**63, got {L}")
+    import numpy as np
+
+    bits = np.random.Philox(key=config.seed, counter=0)
+    draw = np.random.Generator(bits).integers
+    fresh = bits.state  # empty buffer, no cached half word; counter set per trial
+    needle = np.array(pattern.symbols, dtype=np.int64).tobytes()
     wait_counts: Counter[int] = Counter()
     censored = 0
     total_wait = 0
     horizon = config.k
     for trial in range(config.trials):
-        bits = np.random.Philox(key=config.seed, counter=trial << 128)
-        symbols = np.random.Generator(bits).integers(0, L, size=horizon).tolist()
-        state = 0
-        wait = None
-        for j, symbol in enumerate(symbols):
-            state = delta[state][symbol]
-            if state == n:
-                wait = j + 1
-                break
-        if wait is None:
+        fresh["state"]["counter"][2] = trial  # counter trial << 128
+        bits.state = fresh
+        data = draw(0, L, size=horizon).tobytes()
+        at = data.find(needle)
+        while at > 0 and at % 8:  # a match across symbol boundaries is no occurrence
+            at = data.find(needle, at + 1)
+        if at < 0:
             censored += 1
             total_wait += horizon
         else:
+            wait = at // 8 + n
             wait_counts[wait] += 1
             total_wait += wait
     trials = config.trials

@@ -334,6 +334,31 @@ class TestTopLevel:
         _, env, _ = run_json(capsys, "bifix", "--word", "11")
         assert env["version"] == "0.1.0"
 
+    def test_numpy_is_loaded_by_simulate_only(self):
+        # A fresh interpreter, since this test process has numpy loaded already.
+        script = f"""
+import contextlib, io, json, sys
+import patprob, patprob.cli
+from patprob.cli import main
+assert "numpy" not in sys.modules, "import"
+for argv in (["bifix", "--word", "10001"], ["prob", "--h", "10", "--K", "6"], ["census", "--n", "3"],
+             ["compare", "--h", "00", "--h2", "10"], ["counterexample"], ["lemmas", "--s", "0,1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+with contextlib.redirect_stderr(io.StringIO()):
+    assert main(["simulate", "--word", "0,1", "--L", "{2**64}"]) == 2
+assert "numpy" not in sys.modules, "refused simulate"
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["simulate", "--word", "11", "--trials", "200", "--k", "10"]) == 0
+assert json.loads(out.getvalue())["result"]["generator"] == "numpy-philox4x64"
+assert "numpy" in sys.modules, "simulate"
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
 
 # Every digest-checked call in bench/golden.json: exit code and stdout SHA-256.
 # Any change in the numbers or their rendering shows up here. The one call
@@ -376,6 +401,7 @@ class TestErrorBoundary:
             "bifix --word \u0661\u0660\u0660",
             "bifix --word 1_0,1 --L 11",
             "lemmas --s 0,+1,0_1",
+            f"simulate --word 0,1 --L {2**64}",
         ],
     )
     def test_bad_argument_exits_2_with_one_error_line(self, capsys, argv):

@@ -1,12 +1,17 @@
 import itertools
 import random
+from collections import Counter
+from math import sqrt
 
+import numpy as np
 import pytest
 
 from patprob import EnumerationBudgetError
 from patprob.numerics import ExactProb
 from patprob.oracle import (
+    GENERATOR_NAME,
     McConfig,
+    McResult,
     PatternAutomaton,
     automaton_counts,
     counterexample_check,
@@ -214,3 +219,93 @@ class TestMonteCarlo:
         d = result.to_json_dict()
         assert d["generator"] == "numpy-philox4x64"
         assert d["seed"] == 4
+
+    @pytest.mark.parametrize("L", [2**63 + 1, 2**64])
+    def test_alphabet_beyond_int64_is_refused(self, L):
+        with pytest.raises(ValueError, match=rf"alphabet size L must be <= 2\*\*63, got {L}$"):
+            monte_carlo(Word((L - 1, 0), L), McConfig(trials=1, k=2, seed=0))
+
+    def test_largest_int64_alphabet_runs(self):
+        L = 2**63
+        result = monte_carlo(Word((L - 1, 0), L), McConfig(trials=3, k=4, seed=0))
+        assert result.censored == 3
+
+
+def trial_symbols(L, seed, trial, size):
+    """The first `size` symbols of a trial, drawn from its own fresh Philox."""
+    bits = np.random.Philox(key=seed, counter=trial << 128)
+    return np.random.Generator(bits).integers(0, L, size=size).tolist()
+
+
+def reference_monte_carlo(pattern, config):
+    """Monte Carlo with a fresh Philox and Generator per trial, stepped symbol
+    by symbol through the automaton's transition function.
+
+    naive_step stands in for PatternAutomaton.delta (TestAutomaton checks that
+    they agree), so that no 2**33-wide automaton row is built.
+    """
+    L, n, horizon = pattern.alphabet_size, len(pattern), config.k
+    wait_counts = Counter()
+    censored = 0
+    total_wait = 0
+    for trial in range(config.trials):
+        state = 0
+        for j, symbol in enumerate(trial_symbols(L, config.seed, trial, horizon)):
+            state = naive_step(pattern, state, symbol)
+            if state == n:
+                wait_counts[j + 1] += 1
+                total_wait += j + 1
+                break
+        else:
+            censored += 1
+            total_wait += horizon
+    p_hat = [0.0] * (horizon + 1)
+    cumulative = 0
+    for j in range(1, horizon + 1):
+        cumulative += wait_counts[j]
+        p_hat[j] = cumulative / config.trials
+    stderr = [sqrt(p * (1.0 - p) / config.trials) for p in p_hat]
+    return McResult(
+        pattern,
+        config,
+        GENERATOR_NAME,
+        tuple(p_hat),
+        tuple(stderr),
+        dict(wait_counts),
+        censored,
+        total_wait / config.trials,
+    ).to_json_dict()
+
+
+def drawn_pattern(L, seed, trial, start, n):
+    """Symbols start..start+n-1 of a trial's stream, written in comma form:
+    a pattern that trial is sure to hit, over an alphabet too large to hit
+    by chance."""
+    return ",".join(str(s) for s in trial_symbols(L, seed, trial, start + n)[start:])
+
+
+class TestMonteCarloStream:
+    """monte_carlo draws exactly the reference's streams and finds the same hits."""
+
+    @pytest.mark.parametrize(
+        "text, L, seed, trials, k",
+        [
+            ("00", 2, 0, 300, 30),  # 16 zero bytes also match across symbols
+            ("000000", 2, 2**128 - 1, 200, 40),
+            ("11", 2, 12345, 1, 9),
+            ("210", 3, 0, 300, 25),
+            ("210", 3, 2**128 - 1, 200, 3),  # k == n, odd draw counts
+            ("0,1,1", 2, 7, 50, 3),
+            (drawn_pattern(300, 0, 2, 5, 2), 300, 0, 40, 20),
+            (drawn_pattern(300, 2**128 - 1, 0, 0, 2), 300, 2**128 - 1, 1, 2),
+            (drawn_pattern(2**33, 0, 3, 4, 2), 2**33, 0, 20, 12),  # numpy's 64-bit draws
+            (drawn_pattern(2**33, 2**128 - 1, 0, 0, 2), 2**33, 2**128 - 1, 1, 2),
+        ],
+    )
+    def test_matches_reference(self, text, L, seed, trials, k):
+        pattern = Word.parse(text, L)
+        config = McConfig(trials=trials, k=k, seed=seed)
+        expected = reference_monte_carlo(pattern, config)
+        assert monte_carlo(pattern, config).to_json_dict() == expected
+        if L > 3:
+            assert expected["censored"] < trials  # the drawn pattern is hit
