@@ -9,7 +9,6 @@ automaton, so the routes stay independent.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from math import sqrt
 
@@ -201,7 +200,8 @@ def counterexample_check(alphabet_size: int = 2) -> CounterexampleReport:
     )
 
 
-GENERATOR_NAME = "numpy-philox4x64"
+GENERATOR_NAME = "numpy-philox4x64/block2^14"
+BLOCK_SYMBOLS = 2**14  # symbols per Monte Carlo draw, k permitting
 DEFAULT_MC_SEED = 12345
 
 
@@ -260,14 +260,21 @@ class McResult:
 def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     """Simulate seeded uniform streams and record first-occurrence times.
 
-    Trial t draws its k symbols as int64 from the Philox stream with key
-    `seed` and counter `t << 128`, so results are identical for a given
-    (seed, trials, k) no matter how the trials are partitioned over workers.
-    One bit generator serves every trial: before trial t its state is reset
-    to what a fresh `Philox(key=seed, counter=t << 128)` holds. The first
-    occurrence is the first 8-byte-aligned match of the pattern's int64
-    bytes in the drawn bytes; the pattern automaton is not consulted, so
-    Monte Carlo checks the automaton route independently.
+    Trials run in blocks of R = max(1, 2**14 // k). Block b holds trials
+    b*R, b*R + 1, ... and draws them in one call: an (m, k) int64 array from
+    the Philox stream with key `seed` and counter `b << 128`, where m is R,
+    or fewer for the last block. Draws fill the array row by row, so trial t
+    sees row t % R of its block's stream whether or not later rows are
+    drawn: a trial's symbols depend on (seed, k, t) and not on `trials`.
+    Below k = 2**14 they do depend on k, because k sets R; from k = 2**14 on,
+    R = 1 and trial t draws its k symbols from counter t << 128. One bit
+    generator serves every block: before block b its state is reset to what
+    a fresh `Philox(key=seed, counter=b << 128)` holds.
+
+    A trial's first occurrence ends n - 1 symbols after the first column
+    where all n shifted comparisons with the pattern hold; the pattern
+    automaton is not consulted, so Monte Carlo checks the automaton route
+    independently.
 
     numpy is imported here, so only callers of this function load it.
     """
@@ -280,27 +287,26 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
 
     bits = np.random.Philox(key=config.seed, counter=0)
     draw = np.random.Generator(bits).integers
-    fresh = bits.state  # empty buffer, no cached half word; counter set per trial
-    needle = np.array(pattern.symbols, dtype=np.int64).tobytes()
-    wait_counts: Counter[int] = Counter()
-    censored = 0
-    total_wait = 0
-    horizon = config.k
-    for trial in range(config.trials):
-        fresh["state"]["counter"][2] = trial  # counter trial << 128
+    fresh = bits.state  # empty buffer, no cached half word; counter set per block
+    trials, horizon = config.trials, config.k
+    per_block = max(1, BLOCK_SYMBOLS // horizon)
+    starts = horizon - n + 1  # columns where an occurrence can start
+    blocks = range(0, trials, per_block) if starts > 0 else ()  # k < n: no trial can hit
+    tally = np.zeros(horizon + 1, dtype=np.int64)
+    for block, first in enumerate(blocks):
+        fresh["state"]["counter"][2] = block  # counter block << 128
         bits.state = fresh
-        data = draw(0, L, size=horizon).tobytes()
-        at = data.find(needle)
-        while at > 0 and at % 8:  # a match across symbol boundaries is no occurrence
-            at = data.find(needle, at + 1)
-        if at < 0:
-            censored += 1
-            total_wait += horizon
-        else:
-            wait = at // 8 + n
-            wait_counts[wait] += 1
-            total_wait += wait
-    trials = config.trials
+        data = draw(0, L, size=(min(per_block, trials - first), horizon))
+        hit = data[:, :starts] == pattern.symbols[0]
+        for i in range(1, n):
+            hit &= data[:, i : i + starts] == pattern.symbols[i]
+        at = hit.argmax(axis=1)
+        found = hit[np.arange(len(at)), at]
+        waits = np.bincount(at[found] + n)
+        tally[: len(waits)] += waits
+    waited = np.flatnonzero(tally)
+    wait_counts = dict(zip(waited.tolist(), tally[waited].tolist()))
+    censored = trials - sum(wait_counts.values())
     p_hat = [0.0] * (horizon + 1)
     cumulative = 0
     for j in range(1, horizon + 1):
@@ -313,7 +319,7 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
         GENERATOR_NAME,
         tuple(p_hat),
         tuple(stderr),
-        dict(wait_counts),
+        wait_counts,
         censored,
-        total_wait / trials,
+        (sum(j * c for j, c in wait_counts.items()) + censored * horizon) / trials,
     )

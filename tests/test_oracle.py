@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -217,7 +218,7 @@ class TestMonteCarlo:
     def test_json_records_generator_and_seed(self):
         result = monte_carlo(w("11"), McConfig(trials=50, k=8, seed=4))
         d = result.to_json_dict()
-        assert d["generator"] == "numpy-philox4x64"
+        assert d["generator"] == "numpy-philox4x64/block2^14"
         assert d["seed"] == 4
 
     @pytest.mark.parametrize("L", [2**63 + 1, 2**64])
@@ -231,14 +232,29 @@ class TestMonteCarlo:
         assert result.censored == 3
 
 
-def trial_symbols(L, seed, trial, size):
-    """The first `size` symbols of a trial, drawn from its own fresh Philox."""
+@functools.lru_cache(maxsize=1)
+def block_rows(L, seed, k, block):
+    """All R = max(1, 2**14 // k) rows of a block, drawn at once as R*k
+    symbols from the block's own fresh Philox."""
+    rows = max(1, 2**14 // k)
+    bits = np.random.Philox(key=seed, counter=block << 128)
+    return np.random.Generator(bits).integers(0, L, size=rows * k).reshape(rows, k).tolist()
+
+
+def block_stream(L, seed, k, trial):
+    """A trial's k symbols: row trial % R of block trial // R."""
+    rows = max(1, 2**14 // k)
+    return block_rows(L, seed, k, trial // rows)[trial % rows]
+
+
+def trial_stream(L, seed, k, trial):
+    """A trial's k symbols from its own fresh Philox at counter trial << 128."""
     bits = np.random.Philox(key=seed, counter=trial << 128)
-    return np.random.Generator(bits).integers(0, L, size=size).tolist()
+    return np.random.Generator(bits).integers(0, L, size=k).tolist()
 
 
-def reference_monte_carlo(pattern, config):
-    """Monte Carlo with a fresh Philox and Generator per trial, stepped symbol
+def reference_monte_carlo(pattern, config, stream=block_stream):
+    """Monte Carlo with a fresh Philox and Generator per stream, stepped symbol
     by symbol through the automaton's transition function.
 
     naive_step stands in for PatternAutomaton.delta (TestAutomaton checks that
@@ -250,7 +266,7 @@ def reference_monte_carlo(pattern, config):
     total_wait = 0
     for trial in range(config.trials):
         state = 0
-        for j, symbol in enumerate(trial_symbols(L, config.seed, trial, horizon)):
+        for j, symbol in enumerate(stream(L, config.seed, horizon, trial)):
             state = naive_step(pattern, state, symbol)
             if state == n:
                 wait_counts[j + 1] += 1
@@ -277,11 +293,14 @@ def reference_monte_carlo(pattern, config):
     ).to_json_dict()
 
 
-def drawn_pattern(L, seed, trial, start, n):
+def drawn_pattern(L, seed, k, trial, start, n):
     """Symbols start..start+n-1 of a trial's stream, written in comma form:
     a pattern that trial is sure to hit, over an alphabet too large to hit
     by chance."""
-    return ",".join(str(s) for s in trial_symbols(L, seed, trial, start + n)[start:])
+    return ",".join(str(s) for s in block_stream(L, seed, k, trial)[start : start + n])
+
+
+LONG_K = 2**14 + 3  # one trial per block
 
 
 class TestMonteCarloStream:
@@ -290,22 +309,41 @@ class TestMonteCarloStream:
     @pytest.mark.parametrize(
         "text, L, seed, trials, k",
         [
-            ("00", 2, 0, 300, 30),  # 16 zero bytes also match across symbols
+            ("00", 2, 0, 300, 30),
             ("000000", 2, 2**128 - 1, 200, 40),
             ("11", 2, 12345, 1, 9),
             ("210", 3, 0, 300, 25),
-            ("210", 3, 2**128 - 1, 200, 3),  # k == n, odd draw counts
+            ("210", 3, 2**128 - 1, 200, 3),  # k == n
             ("0,1,1", 2, 7, 50, 3),
-            (drawn_pattern(300, 0, 2, 5, 2), 300, 0, 40, 20),
-            (drawn_pattern(300, 2**128 - 1, 0, 0, 2), 300, 2**128 - 1, 1, 2),
-            (drawn_pattern(2**33, 0, 3, 4, 2), 2**33, 0, 20, 12),  # numpy's 64-bit draws
-            (drawn_pattern(2**33, 2**128 - 1, 0, 0, 2), 2**33, 2**128 - 1, 1, 2),
+            ("11011", 2, 3, 40, 4),  # k < n: every trial censored
+            ("1101", 2, 9, 1000, 40),  # blocks of 409, 409 and 182 trials
+            ("1,2,0", 3, 11, 10, 5461),  # blocks of 3, 3, 3 and 1 trials; odd draw counts
+            (drawn_pattern(300, 0, 20, 2, 5, 2), 300, 0, 40, 20),
+            (drawn_pattern(300, 2**128 - 1, 2, 0, 0, 2), 300, 2**128 - 1, 1, 2),
+            (drawn_pattern(300, 5, 5000, 6, 4990, 3), 300, 5, 7, 5000),  # hit in the partial last block
+            (drawn_pattern(2**33, 0, 12, 3, 4, 2), 2**33, 0, 20, 12),  # numpy's 64-bit draws
+            (drawn_pattern(2**33, 2**128 - 1, 2, 0, 0, 2), 2**33, 2**128 - 1, 1, 2),
+            (drawn_pattern(2**33, 8, 6000, 3, 17, 2), 2**33, 8, 5, 6000),  # 2 rows a block
+            (drawn_pattern(300, 1, LONG_K, 2, LONG_K - 2, 2), 300, 1, 3, LONG_K),
         ],
     )
     def test_matches_reference(self, text, L, seed, trials, k):
         pattern = Word.parse(text, L)
         config = McConfig(trials=trials, k=k, seed=seed)
         expected = reference_monte_carlo(pattern, config)
-        assert monte_carlo(pattern, config).to_json_dict() == expected
+        result = monte_carlo(pattern, config)
+        assert result.to_json_dict() == expected
+        assert all(type(j) is int and type(c) is int for j, c in result.wait_counts.items())
+        assert type(result.censored) is int
         if L > 3:
             assert expected["censored"] < trials  # the drawn pattern is hit
+
+    def test_long_horizon_draws_one_trial_per_counter(self):
+        # From k = 2**14 on, a block is one trial, so trial t's stream is the
+        # one a fresh Philox at counter t << 128 draws.
+        for trial in range(3):
+            assert block_stream(2**33, 4, LONG_K, trial) == trial_stream(2**33, 4, LONG_K, trial)
+        pattern = Word.parse("0,0,1", 2)
+        config = McConfig(trials=4, k=LONG_K, seed=4)
+        expected = reference_monte_carlo(pattern, config, stream=trial_stream)
+        assert monte_carlo(pattern, config).to_json_dict() == expected
