@@ -53,6 +53,30 @@ from .recursions import (
 
 __version__ = "0.1.0"
 
+# The class routes, each (h, L, upto) -> ProbTable. They share no code;
+# `prob --check-all` and the agreement tests run every entry.
+TABLE_ROUTES = {
+    "long": p_table_long,
+    "short": p_table_short,
+    "P": P_table,
+    "markov": chain_prob_table,
+}
+
+
+def route_tables(
+    h: BifixIndicator, L: int, upto: int, word: Word | None = None
+) -> dict[str, ProbTable]:
+    """Every applicable route's table, keyed by route name.
+
+    The automaton route runs only when `word` is given, since it needs the
+    concrete pattern and not just its class.
+    """
+    tables = {name: build(h, L, upto) for name, build in TABLE_ROUTES.items()}
+    if word is not None:
+        tables["automaton"] = automaton_prob_table(word, upto)
+    return tables
+
+
 __all__ = [
     "BifixIndicator",
     "CensusClass",
@@ -72,6 +96,7 @@ __all__ = [
     "ReachTable",
     "SeriesResult",
     "SWord",
+    "TABLE_ROUTES",
     "Word",
     "P_at",
     "P_table",
@@ -95,5 +120,6 @@ __all__ = [
     "p_table_long",
     "p_table_short",
     "reach_table",
+    "route_tables",
     "s_from_h",
 ]

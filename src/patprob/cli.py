@@ -7,6 +7,12 @@ rendering when requested). Diagnostics go to stderr.
 Exit codes: 0 success / property conforms, 1 a checked property does not
 hold, 2 usage error. Every rejected input, from argparse or from the
 library's own `ValueError` checks, is mapped to exit 2 in `main` alone.
+
+`prob` takes its routes from the package's registry: `--method` names an
+entry of `patprob.TABLE_ROUTES` or `automaton`, and `--check-all` runs
+`patprob.route_tables`, which adds the automaton when `--word` is given.
+On disagreement it names the routes that differ from the first in sorted
+order on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import json
 import os
 import sys
 
-from . import __version__
-from .markov import ChainSpec, chain_prob_table, check_lemmas, compare_chains
+from . import TABLE_ROUTES, __version__, route_tables
+from .markov import ChainSpec, check_lemmas, compare_chains
 from .oracle import (
     DEFAULT_MC_SEED,
     McConfig,
@@ -40,13 +46,7 @@ from .patterns import (
     k0_sharp,
     s_from_h,
 )
-from .recursions import (
-    ProbTable,
-    P_table,
-    expected_wait_closed,
-    p_table_long,
-    p_table_short,
-)
+from .recursions import ProbTable, expected_wait_closed
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
@@ -102,14 +102,6 @@ def cmd_bifix(args) -> int:
     return EXIT_OK
 
 
-_TABLE_BUILDERS = {
-    "long": p_table_long,
-    "short": p_table_short,
-    "P": P_table,
-    "markov": chain_prob_table,
-}
-
-
 def _render_table(table: ProbTable, fmt: str, digits: int) -> str:
     if fmt == "csv":
         return table.to_csv(digits)
@@ -123,6 +115,8 @@ def _render_table(table: ProbTable, fmt: str, digits: int) -> str:
 
 
 def cmd_prob(args) -> int:
+    if args.digits < 1:
+        raise ValueError(f"--digits must be >= 1, got {args.digits}")
     if (args.h is None) == (args.word is None):
         raise ValueError("give exactly one of --h or --word")
     word = None
@@ -136,19 +130,20 @@ def cmd_prob(args) -> int:
     if args.check_all:
         if args.format != "json":
             raise ValueError(f"--check-all prints JSON only, not --format {args.format}")
-        tables = {name: build(h, args.L, upto) for name, build in _TABLE_BUILDERS.items()}
-        if word is not None:
-            tables["automaton"] = automaton_prob_table(word, upto)
+        tables = route_tables(h, args.L, upto, word)
         names = sorted(tables)
         first = tables[names[0]]
-        agree = all(tables[m].C == first.C for m in names)
+        differ = [m for m in names if tables[m].C != first.C]
         _emit(
             "prob",
             {"h": h.text(), "L": args.L, "K": upto, "check_all": True, "methods": names},
-            {"agreement": agree, "table": first.to_json_dict()},
+            {"agreement": not differ, "table": first.to_json_dict()},
         )
-        if not agree:
-            print("methods disagree", file=sys.stderr)
+        if differ:
+            k = min(k for m in differ
+                    for k, (a, b) in enumerate(zip(tables[m].C, first.C)) if a != b)
+            print(f"methods disagree: {', '.join(differ)} differ from {names[0]} (first at k={k})",
+                  file=sys.stderr)
             return EXIT_PROPERTY_FAILED
         return EXIT_OK
 
@@ -157,7 +152,7 @@ def cmd_prob(args) -> int:
             raise ValueError("--method automaton needs --word, not --h")
         table = automaton_prob_table(word, upto)
     else:
-        table = _TABLE_BUILDERS[args.method](h, args.L, upto)
+        table = TABLE_ROUTES[args.method](h, args.L, upto)
     if args.format in ("csv", "table"):
         _write(_render_table(table, args.format, args.digits))
     else:
@@ -275,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", help="pattern; implies its indicator")
     p.add_argument("--L", type=int, default=2)
     p.add_argument("--K", type=int, help="table horizon (default 3n)")
-    p.add_argument("--method", choices=["long", "short", "P", "markov", "automaton"],
-                   default="short")
+    p.add_argument("--method", choices=[*TABLE_ROUTES, "automaton"], default="short")
     p.add_argument("--check-all", action="store_true",
                    help="run every applicable method (--method is not used) and require "
                         "exact agreement; prints JSON only")

@@ -98,8 +98,6 @@ def _absorbed_counts(pattern: Word, k: int) -> list[int]:
     Dynamic programming over automaton states: tracks how many length-j
     words sit in each state; runs in O(k*n*L).
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
     aut = PatternAutomaton(pattern)
     L, n = aut.L, aut.n
     state_counts = [0] * (n + 1)
@@ -121,6 +119,8 @@ def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
 
     Must agree with enum_counts wherever both run.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     L = pattern.alphabet_size
     absorbed = _absorbed_counts(pattern, k)
     first_at = [0] * (k + 1)

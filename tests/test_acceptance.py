@@ -12,13 +12,13 @@ from functools import cache
 
 import pytest
 
-from patprob.markov import ChainSpec, chain_prob_table, check_lemmas, compare_chains
+from patprob import route_tables
+from patprob.markov import ChainSpec, check_lemmas, compare_chains
 from patprob.numerics import ExactProb
 from patprob.oracle import (
     DEFAULT_MC_SEED,
     McConfig,
     automaton_counts,
-    automaton_prob_table,
     counterexample_check,
     enum_counts,
     monte_carlo,
@@ -35,13 +35,7 @@ from patprob.patterns import (
     k0_sharp,
     s_from_h,
 )
-from patprob.recursions import (
-    P_table,
-    expected_wait_closed,
-    expected_wait_series,
-    p_table_long,
-    p_table_short,
-)
+from patprob.recursions import P_table, expected_wait_closed, expected_wait_series
 
 
 def report(cid, name, ok, detail):
@@ -156,17 +150,8 @@ def test_criterion_1_known_indicators():
 
 
 def _tables_agree_everywhere(word, upto):
-    h = bifix_indicator(word)
-    L = word.alphabet_size
-    tables = [
-        p_table_long(h, L, upto),
-        p_table_short(h, L, upto),
-        P_table(h, L, upto),
-        chain_prob_table(h, L, upto),
-        automaton_prob_table(word, upto),
-    ]
-    first = tables[0]
-    if not all(t.p == first.p and t.P == first.P for t in tables[1:]):
+    tables = route_tables(bifix_indicator(word), word.alphabet_size, upto, word)
+    if len({t.C for t in tables.values()}) != 1:
         return False
     enum = enum_counts(word, upto)
     machine = automaton_counts(word, upto)

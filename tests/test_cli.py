@@ -141,21 +141,21 @@ class TestProb:
         assert "automaton" not in env["params"]["methods"]
 
     def test_check_all_disagreement_exits_1(self, capsys, monkeypatch):
-        import patprob.cli as cli_module
+        import patprob
         from patprob.recursions import ProbTable
 
-        real = cli_module._TABLE_BUILDERS["long"]
+        real = patprob.TABLE_ROUTES["long"]
 
         def one_count_off(h, L, upto):
             table = real(h, L, upto)
             C = table.C[:-1] + (table.C[-1] + 1,)
             return ProbTable(table.h, table.L, table.upto, C, table.method)
 
-        monkeypatch.setitem(cli_module._TABLE_BUILDERS, "long", one_count_off)
+        monkeypatch.setitem(patprob.TABLE_ROUTES, "long", one_count_off)
         code, env, err = run_json(capsys, "prob", "--h", "1", "--K", "6", "--check-all")
         assert code == 1
         assert env["result"]["agreement"] is False
-        assert "methods disagree" in err
+        assert err == "methods disagree: long differ from P (first at k=6)\n"
 
     def test_automaton_requires_word(self, capsys):
         code, _, err = run(capsys, "prob", "--h", "1", "--method", "automaton")
@@ -409,6 +409,8 @@ class TestErrorBoundary:
             "compare --h 00 --h2 10 --K -3",
             "prob --h 1 --K 2 --check-all --format csv",
             "prob --h 1 --K 2 --check-all --format table",
+            "prob --h 1 --K 3 --check-all --digits -5",
+            "prob --h 1 --digits 0",
             "bifix --word \u0661\u0660\u0660",
             "bifix --word 1_0,1 --L 11",
             "lemmas --s 0,+1,0_1",

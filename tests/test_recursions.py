@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from patprob import TABLE_ROUTES, route_tables
 from patprob.numerics import ExactProb
-from patprob.oracle import enum_counts
+from patprob.oracle import automaton_prob_table, enum_counts
 from patprob.patterns import BifixIndicator, Word, bifix_indicator, census
 from patprob.recursions import (
     P_at,
@@ -51,18 +52,17 @@ class TestFrozenValues:
         assert all(v == ep(0, 0) for v in t.P)
 
 
-class TestThreeWayEquality:
+class TestRouteAgreement:
+    # Every class route on every class of length 2..6; p and P are views of C.
     @pytest.mark.parametrize("L", [2, 3])
     def test_all_classes_small_n(self, L):
         for n in range(2, 7):
             for h in census(n, L):
-                upto = 3 * n
-                long_t = p_table_long(h, L, upto)
-                short_t = p_table_short(h, L, upto)
-                direct_t = P_table(h, L, upto)
-                assert long_t.p == short_t.p == direct_t.p
-                assert long_t.P == short_t.P == direct_t.P
+                counts = {name: t.C for name, t in route_tables(h, L, 3 * n).items()}
+                assert len(set(counts.values())) == 1, (h.text(), counts)
 
+
+class TestThreeWayEquality:
     def test_methods_tagged(self):
         h = H1
         assert p_table_long(h, 2, 4).method == "long-recursion"
@@ -121,10 +121,11 @@ class TestTableInvariants:
         with pytest.raises(ValueError, match="upto must be >= 0, got -1"):
             ProbTable(H1, 2, -1, (), "P-recursion")
 
-    @pytest.mark.parametrize("route", [p_table_long, p_table_short, P_table])
+    @pytest.mark.parametrize("route", [*TABLE_ROUTES.values(), automaton_prob_table])
     def test_routes_leave_the_horizon_check_to_the_table(self, route):
+        args = (Word.parse("11", 2),) if route is automaton_prob_table else (H1, 2)
         with pytest.raises(ValueError, match="upto must be >= 0, got -3"):
-            route(H1, 2, -3)
+            route(*args, -3)
 
     def test_views_are_built_once(self):
         t = P_table(H1, 2, 12)
@@ -146,28 +147,18 @@ class TestLongHorizonAgreement:
     # beyond it, where the counts run to hundreds of bits.
     @pytest.mark.parametrize("text,L,K", [("2102", 3, 600), ("100100100100", 2, 640)])
     def test_five_routes_agree(self, text, L, K):
-        from patprob.markov import chain_prob_table
-        from patprob.oracle import automaton_prob_table
-
         word = Word.parse(text, L)
         h = bifix_indicator(word)
-        tables = [
-            p_table_long(h, L, K),
-            p_table_short(h, L, K),
-            P_table(h, L, K),
-            chain_prob_table(h, L, K),
-            automaton_prob_table(word, K),
-        ]
-        first = tables[0]
-        for t in tables[1:]:
-            assert t.p == first.p, t.method
-            assert t.P == first.P, t.method
+        tables = route_tables(h, L, K, word)
+        first = tables["P"]
+        for name, t in tables.items():
+            assert t.C == first.C, name
         assert P_at(h, L, K) == first.P[K]
         assert first.P[K].den_exp > 0  # still short of certainty at K
 
 
 class TestAlphabetCheck:
-    @pytest.mark.parametrize("route", [p_table_long, p_table_short, P_table])
+    @pytest.mark.parametrize("route", list(TABLE_ROUTES.values()))
     @pytest.mark.parametrize("L", [1, 0, -1])
     def test_rejected_before_the_recursion_runs(self, route, L):
         with pytest.raises(ValueError, match=f"alphabet size must be >= 2, got {L}"):
