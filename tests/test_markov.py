@@ -14,6 +14,7 @@ from patprob.markov import (
 )
 from patprob.numerics import ExactProb
 from patprob.patterns import BifixIndicator, SWord, census, k0_sharp, s_from_h
+from patprob.recursions import P_table
 
 
 def ep(num, exp, base=2):
@@ -142,6 +143,13 @@ class TestChainProbTable:
     def test_borderless_class(self):
         t = chain_prob_table(BifixIndicator((0,)), 2, 3)
         assert t.P == (ep(0, 0), ep(0, 0), ep(1, 2), ep(1, 1))
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_equals_direct_recursion(self, L):
+        for n in range(2, 7):
+            for h in census(n, L):
+                upto = 3 * n
+                assert chain_prob_table(h, L, upto).P == P_table(h, L, upto).P
 
 
 class TestCompareChains:

@@ -52,7 +52,7 @@ class TestFrozenValues:
         assert all(v == ep(0, 0) for v in t.P)
 
 
-class TestRouteAgreement:
+class TestThreeWayEquality:
     # Every class route on every class of length 2..6; p and P are views of C.
     @pytest.mark.parametrize("L", [2, 3])
     def test_all_classes_small_n(self, L):
@@ -61,8 +61,6 @@ class TestRouteAgreement:
                 counts = {name: t.C for name, t in route_tables(h, L, 3 * n).items()}
                 assert len(set(counts.values())) == 1, (h.text(), counts)
 
-
-class TestThreeWayEquality:
     def test_methods_tagged(self):
         h = H1
         assert p_table_long(h, 2, 4).method == "long-recursion"
