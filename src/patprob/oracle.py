@@ -1,14 +1,17 @@
 """Independent ground truth: exhaustive enumeration, the pattern automaton
 and a seeded Monte Carlo stream simulator.
 
-The enumeration oracle scans every word naively, and the Monte Carlo
-simulator searches the drawn symbols for the pattern; neither consults the
-automaton, so the routes stay independent.
+The enumeration oracle compares every window of every word with the
+pattern, all words at once: bit w of an L**k-bit integer stands for word
+number w in `itertools.product` order, so the words where symbol i equals
+c form one mask, and a bitwise AND of n such masks marks every word whose
+window ending at j holds the pattern. The Monte Carlo simulator searches
+the drawn symbols for the pattern. Neither consults the automaton, so the
+routes stay independent.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import sqrt
 
@@ -73,23 +76,47 @@ class OccurrenceCounts:
         return ExactProb(self.contains, self.k, self.pattern.alphabet_size)
 
 
+def _symbol_mask(k: int, L: int, i: int, c: int, every_word: int) -> int:
+    """Mask of the length-k words whose symbol i is c, words in product order.
+
+    Word number w has symbol i = (w // L**(k-1-i)) % L, so the mask is a run
+    of L**(k-1-i) ones at offset c * L**(k-1-i), repeated with period
+    L**(k-i). The period is doubled until it covers all L**k bits, and
+    `every_word` (all L**k bits set) trims the overshoot.
+    """
+    run = L ** (k - 1 - i)
+    mask, width = ((1 << run) - 1) << (c * run), L * run
+    while width < every_word.bit_length():
+        mask |= mask << width
+        width *= 2
+    return mask & every_word
+
+
 def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> OccurrenceCounts:
-    """Brute-force occurrence counts by scanning every word of length k."""
+    """Brute-force occurrence counts over every word of length k.
+
+    Scans all L**k words at once on L**k-bit integers (bit w is word number
+    w in `itertools.product` order). For each end position j, `hit` ANDs
+    the n masks "symbol j-n+t is pattern[t]", so it marks the words whose
+    window ending at j holds the pattern; the words in `hit` but not yet in
+    `found` first hit at j. Only O(1) masks are live at a time: at k = 24,
+    L = 2 each is 2 MiB.
+    """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     L = pattern.alphabet_size
     n = len(pattern)
-    check_enum_budget(L**k, budget, f"enum_counts(len {k}, L={L})")
-    target = pattern.symbols
+    check_enum_budget(L, k, budget, f"enum_counts(len {k}, L={L})")
+    every_word = (1 << L**k) - 1
     first_at = [0] * (k + 1)
-    contains = 0
-    for word in itertools.product(range(L), repeat=k):
-        for j in range(n, k + 1):
-            if word[j - n : j] == target:
-                first_at[j] += 1
-                contains += 1
-                break
-    return OccurrenceCounts(pattern, k, contains, tuple(first_at))
+    found = 0
+    for j in range(n, k + 1):
+        hit = every_word
+        for t, c in enumerate(pattern.symbols):
+            hit &= _symbol_mask(k, L, j - n + t, c, every_word)
+        first_at[j] = (hit & ~found).bit_count()
+        found |= hit
+    return OccurrenceCounts(pattern, k, found.bit_count(), tuple(first_at))
 
 
 def _absorbed_counts(pattern: Word, k: int) -> list[int]:

@@ -245,10 +245,15 @@ class EnumerationBudgetError(ValueError):
     """Raised when an exhaustive enumeration would exceed its word budget."""
 
 
-def check_enum_budget(total: int, budget: int, what: str) -> None:
-    if total > budget:
+def check_enum_budget(L: int, k: int, budget: int, what: str) -> None:
+    """Refuse to enumerate L**k words when that exceeds the budget.
+
+    With L >= 2, k >= budget.bit_length() gives L**k >= 2**k > budget, so a
+    huge k is refused without computing the power.
+    """
+    if k >= budget.bit_length() or L**k > budget:
         raise EnumerationBudgetError(
-            f"{what} would enumerate {total} words, exceeding the budget of {budget}"
+            f"{what} would enumerate {L}^{k} words, exceeding the budget of {budget}"
         )
 
 
@@ -279,7 +284,7 @@ def census(
         raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
     if max_representatives < 0:
         raise ValueError(f"max_representatives must be >= 0, got {max_representatives}")
-    check_enum_budget(alphabet_size**n, budget, f"census(n={n}, L={alphabet_size})")
+    check_enum_budget(alphabet_size, n, budget, f"census(n={n}, L={alphabet_size})")
     counts: dict[BifixIndicator, int] = {}
     reps: dict[BifixIndicator, list[Word]] = {}
     for symbols in itertools.product(range(alphabet_size), repeat=n):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -422,6 +423,18 @@ class TestErrorBoundary:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [5000, 100_000_000, 10_000_000_000])
+    def test_census_past_budget_is_refused_at_once(self, capsys, n):
+        # 2**n is never built: at n = 10**10 it would take 1.25 GB.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "census", "--n", str(n))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: census(n={n}, L=2) would enumerate 2^{n} words, "
+            "exceeding the budget of 16777216\n"
+        )
 
     def test_closed_stdout_is_not_an_error(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 from collections import Counter
 from math import sqrt
 
@@ -19,7 +20,7 @@ from patprob.oracle import (
     enum_counts,
     monte_carlo,
 )
-from patprob.patterns import Word, bifix_indicator
+from patprob.patterns import Word, bifix_indicator, census
 from patprob.recursions import P_table
 
 
@@ -38,6 +39,38 @@ def naive_step(pattern, state, symbol):
         if q == 0 or seen[len(seen) - q :] == b[:q]:
             return q
     raise AssertionError("unreachable")
+
+
+def enum_counts_reference(pattern, k):
+    """The per-word loop that enum_counts replaced: (contains, first_at)."""
+    L, n, target = pattern.alphabet_size, len(pattern), pattern.symbols
+    first_at = [0] * (k + 1)
+    contains = 0
+    for word in itertools.product(range(L), repeat=k):
+        for j in range(n, k + 1):
+            if word[j - n : j] == target:
+                first_at[j] += 1
+                contains += 1
+                break
+    return contains, tuple(first_at)
+
+
+def _reference_cases():
+    for n in range(1, 6):
+        for symbols in itertools.product((0, 1), repeat=n):
+            for k in range(11):  # includes k < n and k = 0
+                yield Word(symbols, 2), k
+    rng = random.Random(909)
+    for L, max_k in [(3, 7), (4, 6), (5, 5), (7, 4)]:
+        for _ in range(12):
+            n = rng.randrange(1, 5)
+            yield Word(tuple(rng.randrange(L) for _ in range(n)), L), rng.randrange(max_k + 1)
+    yield Word((7, 999), 1000), 2
+    yield Word((999,), 1000), 2
+    yield Word((5, 5), 1000), 2
+
+
+ONE_WORD_PER_CLASS_N4 = ("1000", "1001", "1010", "1111")
 
 
 class TestAutomaton:
@@ -89,6 +122,33 @@ class TestCounts:
     def test_budget_error_names_budget(self):
         with pytest.raises(EnumerationBudgetError, match="budget of 512"):
             enum_counts(w("11"), 10, budget=512)
+
+    def test_huge_k_is_refused_before_the_power(self):
+        start = time.perf_counter()
+        with pytest.raises(
+            EnumerationBudgetError, match=r"2\^1000000000000 words, exceeding the budget of 16777216"
+        ):
+            enum_counts(w("11"), 10**12)
+        assert time.perf_counter() - start < 1.0
+
+    def test_matches_per_word_reference(self):
+        for word, k in _reference_cases():
+            counts = enum_counts(word, k)
+            assert (counts.contains, counts.first_at) == enum_counts_reference(word, k), (word, k)
+
+    @pytest.mark.parametrize("text", ONE_WORD_PER_CLASS_N4)
+    def test_enum_equals_automaton_at_k20(self, text):
+        word = w(text)
+        assert enum_counts(word, 20) == automaton_counts(word, 20)
+
+    def test_k20_words_cover_every_class_of_length_4(self):
+        assert {bifix_indicator(w(t)) for t in ONE_WORD_PER_CLASS_N4} == set(census(4, 2))
+
+    def test_enum_equals_automaton_at_budget_edge(self):
+        word = w("1011")
+        assert enum_counts(word, 24, budget=2**24) == automaton_counts(word, 24)
+        with pytest.raises(EnumerationBudgetError):
+            enum_counts(word, 25, budget=2**24)
 
     def test_enum_equals_automaton_binary(self):
         for n in range(2, 5):
