@@ -75,7 +75,7 @@ class ReachTable:
         for row in self.P:
             if row[n] != power:
                 raise ValueError("absorbing state must have probability 1 at every k")
-            if any(not 0 <= entry <= power for entry in row):
+            if min(row) < 0 or max(row) > power:
                 raise ValueError("reach probabilities must stay within [0, 1]")
             power *= L
 

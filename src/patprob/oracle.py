@@ -4,10 +4,11 @@ and a seeded Monte Carlo stream simulator.
 The enumeration oracle compares every window of every word with the
 pattern, all words at once: bit w of an L**k-bit integer stands for word
 number w in `itertools.product` order, so the words where symbol i equals
-c form one mask, and a bitwise AND of n such masks marks every word whose
-window ending at j holds the pattern. The Monte Carlo simulator searches
-the drawn symbols for the pattern. Neither consults the automaton, so the
-routes stay independent.
+c form one mask (`patterns._symbol_mask`, which the census shares), and a
+bitwise AND of n such masks marks every word whose window ending at j
+holds the pattern. The Monte Carlo simulator searches the drawn symbols
+for the pattern. Neither consults the automaton, so the routes stay
+independent.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .patterns import (
     BifixIndicator,
     Word,
     _failure,
+    _symbol_mask,
     bifix_indicator,
     check_enum_budget,
 )
@@ -74,22 +76,6 @@ class OccurrenceCounts:
 
     def prob_contains(self) -> ExactProb:
         return ExactProb(self.contains, self.k, self.pattern.alphabet_size)
-
-
-def _symbol_mask(k: int, L: int, i: int, c: int, every_word: int) -> int:
-    """Mask of the length-k words whose symbol i is c, words in product order.
-
-    Word number w has symbol i = (w // L**(k-1-i)) % L, so the mask is a run
-    of L**(k-1-i) ones at offset c * L**(k-1-i), repeated with period
-    L**(k-i). The period is doubled until it covers all L**k bits, and
-    `every_word` (all L**k bits set) trims the overshoot.
-    """
-    run = L ** (k - 1 - i)
-    mask, width = ((1 << run) - 1) << (c * run), L * run
-    while width < every_word.bit_length():
-        mask |= mask << width
-        width *= 2
-    return mask & every_word
 
 
 def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> OccurrenceCounts:

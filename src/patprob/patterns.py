@@ -10,7 +10,6 @@ storage is 0-based.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -266,17 +265,46 @@ class CensusClass:
     representatives: tuple[Word, ...]
 
 
+def _symbol_mask(k: int, L: int, i: int, c: int, every_word: int) -> int:
+    """Mask of the length-k words whose symbol i is c, words in product order.
+
+    Bit w of an L**k-bit integer stands for word number w in
+    `itertools.product` order. Word number w has symbol
+    i = (w // L**(k-1-i)) % L, so the mask is a run of L**(k-1-i) ones at
+    offset c * L**(k-1-i), repeated with period L**(k-i). The period is
+    doubled until it covers all L**k bits, and `every_word` (all L**k bits
+    set) trims the overshoot.
+    """
+    run = L ** (k - 1 - i)
+    mask, width = ((1 << run) - 1) << (c * run), L * run
+    while width < every_word.bit_length():
+        mask |= mask << width
+        width *= 2
+    return mask & every_word
+
+
 def census(
     n: int,
     alphabet_size: int,
     budget: int = DEFAULT_ENUM_BUDGET,
     max_representatives: int = 4,
 ) -> dict[BifixIndicator, CensusClass]:
-    """Partition all length-n words by bifix indicator via exhaustive enumeration.
+    """Partition all length-n words by bifix indicator, all words at once.
 
     Keys are exactly the indicators realizable at (n, alphabet_size); class
     sizes sum to alphabet_size**n. At most `max_representatives` words are
-    retained per class (enumeration order, hence deterministic).
+    retained per class (`itertools.product` order, hence deterministic).
+
+    No word is visited: bit w of an L**n-bit integer stands for word number
+    w in `itertools.product` order. The border mask B_i marks the words
+    whose length-i prefix equals their length-i suffix, the AND over t < i
+    of "symbols t and n-i+t agree". Splitting the all-words mask on
+    B_{n-1}, ..., B_1 depth first, dropping empty parts, leaves one part per
+    class; its lowest set bits are the representatives. Long borders are
+    rare, so splitting on them first keeps the number of parts small. The
+    budget still bounds L**n, since every mask has L**n bits: at n = 24,
+    L = 2 each is 2 MiB, and the n - 1 border masks plus the depth-first
+    path are what stays live once the symbol masks are freed.
     """
     if n < 2:
         raise ValueError(f"census needs pattern length >= 2, got {n}")
@@ -285,16 +313,55 @@ def census(
     if max_representatives < 0:
         raise ValueError(f"max_representatives must be >= 0, got {max_representatives}")
     check_enum_budget(alphabet_size, n, budget, f"census(n={n}, L={alphabet_size})")
-    counts: dict[BifixIndicator, int] = {}
-    reps: dict[BifixIndicator, list[Word]] = {}
-    for symbols in itertools.product(range(alphabet_size), repeat=n):
-        word = Word(symbols, alphabet_size)
-        h = bifix_indicator(word)
-        counts[h] = counts.get(h, 0) + 1
-        kept = reps.setdefault(h, [])
-        if len(kept) < max_representatives:
-            kept.append(word)
-    return {
-        h: CensusClass(h, counts[h], tuple(reps[h]))
-        for h in sorted(counts, key=lambda ind: ind.bits)
-    }
+    L = alphabet_size
+    every_word = (1 << L**n) - 1
+    symbol = [[_symbol_mask(n, L, pos, c, every_word) for c in range(L)] for pos in range(n)]
+    borders = []
+    for i in range(1, n):
+        border = every_word
+        for t in range(i):
+            agree = 0
+            for a, b in zip(symbol[t], symbol[n - i + t]):
+                agree |= a & b
+            border &= agree
+        borders.append(border)
+    del symbol
+    classes: dict[BifixIndicator, CensusClass] = {}
+
+    def split(part: int, bits: tuple[int, ...]) -> None:
+        """Split on B_{n-1-len(bits)}, longest border first; bits is h_i..h_{n-1}."""
+        if len(bits) == n - 1:
+            h = BifixIndicator(bits)
+            reps = _lowest_words(part, n, L, max_representatives)
+            classes[h] = CensusClass(h, part.bit_count(), reps)
+            return
+        inside = part & borders[n - 2 - len(bits)]
+        if part != inside:
+            split(part ^ inside, (0, *bits))
+        if inside:
+            split(inside, (1, *bits))
+
+    split(every_word, ())
+    return {h: classes[h] for h in sorted(classes, key=lambda ind: ind.bits)}
+
+
+def _lowest_words(part: int, n: int, L: int, count: int) -> tuple[Word, ...]:
+    """The words of the `count` lowest set bits of `part`, in product order.
+
+    The search runs on a low slice of `part`, doubled until it holds `count`
+    bits or all of `part`, so it costs the slice rather than all L**n bits.
+    """
+    width = 64
+    while (low := part & ((1 << width) - 1)) != part and low.bit_count() < count:
+        width *= 2
+    words = []
+    while low and len(words) < count:
+        bit = low & -low
+        low ^= bit
+        w = bit.bit_length() - 1
+        symbols = []
+        for _ in range(n):
+            w, digit = divmod(w, L)
+            symbols.append(digit)
+        words.append(Word(tuple(reversed(symbols)), L))
+    return tuple(words)

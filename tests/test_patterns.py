@@ -6,6 +6,7 @@ import pytest
 from patprob import EnumerationBudgetError
 from patprob.patterns import (
     BifixIndicator,
+    CensusClass,
     Ordering,
     SWord,
     Word,
@@ -31,6 +32,27 @@ def naive_indicator(word):
 
 def w(text, L=2):
     return Word.parse(text, L)
+
+
+def census_reference(n, L, max_representatives):
+    """The per-word loop that census replaced: failure function on every word."""
+    counts, reps = {}, {}
+    for symbols in itertools.product(range(L), repeat=n):
+        word = Word(symbols, L)
+        h = bifix_indicator(word)
+        counts[h] = counts.get(h, 0) + 1
+        kept = reps.setdefault(h, [])
+        if len(kept) < max_representatives:
+            kept.append(word)
+    return {
+        h: CensusClass(h, counts[h], tuple(reps[h]))
+        for h in sorted(counts, key=lambda ind: ind.bits)
+    }
+
+
+# OEIS A005434: the number of distinct autocorrelations (bifix classes) of
+# binary words of length n, for n = 2..20.
+A005434 = (2, 3, 4, 6, 8, 10, 13, 17, 21, 27, 30, 37, 47, 57, 62, 75, 87, 102, 116)
 
 
 class TestWord:
@@ -292,3 +314,27 @@ class TestCensus:
         for h, cls in census(5, 2).items():
             for word in cls.representatives:
                 assert bifix_indicator(word) == h
+
+    @pytest.mark.parametrize(
+        "n,L",
+        [(n, 2) for n in range(2, 11)] + [(n, 3) for n in range(2, 7)] + [(n, 4) for n in range(2, 6)],
+    )
+    def test_matches_per_word_reference(self, n, L):
+        for reps in (0, 1, 4, 7):
+            expected = census_reference(n, L, reps)
+            got = census(n, L, max_representatives=reps)
+            assert list(got) == list(expected)  # same keys in the same order
+            assert got == expected  # same counts and representatives
+
+    def test_class_counts_are_oeis_a005434(self):
+        binary = {n: census(n, 2) for n in range(2, 21)}
+        assert tuple(len(classes) for classes in binary.values()) == A005434
+        ternary = {n: census(n, 3) for n in range(2, 13)}
+        for n, classes in ternary.items():
+            # Guibas & Odlyzko: the realizable indicators do not depend on L >= 2.
+            assert classes.keys() == binary[n].keys()
+        for classes in [*binary.values(), *ternary.values()]:
+            for h, cls in classes.items():
+                assert cls.representatives
+                for word in cls.representatives:
+                    assert bifix_indicator(word) == h
