@@ -303,8 +303,9 @@ def census(
     class; its lowest set bits are the representatives. Long borders are
     rare, so splitting on them first keeps the number of parts small. The
     budget still bounds L**n, since every mask has L**n bits: at n = 24,
-    L = 2 each is 2 MiB, and the n - 1 border masks plus the depth-first
-    path are what stays live once the symbol masks are freed.
+    L = 2 each is 2 MiB. At most about 3n masks are live, whatever L: one
+    symbol mask per position, the n - 1 border masks and one pending part
+    per border length.
     """
     if n < 2:
         raise ValueError(f"census needs pattern length >= 2, got {n}")
@@ -315,34 +316,42 @@ def census(
     check_enum_budget(alphabet_size, n, budget, f"census(n={n}, L={alphabet_size})")
     L = alphabet_size
     every_word = (1 << L**n) - 1
-    symbol = [[_symbol_mask(n, L, pos, c, every_word) for c in range(L)] for pos in range(n)]
+    # S(pos, c) is S(pos, 0) shifted by c runs, so one mask per position
+    # stands for all L of them and a comparison holds O(1) masks.
+    first_symbol = [_symbol_mask(n, L, pos, 0, every_word) for pos in range(n)]
     borders = []
     for i in range(1, n):
         border = every_word
         for t in range(i):
+            a, run_a = first_symbol[t], L ** (n - 1 - t)
+            b, run_b = first_symbol[n - i + t], L ** (i - 1 - t)
             agree = 0
-            for a, b in zip(symbol[t], symbol[n - i + t]):
-                agree |= a & b
+            for c in range(L):
+                agree |= (a << c * run_a) & (b << c * run_b)
             border &= agree
         borders.append(border)
-    del symbol
+    del first_symbol
     classes: dict[BifixIndicator, CensusClass] = {}
-
-    def split(part: int, bits: tuple[int, ...]) -> None:
-        """Split on B_{n-1-len(bits)}, longest border first; bits is h_i..h_{n-1}."""
+    # Depth first on an explicit stack, so that a part is freed once split
+    # and only one pending sibling per border length stays live.
+    stack: list[tuple[int, tuple[int, ...]]] = [(every_word, ())]
+    while stack:
+        part, bits = stack.pop()  # bits is h_i..h_{n-1}
         if len(bits) == n - 1:
             h = BifixIndicator(bits)
             reps = _lowest_words(part, n, L, max_representatives)
             classes[h] = CensusClass(h, part.bit_count(), reps)
-            return
+            continue
         inside = part & borders[n - 2 - len(bits)]
-        if part != inside:
-            split(part ^ inside, (0, *bits))
+        part ^= inside
+        if part:
+            stack.append((part, (0, *bits)))
         if inside:
-            split(inside, (1, *bits))
-
-    split(every_word, ())
+            stack.append((inside, (1, *bits)))
     return {h: classes[h] for h in sorted(classes, key=lambda ind: ind.bits)}
+
+
+_DECODE_CHUNK = 1 << 12  # bytes of a slice decoded at a time
 
 
 def _lowest_words(part: int, n: int, L: int, count: int) -> tuple[Word, ...]:
@@ -354,14 +363,19 @@ def _lowest_words(part: int, n: int, L: int, count: int) -> tuple[Word, ...]:
     width = 64
     while (low := part & ((1 << width) - 1)) != part and low.bit_count() < count:
         width *= 2
-    words = []
-    while low and len(words) < count:
-        bit = low & -low
-        low ^= bit
-        w = bit.bit_length() - 1
-        symbols = []
-        for _ in range(n):
-            w, digit = divmod(w, L)
-            symbols.append(digit)
-        words.append(Word(tuple(reversed(symbols)), L))
+    # The slice is read once, in chunks, so its binary text stays small.
+    data = low.to_bytes((low.bit_length() + 7) // 8, "little")
+    words: list[Word] = []
+    for start in range(0, len(data), _DECODE_CHUNK):
+        if len(words) == count:
+            break
+        digits = bin(int.from_bytes(data[start : start + _DECODE_CHUNK], "little"))[:1:-1]
+        bit = digits.find("1")
+        while bit >= 0 and len(words) < count:
+            w, bit = 8 * start + bit, digits.find("1", bit + 1)
+            symbols = []
+            for _ in range(n):
+                w, digit = divmod(w, L)
+                symbols.append(digit)
+            words.append(Word(tuple(reversed(symbols)), L))
     return tuple(words)

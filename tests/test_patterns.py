@@ -1,15 +1,18 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from patprob import EnumerationBudgetError
 from patprob.patterns import (
+    _DECODE_CHUNK,
     BifixIndicator,
     CensusClass,
     Ordering,
     SWord,
     Word,
+    _lowest_words,
     bifix_indicator,
     census,
     compare_indicators,
@@ -53,6 +56,13 @@ def census_reference(n, L, max_representatives):
 # OEIS A005434: the number of distinct autocorrelations (bifix classes) of
 # binary words of length n, for n = 2..20.
 A005434 = (2, 3, 4, 6, 8, 10, 13, 17, 21, 27, 30, 37, 47, 57, 62, 75, 87, 102, 116)
+
+
+@pytest.fixture(scope="module")
+def small_censuses():
+    """census(n, 2) for n = 2..20 and census(n, 3) for n = 2..12, built once."""
+    binary = {(n, 2): census(n, 2) for n in range(2, 21)}
+    return binary | {(n, 3): census(n, 3) for n in range(2, 13)}
 
 
 class TestWord:
@@ -310,31 +320,63 @@ class TestCensus:
         classes = census(3, 2, max_representatives=0)
         assert all(cls.representatives == () for cls in classes.values())
 
-    def test_every_key_is_its_members_indicator(self):
-        for h, cls in census(5, 2).items():
-            for word in cls.representatives:
-                assert bifix_indicator(word) == h
+    def test_every_key_is_its_members_indicator(self, small_censuses):
+        for classes in small_censuses.values():
+            for h, cls in classes.items():
+                assert cls.representatives
+                for word in cls.representatives:
+                    assert bifix_indicator(word) == h
 
     @pytest.mark.parametrize(
         "n,L",
         [(n, 2) for n in range(2, 11)] + [(n, 3) for n in range(2, 7)] + [(n, 4) for n in range(2, 6)],
     )
     def test_matches_per_word_reference(self, n, L):
-        for reps in (0, 1, 4, 7):
-            expected = census_reference(n, L, reps)
+        every = census_reference(n, L, L**n)
+        # The last cap exceeds every class, so each class keeps all its words.
+        for reps in (0, 1, 4, 7, L**n):
+            expected = {
+                h: CensusClass(h, cls.count, cls.representatives[:reps]) for h, cls in every.items()
+            }
             got = census(n, L, max_representatives=reps)
             assert list(got) == list(expected)  # same keys in the same order
             assert got == expected  # same counts and representatives
 
-    def test_class_counts_are_oeis_a005434(self):
-        binary = {n: census(n, 2) for n in range(2, 21)}
-        assert tuple(len(classes) for classes in binary.values()) == A005434
-        ternary = {n: census(n, 3) for n in range(2, 13)}
-        for n, classes in ternary.items():
+    def test_class_counts_are_oeis_a005434(self, small_censuses):
+        binary = tuple(len(small_censuses[n, 2]) for n in range(2, 21))
+        assert binary == A005434
+        for n in range(2, 13):
             # Guibas & Odlyzko: the realizable indicators do not depend on L >= 2.
-            assert classes.keys() == binary[n].keys()
-        for classes in [*binary.values(), *ternary.values()]:
-            for h, cls in classes.items():
-                assert cls.representatives
-                for word in cls.representatives:
-                    assert bifix_indicator(word) == h
+            assert small_censuses[n, 3].keys() == small_censuses[n, 2].keys()
+
+    @pytest.mark.parametrize("n,L", [(2, 1024), (3, 128)])
+    def test_large_alphabet_in_bounded_memory(self, n, L):
+        # Words aa.. are the only all-ones class; n = 3 also has aba (b != a).
+        expected = {
+            (2, 1024): {"0": L * (L - 1), "1": L},
+            (3, 128): {"00": L**3 - L**2, "10": L * (L - 1), "11": L},
+        }[n, L]
+        tracemalloc.start()
+        try:
+            classes = census(n, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # n first-symbol masks, n - 1 border masks and the pending parts;
+        # keeping all n * L symbol masks would need hundreds of masks here.
+        assert peak < (3 * n + 8) * L**n // 8
+        assert {h.text(): cls.count for h, cls in classes.items()} == expected
+        reps = {h.text(): [word.symbols for word in cls.representatives] for h, cls in classes.items()}
+        assert reps["1" * (n - 1)] == [(c,) * n for c in range(4)]
+        assert reps["0" * (n - 1)] == [(0,) * (n - 1) + (c,) for c in range(1, 5)]
+
+    def test_representatives_across_decode_chunks(self):
+        # Set bits on both sides of the chunk boundaries of a 2^16-bit part.
+        positions = [0, 5, 8 * _DECODE_CHUNK - 1, 8 * _DECODE_CHUNK, 2**16 - 1]
+        part = sum(1 << p for p in positions)
+        decoded = [
+            int("".join(map(str, word.symbols)), 2) for word in _lowest_words(part, 16, 2, 10)
+        ]
+        assert decoded == positions
+        assert len(_lowest_words(part, 16, 2, 3)) == 3
+        assert _lowest_words(part, 16, 2, 0) == ()
