@@ -107,10 +107,7 @@ def _render_table(table: ProbTable, fmt: str, digits: int) -> str:
         return table.to_csv(digits)
     lines = [f"h={table.h.text()}  L={table.L}  method={table.method}"]
     lines.append(f"{'k':>4} {'p_k':>14} {'P_k':>14}")
-    for k in range(table.upto + 1):
-        lines.append(
-            f"{k:>4} {table.p[k].to_decimal(digits):>14} {table.P[k].to_decimal(digits):>14}"
-        )
+    lines += [f"{k:>4} {p:>14} {P:>14}" for k, p, P in table.decimal_rows(digits)]
     return "\n".join(lines) + "\n"
 
 

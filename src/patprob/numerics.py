@@ -6,12 +6,54 @@ them directly; `ExactProb(count, k, L)` is only the value that leaves a
 route, for equality, order, JSON and decimal rendering. Keeping the
 denominator as an exponent of a fixed base makes equality checks exact
 and cheap and avoids gcd churn.
+
+`ExactProb(num, den_exp, base)` validates its fields. The trusted
+constructor `ExactProb.from_checked(num, den_exp, base)` skips that check
+and is only for values already known to satisfy base >= 2, num >= 0 and
+den_exp >= 0, such as the counts a `ProbTable` has validated. Both bring
+the value into canonical form through the one helper `canonical`, and
+`decimal_string` is the one rounding rule for decimal strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
+
+
+def canonical(num: int, den_exp: int, base: int) -> tuple[int, int]:
+    """(num, den_exp) of num / base**den_exp with the factors of base stripped.
+
+    Preconditions: base >= 2, num >= 0, den_exp >= 0. Zero is (0, 0);
+    otherwise factors of base leave num until it is not divisible by base
+    or den_exp reaches 0. A power-of-two base strips them all with one
+    trailing-zero shift.
+    """
+    if num == 0:
+        return 0, 0
+    if base & (base - 1) == 0:
+        if num & 1:
+            return num, den_exp
+        shift = base.bit_length() - 1
+        strip = min(den_exp, ((num & -num).bit_length() - 1) // shift)
+        return num >> (shift * strip), den_exp - strip
+    while den_exp > 0 and num % base == 0:
+        num //= base
+        den_exp -= 1
+    return num, den_exp
+
+
+def decimal_string(num: int, den: int, digits: int) -> str:
+    """num / den (num >= 0, den >= 1) rounded to `digits` fractional digits.
+
+    Ties round half to even. The string depends only on the value, so any
+    num, den of equal ratio give the same one.
+    """
+    q, r = divmod(num * 10**digits, den)
+    if 2 * r > den or (2 * r == den and q % 2 == 1):
+        q += 1
+    whole, frac = divmod(q, 10**digits)
+    return f"{whole}.{frac:0{digits}d}"
 
 
 @total_ordering
@@ -38,15 +80,22 @@ class ExactProb:
             raise ValueError(f"numerator must be nonnegative, got {self.num}")
         if self.den_exp < 0:
             raise ValueError(f"denominator exponent must be nonnegative, got {self.den_exp}")
-        num, exp = self.num, self.den_exp
-        if num == 0:
-            exp = 0
-        else:
-            while exp > 0 and num % self.base == 0:
-                num //= self.base
-                exp -= 1
+        num, exp = canonical(self.num, self.den_exp, self.base)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den_exp", exp)
+
+    @classmethod
+    def from_checked(cls, num: int, den_exp: int, base: int) -> ExactProb:
+        """ExactProb(num, den_exp, base) for fields known to be valid, unchecked.
+
+        The caller guarantees base >= 2, num >= 0 and den_exp >= 0.
+        """
+        self = object.__new__(cls)
+        num, den_exp = canonical(num, den_exp, base)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den_exp", den_exp)
+        object.__setattr__(self, "base", base)
+        return self
 
     def __lt__(self, other: ExactProb) -> bool:
         if self.base != other.base:
@@ -68,12 +117,7 @@ class ExactProb:
         """
         if digits < 1:
             raise ValueError(f"digits must be >= 1, got {digits}")
-        den = self.base**self.den_exp
-        q, r = divmod(self.num * 10**digits, den)
-        if 2 * r > den or (2 * r == den and q % 2 == 1):
-            q += 1
-        whole, frac = divmod(q, 10**digits)
-        return f"{whole}.{frac:0{digits}d}"
+        return decimal_string(self.num, self.base**self.den_exp, digits)
 
     def to_json_dict(self) -> dict:
         # num as a string: JSON consumers may not support big integers.

@@ -20,18 +20,39 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
-from .numerics import ExactProb
+from .numerics import ExactProb, decimal_string
 from .patterns import BifixIndicator
+
+
+# The views of equal counts are equal, so tables with equal (L, C) share
+# them: the routes of one check agree by design and build p and P once. A
+# hit needs exact equality of C, so a route that disagrees gets views of its
+# own. The routes never see this memo; only ProbTable's views use it.
+_VIEW_MEMO_SIZE = 4
+
+
+@lru_cache(maxsize=_VIEW_MEMO_SIZE)
+def _P_view(L: int, C: tuple[int, ...]) -> tuple[ExactProb, ...]:
+    return tuple(ExactProb.from_checked(c, k, L) for k, c in enumerate(C))
+
+
+@lru_cache(maxsize=_VIEW_MEMO_SIZE)
+def _p_view(L: int, C: tuple[int, ...]) -> tuple[ExactProb, ...]:
+    return tuple(
+        ExactProb.from_checked(c - L * b, k, L) for k, (b, c) in enumerate(zip((0,) + C, C))
+    )
 
 
 @dataclass(frozen=True)
 class ProbTable:
     """Counts C_k = L**k P_k of the length-k words containing the pattern.
 
-    `p` and `P` are the exact probability views, each built once on first use.
+    `p` and `P` are the exact probability views, each built once on first use
+    and shared with every table of equal counts. Rows of JSON, CSV and text
+    output are computed from the counts over a running L**k.
     """
 
     h: BifixIndicator
@@ -42,6 +63,8 @@ class ProbTable:
 
     def __post_init__(self) -> None:
         n, L = self.h.n, self.L
+        if L < 2:
+            raise ValueError(f"alphabet size must be >= 2, got {L}")
         if self.upto < 0:
             raise ValueError(f"upto must be >= 0, got {self.upto}")
         if len(self.C) != self.upto + 1:
@@ -57,36 +80,61 @@ class ProbTable:
         if prev > L**self.upto:
             raise ValueError("P exceeded 1")
 
+    # The checks above make every view field valid: L >= 2, k >= 0, and
+    # 0 <= L C_{k-1} <= C_k, so the views use the trusted constructor.
     @cached_property
     def P(self) -> tuple[ExactProb, ...]:
-        return tuple(ExactProb(c, k, self.L) for k, c in enumerate(self.C))
+        return _P_view(self.L, self.C)
 
     @cached_property
     def p(self) -> tuple[ExactProb, ...]:
         """p_k = (C_k - L C_{k-1}) / L**k."""
-        L, C = self.L, self.C
-        return tuple(ExactProb(c - L * b, k, L) for k, (b, c) in enumerate(zip((0,) + C, C)))
+        return _p_view(self.L, self.C)
 
     @property
     def n(self) -> int:
         return self.h.n
 
+    def _counts(self) -> Iterator[tuple[int, int, int]]:
+        """(L**k p_k, L**k P_k, L**k) for k = 0..upto, on a running power."""
+        L = self.L
+        prev, power = 0, 1
+        for count in self.C:
+            yield count - L * prev, count, power
+            prev = count
+            power *= L
+
     def to_json_dict(self) -> dict:
+        # The layout of ExactProb.to_json_dict; int / int is correctly
+        # rounded, so approx equals float() of the canonical value.
+        L = self.L
         return {
             "h": self.h.text(),
-            "L": self.L,
+            "L": L,
             "n": self.n,
             "method": self.method,
             "rows": [
-                {"k": k, "p": self.p[k].to_json_dict(), "P": self.P[k].to_json_dict()}
-                for k in range(self.upto + 1)
+                {
+                    "k": k,
+                    "p": {"num": str(p.num), "base": L, "den_exp": p.den_exp, "approx": a / power},
+                    "P": {"num": str(P.num), "base": L, "den_exp": P.den_exp, "approx": c / power},
+                }
+                for k, ((a, c, power), p, P) in enumerate(zip(self._counts(), self.p, self.P))
             ],
         }
 
+    def decimal_rows(self, digits: int) -> list[tuple[int, str, str]]:
+        """(k, p_k, P_k) with both values rounded to `digits` fractional digits."""
+        if digits < 1:
+            raise ValueError(f"digits must be >= 1, got {digits}")
+        return [
+            (k, decimal_string(a, power, digits), decimal_string(c, power, digits))
+            for k, (a, c, power) in enumerate(self._counts())
+        ]
+
     def to_csv(self, digits: int = 12) -> str:
         lines = ["k,p,P"]
-        for k in range(self.upto + 1):
-            lines.append(f"{k},{self.p[k].to_decimal(digits)},{self.P[k].to_decimal(digits)}")
+        lines += [f"{k},{p},{P}" for k, p, P in self.decimal_rows(digits)]
         return "\n".join(lines) + "\n"
 
 

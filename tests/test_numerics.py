@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patprob.numerics import ExactProb
+from patprob.numerics import ExactProb, canonical
 
 
 def ep(num, exp, base=2):
@@ -37,6 +39,52 @@ class TestConstruction:
     def test_invalid_fields_rejected(self, num, exp, base):
         with pytest.raises(ValueError):
             ExactProb(num, exp, base)
+
+
+def divide_out(num, exp, base):
+    """Reference canonical form: divide by base while it divides."""
+    if num == 0:
+        return 0, 0
+    while exp > 0 and num % base == 0:
+        num //= base
+        exp -= 1
+    return num, exp
+
+
+class TestCanonicalForm:
+    # Powers of two take the trailing-zero shift, the others the division
+    # loop; 2**33 makes one factor of the base span more than one 30-bit digit.
+    BASES = [2, 3, 4, 8, 10, 16, 2**33]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.sampled_from(BASES),
+        unit=st.integers(0, 10**12),
+        power=st.integers(0, 120),
+        exp=st.integers(0, 160),
+    )
+    def test_matches_division_reference(self, base, unit, power, exp):
+        num = unit * base**power  # at least `power` factors of base
+        assert canonical(num, exp, base) == divide_out(num, exp, base)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.sampled_from(BASES),
+        unit=st.integers(0, 10**12),
+        power=st.integers(0, 120),
+        exp=st.integers(0, 160),
+    )
+    def test_trusted_constructor_equals_public_one(self, base, unit, power, exp):
+        num = unit * base**power
+        trusted, checked = ExactProb.from_checked(num, exp, base), ExactProb(num, exp, base)
+        fields = (checked.num, checked.den_exp, checked.base)
+        assert (trusted.num, trusted.den_exp, trusted.base) == fields
+        assert trusted == checked and hash(trusted) == hash(checked)
+
+    def test_partial_factor_of_a_power_of_two_base_stays(self):
+        # 2 * 8**3 has 10 trailing zeros: three whole factors of 8, one bit left.
+        assert canonical(2 * 8**3, 5, 8) == (2, 2)
+        assert canonical(2 * 8**3, 2, 8) == (2 * 8, 0)
 
 
 class TestArithmetic:

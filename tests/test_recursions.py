@@ -3,13 +3,18 @@ import itertools
 import pytest
 
 from patprob import TABLE_ROUTES, route_tables
+from patprob.cli import _render_table
+from patprob.markov import ChainSpec, reach_table
 from patprob.numerics import ExactProb
-from patprob.oracle import automaton_prob_table, enum_counts
-from patprob.patterns import BifixIndicator, Word, bifix_indicator, census
+from patprob.oracle import PatternAutomaton, automaton_counts, automaton_prob_table, enum_counts
+from patprob.patterns import BifixIndicator, Word, bifix_indicator, census, s_from_h
 from patprob.recursions import (
+    _VIEW_MEMO_SIZE,
     P_at,
     ProbTable,
     _iter_counts,
+    _P_view,
+    _p_view,
     P_table,
     expected_wait_closed,
     expected_wait_series,
@@ -115,6 +120,12 @@ class TestTableInvariants:
         with pytest.raises(ValueError, match="cover k = 0..upto"):
             ProbTable(H1, 2, 4, (0, 0, 1, 3), "P-recursion")
 
+    @pytest.mark.parametrize("L,C", [(1, (0, 0, 1)), (0, (0, 0, 0)), (-2, (0, 0, 0))])
+    def test_alphabet_below_two_rejected(self, L, C):
+        # With L = 1, (0, 0, 1) passes every count check: only the L check rejects it.
+        with pytest.raises(ValueError, match=f"alphabet size must be >= 2, got {L}"):
+            ProbTable(H1, L, 2, C, "P-recursion")
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError, match="upto must be >= 0, got -1"):
             ProbTable(H1, 2, -1, (), "P-recursion")
@@ -138,6 +149,150 @@ class TestTableInvariants:
         streamed = tuple(itertools.islice(_iter_counts(h, 2), 26))
         assert streamed == full.C
         assert P_at(h, 2, 25) == full.P[25]
+
+
+# Patterns whose first hit can come at k = n (every route's first nonzero
+# count) over several alphabets and classes.
+EDGE_WORDS = [("11", 2), ("10", 2), ("110", 2), ("1011", 2), ("00", 3), ("012", 3), ("3003", 4)]
+
+
+class TestEdgeHorizons:
+    # Horizons at and just past the pattern length, where each route's
+    # leading zeros end and its recursion starts.
+    @pytest.mark.parametrize("text,L", EDGE_WORDS)
+    def test_every_route_at_every_small_horizon(self, text, L):
+        word = Word.parse(text, L)
+        n = len(word)
+        for upto in range(n + 2):
+            expected = tuple(enum_counts(word, k).contains for k in range(upto + 1))
+            tables = route_tables(bifix_indicator(word), L, upto, word)
+            assert sorted(tables) == sorted([*TABLE_ROUTES, "automaton"])
+            for name, table in tables.items():
+                assert (table.upto, table.C) == (upto, expected), (name, upto)
+
+    @pytest.mark.parametrize("text,L", EDGE_WORDS)
+    def test_reach_table_at_horizon_zero(self, text, L):
+        word = Word.parse(text, L)
+        n = len(word)
+        table = reach_table(ChainSpec(s_from_h(bifix_indicator(word)), L), 0)
+        assert table.P == (tuple([0] * n + [1]),)
+        assert table.P[0][0] == enum_counts(word, 0).contains
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_length_one_pattern_automaton(self, L):
+        for c in range(L):
+            word = Word((c,), L)
+            for k in range(6):
+                assert automaton_counts(word, k) == enum_counts(word, k)
+
+    def test_empty_pattern_rejected(self):
+        with pytest.raises(ValueError, match="pattern must be nonempty"):
+            PatternAutomaton(Word((), 2))
+
+
+class TestSharedViews:
+    # Tables with equal counts share their p and P tuples; others do not.
+    def test_agreeing_routes_share_views(self):
+        word = Word.parse("1101", 2)
+        tables = list(route_tables(bifix_indicator(word), 2, 40, word).values())
+        first = tables[0]
+        for t in tables[1:]:
+            assert t.C == first.C and t.method != first.method
+            assert t.p is first.p
+            assert t.P is first.P
+
+    def test_different_counts_get_views_of_their_own(self):
+        t = P_table(H1, 2, 6)
+        same = ProbTable(t.h, t.L, t.upto, t.C, "hand-built")
+        assert same.P is t.P and same.p is t.p
+        # One more word containing the pattern at k = 6: still a valid table.
+        other = ProbTable(t.h, t.L, t.upto, t.C[:-1] + (t.C[-1] + 1,), "hand-built")
+        assert other.P is not t.P and other.p is not t.p
+        assert other.P[:-1] == t.P[:-1] and other.P[-1] != t.P[-1]
+        assert other.p[-1] != t.p[-1]
+
+    def test_memo_stays_bounded(self):
+        for upto in range(2, 40):
+            t = P_table(H1, 2, upto)
+            assert t.p[-1] == ExactProb(t.C[-1] - 2 * t.C[-2], upto, 2)
+            assert t.P[-1] == ExactProb(t.C[-1], upto, 2)
+        for view in (_p_view, _P_view):
+            info = view.cache_info()
+            assert info.maxsize == _VIEW_MEMO_SIZE
+            assert info.currsize <= info.maxsize
+
+
+def _per_value_json_rows(table: ProbTable) -> list[dict]:
+    """Reference rows in the per-value form: one validated ExactProb and its JSON each."""
+    L, C = table.L, table.C
+    return [
+        {
+            "k": k,
+            "p": ExactProb(c - L * b, k, L).to_json_dict(),
+            "P": ExactProb(c, k, L).to_json_dict(),
+        }
+        for k, (b, c) in enumerate(zip((0,) + C, C))
+    ]
+
+
+def _per_value_decimals(table: ProbTable, digits: int) -> list[tuple[int, str, str]]:
+    L, C = table.L, table.C
+    return [
+        (k, ExactProb(c - L * b, k, L).to_decimal(digits), ExactProb(c, k, L).to_decimal(digits))
+        for k, (b, c) in enumerate(zip((0,) + C, C))
+    ]
+
+
+def _exact_form(value):
+    """Key order and float bits kept: what decides the bytes of the JSON."""
+    if isinstance(value, dict):
+        return [(key, _exact_form(v)) for key, v in value.items()]
+    if isinstance(value, list):
+        return [_exact_form(v) for v in value]
+    if isinstance(value, float):
+        return float.hex(value)
+    return value
+
+
+def _output_tables():
+    # Every class of length 2..6 at L = 2, 3 (as in TestThreeWayEquality),
+    # small classes at L = 3, 4, 10, and deep tables whose L**k runs past
+    # the float range.
+    for L, top in [(2, 6), (3, 6), (4, 4), (10, 3)]:
+        for n in range(2, top + 1):
+            for h in census(n, L):
+                yield P_table(h, L, 3 * n)
+    yield from route_tables(BifixIndicator.parse("100000000"), 2, 1100).values()
+    yield P_table(BifixIndicator.parse("010"), 3, 700)
+    yield P_table(BifixIndicator.parse("1"), 4, 520)
+    yield P_table(BifixIndicator.parse("00"), 10, 320)
+
+
+class TestOutputFromCounts:
+    # Rows come from the counts over a running L**k; they must match the
+    # per-value ExactProb output bit for bit.
+    def test_json_rows_match_per_value_form(self):
+        for table in _output_tables():
+            d = table.to_json_dict()
+            assert list(d) == ["h", "L", "n", "method", "rows"]
+            expected = _per_value_json_rows(table)
+            assert _exact_form(d["rows"]) == _exact_form(expected), table.h.text()
+
+    @pytest.mark.parametrize("digits", [1, 3, 12, 40])
+    def test_csv_and_text_match_per_value_decimals(self, digits):
+        for table in _output_tables():
+            expected = _per_value_decimals(table, digits)
+            assert table.decimal_rows(digits) == expected
+            csv_rows = "".join(f"{k},{p},{P}\n" for k, p, P in expected)
+            assert table.to_csv(digits) == "k,p,P\n" + csv_rows
+            text = _render_table(table, "table", digits).splitlines()
+            assert text[2:] == [f"{k:>4} {p:>14} {P:>14}" for k, p, P in expected]
+
+    def test_digits_below_one_rejected(self):
+        table = P_table(H1, 2, 4)
+        for render in (table.decimal_rows, table.to_csv):
+            with pytest.raises(ValueError, match="digits must be >= 1, got 0"):
+                render(0)
 
 
 class TestLongHorizonAgreement:
