@@ -43,7 +43,6 @@ from .patterns import (
 from .recursions import (
     ProbTable,
     SeriesResult,
-    P_at,
     P_table,
     expected_wait_closed,
     expected_wait_series,
@@ -98,7 +97,6 @@ __all__ = [
     "SWord",
     "TABLE_ROUTES",
     "Word",
-    "P_at",
     "P_table",
     "automaton_counts",
     "automaton_prob_table",

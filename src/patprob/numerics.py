@@ -9,10 +9,11 @@ and cheap and avoids gcd churn.
 
 `ExactProb(num, den_exp, base)` validates its fields. The trusted
 constructor `ExactProb.from_checked(num, den_exp, base)` skips that check
-and is only for values already known to satisfy base >= 2, num >= 0 and
-den_exp >= 0, such as the counts a `ProbTable` has validated. Both bring
-the value into canonical form through the one helper `canonical`, and
-`decimal_string` is the one rounding rule for decimal strings.
+and is only for values already known to satisfy base >= 2, num >= 0,
+den_exp >= 0 and num <= base**den_exp, such as the counts a `ProbTable`
+has validated. Both bring the value into canonical form through the one
+helper `canonical`, and `decimal_string` is the one rounding rule for
+decimal strings.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ def decimal_string(num: int, den: int, digits: int) -> str:
 @total_ordering
 @dataclass(frozen=True)
 class ExactProb:
-    """Value num / base**den_exp with num >= 0, held in canonical form.
+    """Probability num / base**den_exp with 0 <= num <= base**den_exp, held in
+    canonical form.
 
     Canonical form: num == 0 forces den_exp == 0; otherwise factors of
     `base` are stripped from num until num is not divisible by base or
@@ -81,6 +83,8 @@ class ExactProb:
         if self.den_exp < 0:
             raise ValueError(f"denominator exponent must be nonnegative, got {self.den_exp}")
         num, exp = canonical(self.num, self.den_exp, self.base)
+        if num > self.base**exp:
+            raise ValueError(f"probability must be <= 1, got num > {self.base}**{self.den_exp}")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den_exp", exp)
 
@@ -88,7 +92,8 @@ class ExactProb:
     def from_checked(cls, num: int, den_exp: int, base: int) -> ExactProb:
         """ExactProb(num, den_exp, base) for fields known to be valid, unchecked.
 
-        The caller guarantees base >= 2, num >= 0 and den_exp >= 0.
+        The caller guarantees base >= 2, num >= 0, den_exp >= 0 and
+        num <= base**den_exp.
         """
         self = object.__new__(cls)
         num, den_exp = canonical(num, den_exp, base)

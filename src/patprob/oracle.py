@@ -34,7 +34,13 @@ class PatternAutomaton:
 
     State i < n is the length of the longest prefix of the pattern that is
     a suffix of the data read so far; state n, once reached, persists.
-    Built with the standard failure-function construction.
+
+    Only the transitions that do not fall back to state 0 are stored:
+    `rows[i]` maps each such symbol of state i < n to its target, and every
+    other symbol leads to 0. Row i is a copy of row fail[i-1] (the standard
+    failure-function construction) with b[i] -> i+1 set. A string-matching
+    automaton has at most 2n transitions that do not lead to 0 (Simon's
+    bound), so the rows take O(n) time and space whatever the alphabet size.
     """
 
     def __init__(self, pattern: Word):
@@ -45,19 +51,18 @@ class PatternAutomaton:
         self.L = pattern.alphabet_size
         b = pattern.symbols
         fail = _failure(b)
-        delta = []
-        for i in range(self.n):
-            row = []
-            for c in range(self.L):
-                if c == b[i]:
-                    row.append(i + 1)
-                elif i > 0:
-                    row.append(delta[fail[i - 1]][c])
-                else:
-                    row.append(0)
-            delta.append(row)
-        delta.append([self.n] * self.L)
-        self.delta = delta
+        rows: list[dict[int, int]] = []
+        for i, c in enumerate(b):
+            row = dict(rows[fail[i - 1]]) if i else {}
+            row[c] = i + 1
+            rows.append(row)
+        self.rows = rows
+
+    def step(self, state: int, symbol: int) -> int:
+        """The state after reading `symbol` in `state`."""
+        if state == self.n:
+            return self.n
+        return self.rows[state].get(symbol, 0)
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,10 @@ def _absorbed_counts(pattern: Word, k: int) -> list[int]:
     """Entry j: how many length-j words contain the pattern, for j = 0..k.
 
     Dynamic programming over automaton states: tracks how many length-j
-    words sit in each state; runs in O(k*n*L).
+    words sit in each state. A step sends each state's count along its
+    stored transitions, the L - len(row) other symbols to state 0, and all
+    L symbols of the absorbing state to itself, so it runs in O(k*n) for
+    any alphabet size.
     """
     aut = PatternAutomaton(pattern)
     L, n = aut.L, aut.n
@@ -118,10 +126,12 @@ def _absorbed_counts(pattern: Word, k: int) -> list[int]:
     absorbed = [0] * (k + 1)
     for j in range(1, k + 1):
         nxt = [0] * (n + 1)
-        for state, count in enumerate(state_counts):
+        nxt[n] = L * state_counts[n]
+        for row, count in zip(aut.rows, state_counts):
             if count:
-                for c in range(L):
-                    nxt[aut.delta[state][c]] += count
+                for target in row.values():
+                    nxt[target] += count
+                nxt[0] += (L - len(row)) * count
         state_counts = nxt
         absorbed[j] = state_counts[n]
     return absorbed

@@ -17,7 +17,6 @@ means a transcription bug and aborts instead of clamping.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -237,13 +236,6 @@ def P_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     # zip, not islice: a negative upto yields no counts, and ProbTable rejects it.
     C = tuple(count for _, count in zip(range(upto + 1), _iter_counts(h, L)))
     return ProbTable(h, L, upto, C, "P-recursion")
-
-
-def P_at(h: BifixIndicator, L: int, k: int) -> ExactProb:
-    """Single P_k without materializing the table (constant memory in k)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return ExactProb(next(itertools.islice(_iter_counts(h, L), k, None)), k, L)
 
 
 def expected_wait_closed(h: BifixIndicator, L: int) -> int:

@@ -16,13 +16,19 @@ def fraction(x):
     return Fraction(x.num, x.base**x.den_exp)
 
 
+def random_prob(rng, base, num_below, exp_below):
+    """A random probability num / base**exp: exp < exp_below, num < num_below."""
+    exp = rng.randrange(0, exp_below)
+    return ExactProb(rng.randrange(0, min(num_below, base**exp + 1)), exp, base)
+
+
 class TestConstruction:
     def test_zero_normalizes_exponent(self):
         assert ExactProb(0, 7, 2) == ExactProb(0, 0, 2)
 
     def test_strips_base_factors(self):
         assert ep(4, 3) == ep(1, 1)
-        assert ep(6, 2) == ep(3, 1)
+        assert ep(6, 3) == ep(3, 2)
 
     def test_composite_base(self):
         assert ExactProb(6, 1, 6) == ExactProb(1, 0, 6)
@@ -32,12 +38,28 @@ class TestConstruction:
         rng = random.Random(20240809)
         for _ in range(500):
             base = rng.choice([2, 3, 5, 6, 10])
-            x = ExactProb(rng.randrange(0, 1000), rng.randrange(0, 8), base)
+            x = random_prob(rng, base, 1000, 8)
             assert ExactProb(x.num, x.den_exp, x.base) == x
 
     @pytest.mark.parametrize("num,exp,base", [(-1, 0, 2), (1, -1, 2), (1, 0, 1), (1, 0, 0)])
     def test_invalid_fields_rejected(self, num, exp, base):
         with pytest.raises(ValueError):
+            ExactProb(num, exp, base)
+
+    # 2**1100 is past the float range, where the JSON form's approx would
+    # overflow.
+    @pytest.mark.parametrize(
+        "num,exp,base",
+        [
+            (3, 1, 2),
+            pytest.param(2**1100, 0, 2, id="2**1100-0-2"),
+            (2, 0, 3),
+            (10**6 + 1, 6, 10),
+            pytest.param(2**66 + 1, 1, 2**64, id="2**66+1-1-2**64"),
+        ],
+    )
+    def test_values_above_one_rejected(self, num, exp, base):
+        with pytest.raises(ValueError, match=f"probability must be <= 1, got num > {base}\\*\\*{exp}"):
             ExactProb(num, exp, base)
 
 
@@ -72,10 +94,13 @@ class TestCanonicalForm:
         base=st.sampled_from(BASES),
         unit=st.integers(0, 10**12),
         power=st.integers(0, 120),
-        exp=st.integers(0, 160),
+        extra=st.integers(0, 160),
     )
-    def test_trusted_constructor_equals_public_one(self, base, unit, power, exp):
-        num = unit * base**power
+    def test_trusted_constructor_equals_public_one(self, base, unit, power, extra):
+        # A probability: den_exp covers the factors of base, and num is
+        # clamped to base**den_exp, where canonical form strips to 1.
+        exp = power + extra
+        num = min(unit * base**power, base**exp)
         trusted, checked = ExactProb.from_checked(num, exp, base), ExactProb(num, exp, base)
         fields = (checked.num, checked.den_exp, checked.base)
         assert (trusted.num, trusted.den_exp, trusted.base) == fields
@@ -96,8 +121,8 @@ class TestArithmetic:
         rng = random.Random(1729)
         for _ in range(10_000):
             base = rng.choice([2, 3, 5, 10])
-            a = ExactProb(rng.randrange(0, 5000), rng.randrange(0, 10), base)
-            b = ExactProb(rng.randrange(0, 5000), rng.randrange(0, 10), base)
+            a = random_prob(rng, base, 5000, 10)
+            b = random_prob(rng, base, 5000, 10)
             fa, fb = fraction(a), fraction(b)
             assert (a == b) == (fa == fb)
             assert (a < b) == (fa < fb)
@@ -118,7 +143,7 @@ class TestRendering:
             (3, 3, 2, "0.38"),   # 0.375 ties to even: 37|5 -> 38
             (1, 3, 2, "0.12"),   # 0.125 ties to even: 12|5 -> 12
             (1, 1, 1, "0.5"),
-            (3, 1, 2, "1.50"),   # values above 1 render too
+            (2, 1, 2, "1.00"),   # 1 itself; values above 1 are rejected
             (0, 0, 4, "0.0000"),
         ],
     )
@@ -140,7 +165,7 @@ class TestRendering:
         assert ExactProb.from_json_dict(d) == x
 
     def test_json_numerator_is_a_string(self):
-        big = ExactProb(3**60, 0, 2)
+        big = ExactProb(3**60, 96, 2)  # 3**60 < 2**96
         assert isinstance(big.to_json_dict()["num"], str)
 
 
@@ -148,5 +173,5 @@ def test_values_match_fraction_on_float_conversion():
     rng = random.Random(99)
     for _ in range(200):
         base = rng.choice([2, 3])
-        x = ExactProb(rng.randrange(0, 10**6), rng.randrange(0, 40), base)
+        x = random_prob(rng, base, 10**6, 40)
         assert float(x) == float(fraction(x))

@@ -82,7 +82,7 @@ class TestAutomaton:
             aut = PatternAutomaton(word)
             for state in range(aut.n + 1):
                 for symbol in range(aut.L):
-                    assert aut.delta[state][symbol] == naive_step(word, state, symbol)
+                    assert aut.step(state, symbol) == naive_step(word, state, symbol)
 
     def test_structural_invariants(self):
         for text in ["11011", "10010", "0000", "10"]:
@@ -90,12 +90,33 @@ class TestAutomaton:
             aut = PatternAutomaton(word)
             n = aut.n
             for i in range(n):
-                assert aut.delta[i][word.symbols[i]] == i + 1
+                assert aut.step(i, word.symbols[i]) == i + 1
             for c in range(aut.L):
-                assert aut.delta[n][c] == n
+                assert aut.step(n, c) == n
             for i in range(n + 1):
                 for c in range(aut.L):
-                    assert aut.delta[i][c] <= i + 1
+                    assert aut.step(i, c) <= i + 1
+
+    @staticmethod
+    def _check_sparse_rows(word):
+        aut = PatternAutomaton(word)
+        assert len(aut.rows) == aut.n
+        assert sum(len(row) for row in aut.rows) <= 2 * aut.n  # Simon's bound
+        assert all(target != 0 for row in aut.rows for target in row.values())
+
+    def test_sparse_rows_every_binary_pattern(self):
+        for n in range(1, 13):
+            for symbols in itertools.product((0, 1), repeat=n):
+                self._check_sparse_rows(Word(symbols, 2))
+
+    @pytest.mark.parametrize("L", [3, 4, 7])
+    def test_sparse_rows_random_patterns(self, L):
+        rng = random.Random(L)
+        for _ in range(400):
+            n = rng.randrange(1, 25)
+            # Few distinct symbols make long borders, where rows grow.
+            used = rng.randrange(1, L + 1)
+            self._check_sparse_rows(Word(tuple(rng.randrange(used) for _ in range(n)), L))
 
 
 class TestCounts:
@@ -317,8 +338,9 @@ def reference_monte_carlo(pattern, config, stream=block_stream):
     """Monte Carlo with a fresh Philox and Generator per stream, stepped symbol
     by symbol through the automaton's transition function.
 
-    naive_step stands in for PatternAutomaton.delta (TestAutomaton checks that
-    they agree), so that no 2**33-wide automaton row is built.
+    naive_step, not PatternAutomaton.step, moves the state (TestAutomaton
+    checks that they agree), so the reference shares no code with the
+    library it checks.
     """
     L, n, horizon = pattern.alphabet_size, len(pattern), config.k
     wait_counts = Counter()
