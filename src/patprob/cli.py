@@ -42,6 +42,7 @@ from .patterns import (
     census,
     compare_indicators,
     compare_swords,
+    is_realizable,
     k0_of_pair,
     k0_sharp,
     s_from_h,
@@ -111,6 +112,14 @@ def _render_table(table: ProbTable, fmt: str, digits: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_indicator(text: str) -> BifixIndicator:
+    """An indicator from --h/--h2; one that no pattern has is refused."""
+    h = BifixIndicator.parse(text)
+    if not is_realizable(h):
+        raise ValueError(f"indicator {h.text()} is not the bifix indicator of any pattern")
+    return h
+
+
 def cmd_prob(args) -> int:
     if args.digits < 1:
         raise ValueError(f"--digits must be >= 1, got {args.digits}")
@@ -121,7 +130,7 @@ def cmd_prob(args) -> int:
         word = Word.parse(args.word, args.L)
         h = bifix_indicator(word)
     else:
-        h = BifixIndicator.parse(args.h)
+        h = _parse_indicator(args.h)
     upto = args.K if args.K is not None else 3 * h.n
 
     if args.check_all:
@@ -170,8 +179,8 @@ def _oriented_swords(args) -> tuple[SWord, SWord, dict]:
     if by_h:
         if args.h is None or args.h2 is None:
             raise ValueError("need both --h and --h2")
-        h_a = BifixIndicator.parse(args.h)
-        h_b = BifixIndicator.parse(args.h2)
+        h_a = _parse_indicator(args.h)
+        h_b = _parse_indicator(args.h2)
         order = compare_indicators(h_a, h_b)
         if order is Ordering.INCOMPARABLE:
             raise ValueError("indicators are incomparable: neither h <= h2 nor h2 <= h")

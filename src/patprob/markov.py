@@ -5,12 +5,15 @@ to s_i with probability 1/L, and to 0 with probability (L-2)/L; when
 s_i = 0 the last two masses merge. State n is absorbing. P_k(i) is the
 probability of reaching n within k steps from i; P_k(0) is the occurrence
 probability of the bifix class that s encodes. The reach DP runs on the
-integer counts R_k(i) = L**k P_k(i), with no division.
+integer counts R_k(i) = L**k P_k(i), with no division, and yields one row
+per k: `reach_table` keeps every row, while the occurrence table and the
+chain comparison keep only the start-state column as the rows stream past.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .patterns import BifixIndicator, SWord, comparison_threshold, s_from_h
 from .recursions import ProbTable
@@ -33,24 +36,6 @@ class ChainSpec:
 
     def to_json_dict(self) -> dict:
         return {"s": list(self.s.targets), "L": self.L}
-
-
-def _step_counts(spec: ChainSpec) -> tuple[tuple[int, ...], ...]:
-    """(n+1) x (n+1) one-step counts: entry (i, j) is how many of the L
-    symbols move state i to state j, so every row sums to L."""
-    n, L = spec.n, spec.L
-    rows = []
-    for i in range(n):
-        row = [0] * (n + 1)
-        row[i + 1] += 1
-        row[spec.s.targets[i]] += 1
-        row[0] += L - 2  # 0 when L = 2, no special-casing needed
-        rows.append(tuple(row))
-    rows.append(tuple([0] * n + [L]))
-    for i, row in enumerate(rows):
-        if sum(row) != L:
-            raise AssertionError(f"row {i} of transition matrix sums to {sum(row)}/{L}, not 1")
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -80,7 +65,22 @@ class ReachTable:
             power *= L
 
 
-_FORWARD_CHECK_SAMPLES = 10
+def _reach_rows(spec: ChainSpec, upto: int) -> Iterator[tuple[int, ...]]:
+    """Yield the count rows R_0 ... R_upto of the reach DP (see `reach_table`).
+
+    The generator holds only its current row, so a caller that keeps one
+    column holds one column.
+    """
+    if upto < 0:
+        raise ValueError(f"upto must be >= 0, got {upto}")
+    n, L = spec.n, spec.L
+    targets = spec.s.targets
+    row = tuple([0] * n + [1])
+    yield row
+    for _ in range(upto):
+        reset = (L - 2) * row[0]
+        row = tuple([row[i + 1] + row[targets[i]] + reset for i in range(n)] + [L * row[n]])
+        yield row
 
 
 def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
@@ -89,53 +89,51 @@ def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
     P_k(i) = P_{k-1}(i+1)/L + P_{k-1}(s_i)/L + (L-2)/L * P_{k-1}(0) for i < n,
     on counts R_k(i) = R_{k-1}(i+1) + R_{k-1}(s_i) + (L-2) R_{k-1}(0).
 
-    As a transcription guard, the start-state column is cross-checked at up
-    to ten sampled k values against forward evolution of the distribution
-    vector under the one-step matrix.
+    As a transcription guard, the start-state column is cross-checked at
+    every k against forward evolution of the start state's word counts.
     """
-    if upto < 0:
-        raise ValueError(f"upto must be >= 0, got {upto}")
-    n, L = spec.n, spec.L
-    targets = spec.s.targets
-    rows = [tuple([0] * n + [1])]
-    for _ in range(upto):
-        prev = rows[-1]
-        reset = (L - 2) * prev[0]
-        row = [prev[i + 1] + prev[targets[i]] + reset for i in range(n)]
-        row.append(L * prev[n])
-        rows.append(tuple(row))
-    table = ReachTable(spec, upto, tuple(rows))
-    _forward_cross_check(table)
+    rows = tuple(_reach_rows(spec, upto))
+    table = ReachTable(spec, upto, rows)
+    _forward_cross_check(spec, tuple(row[0] for row in rows))
     return table
 
 
-def _forward_cross_check(table: ReachTable) -> None:
-    """Evolve the start state's word counts forward and compare absorption."""
-    spec, upto = table.spec, table.upto
-    if upto == 0:
-        return
-    n = spec.n
-    moves = [[(j, count) for j, count in enumerate(row) if count] for row in _step_counts(spec)]
-    samples = {max(1, upto * j // _FORWARD_CHECK_SAMPLES) for j in range(1, _FORWARD_CHECK_SAMPLES + 1)}
+def _start_column(spec: ChainSpec, upto: int) -> tuple[int, ...]:
+    """R_0(0) ... R_upto(0), cross-checked, without keeping the other columns."""
+    column = tuple(row[0] for row in _reach_rows(spec, upto))
+    _forward_cross_check(spec, column)
+    return column
+
+
+def _forward_cross_check(spec: ChainSpec, counts: tuple[int, ...]) -> None:
+    """Evolve the start state's word counts forward and compare absorption.
+
+    Each state i < n sends its count to i+1 and to s_i once each and to 0
+    (L-2) times; state n keeps its count L times. counts[k] must equal the
+    count absorbed after k steps, for every k. Since the evolution starts at
+    state 0 and multiplies the total by L per step, each checked count lies
+    in [0, L**k].
+    """
+    n, L = spec.n, spec.L
+    targets = spec.s.targets
     dist = [1] + [0] * n
-    for k in range(1, max(samples) + 1):
-        nxt = [0] * (n + 1)
-        for mass, row in zip(dist, moves):
-            if mass:
-                for j, count in row:
-                    nxt[j] += mass * count
-        dist = nxt
-        if k in samples and dist[n] != table.P[k][0]:
+    for k, count in enumerate(counts):
+        if k:
+            nxt = [(L - 2) * sum(dist[:n])] + [0] * (n - 1) + [L * dist[n]]
+            for i, target in enumerate(targets):
+                nxt[i + 1] += dist[i]
+                nxt[target] += dist[i]
+            dist = nxt
+        if dist[n] != count:
             raise AssertionError(
                 f"forward evolution disagrees with reach DP at k={k}: "
-                f"{dist[n]} vs {table.P[k][0]} words of {spec.L}^{k}"
+                f"{dist[n]} vs {count} words of {L}^{k}"
             )
 
 
 def chain_prob_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """Occurrence-probability table of a bifix class via its chain."""
-    table = reach_table(ChainSpec(s_from_h(h), L), upto)
-    return ProbTable(h, L, upto, tuple(row[0] for row in table.P), "markov")
+    return ProbTable(h, L, upto, _start_column(ChainSpec(s_from_h(h), L), upto), "markov")
 
 
 @dataclass(frozen=True)
@@ -175,15 +173,15 @@ def compare_chains(s: SWord, s_prime: SWord, L: int, upto: int) -> ChainComparis
     """Compare absorption probabilities of X(s) and X(s') for s > s'.
 
     The threshold k0 = n + 1 + min{i - s_i : s_i > s'_i} marks the first
-    index of strict separation. Both tables are computed independently.
+    index of strict separation. Both start-state columns are computed
+    independently.
     """
     k0 = comparison_threshold(s, s_prime)  # also validates strict order
-    table = reach_table(ChainSpec(s, L), upto)
-    table_prime = reach_table(ChainSpec(s_prime, L), upto)
+    column = _start_column(ChainSpec(s, L), upto)
+    column_prime = _start_column(ChainSpec(s_prime, L), upto)
     relations = []
     violations = []
-    for k in range(upto + 1):
-        a, b = table.P[k][0], table_prime.P[k][0]  # counts over the same L**k
+    for k, (a, b) in enumerate(zip(column, column_prime)):  # counts over the same L**k
         rel = "=" if a == b else (">" if a > b else "<")
         relations.append(rel)
         expected = "=" if k < k0 else ">"

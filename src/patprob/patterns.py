@@ -164,6 +164,34 @@ def bifix_indicator(word: Word) -> BifixIndicator:
     return BifixIndicator(tuple(bits))
 
 
+def is_realizable(h: BifixIndicator) -> bool:
+    """Whether some pattern has bifix indicator h.
+
+    A border of length b' of a word holds exactly when the word has period
+    n - b', and the borders shorter than a border b are the borders of the
+    length-b prefix. So the generic word of h is built up the border chain:
+    each border b extends to the next one b' (or to n) with period b' - b,
+    and takes a fresh symbol wherever the period reaches back before the
+    start. Every word with h's borders is an image of it, so it has the
+    fewest borders of any such word, and h is realizable exactly when the
+    generic word's indicator is h. By Guibas & Odlyzko, *Periods in strings*
+    (JCTA 30, 1981), the answer is the same for every alphabet size >= 2.
+    """
+    word: list[int] = []
+    fresh = 0
+    start = 0
+    for end in [i for i, bit in enumerate(h.bits, start=1) if bit] + [h.n]:
+        period = end - start
+        for j in range(start, end):
+            if j >= period:
+                word.append(word[j - period])
+            else:
+                word.append(fresh)
+                fresh += 1
+        start = end
+    return bifix_indicator(Word(tuple(word), max(2, fresh))) == h
+
+
 def _componentwise(x: tuple[int, ...], y: tuple[int, ...], what: str) -> Ordering:
     """Componentwise partial order of two equal-length vectors; LESS means x <= y, x != y."""
     if len(x) != len(y):

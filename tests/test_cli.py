@@ -424,6 +424,19 @@ class TestErrorBoundary:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,bad",
+        [
+            ("prob --h 01 --K 4 --format csv", "01"),  # a border of length 2 forces length 1
+            ("compare --h 001 --h2 011 --K 8", "001"),
+            ("compare --h 0100 --h2 011 --K 8", "011"),
+        ],
+    )
+    def test_unrealizable_indicator_is_refused(self, capsys, argv, bad):
+        assert run(capsys, *argv.split()) == (
+            2, "", f"error: indicator {bad} is not the bifix indicator of any pattern\n"
+        )
+
     @pytest.mark.parametrize("n", [5000, 100_000_000, 10_000_000_000])
     def test_census_past_budget_is_refused_at_once(self, capsys, n):
         # 2**n is never built: at n = 10**10 it would take 1.25 GB.

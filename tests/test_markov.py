@@ -1,12 +1,14 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
+from patprob import markov
 from patprob.markov import (
     ChainSpec,
     ReachTable,
     _forward_cross_check,
-    _step_counts,
     chain_prob_table,
     check_lemmas,
     compare_chains,
@@ -23,6 +25,25 @@ def ep(num, exp, base=2):
 
 def spec(targets, L=2):
     return ChainSpec(SWord(targets), L)
+
+
+def _step_counts(spec: ChainSpec) -> tuple[tuple[int, ...], ...]:
+    """(n+1) x (n+1) one-step counts: entry (i, j) is how many of the L
+    symbols move state i to state j, so every row sums to L. The reference
+    for the reach DP's matrix-power test."""
+    n, L = spec.n, spec.L
+    rows = []
+    for i in range(n):
+        row = [0] * (n + 1)
+        row[i + 1] += 1
+        row[spec.s.targets[i]] += 1
+        row[0] += L - 2  # 0 when L = 2, no special-casing needed
+        rows.append(tuple(row))
+    rows.append(tuple([0] * n + [L]))
+    for i, row in enumerate(rows):
+        if sum(row) != L:
+            raise AssertionError(f"row {i} of transition matrix sums to {sum(row)}/{L}, not 1")
+    return tuple(rows)
 
 
 class TestTransitionMatrix:
@@ -71,6 +92,13 @@ class TestReachTable:
         t = reach_table(spec((0, 1, 0), 3), 8)
         for k in range(9):
             assert t.P[k][3] == 3**k
+
+    def test_negative_horizon_rejected(self):
+        # compare_chains builds no table whose own checks would refuse it.
+        with pytest.raises(ValueError, match="upto must be >= 0, got -1"):
+            reach_table(spec((0, 1)), -1)
+        with pytest.raises(ValueError, match="upto must be >= 0, got -2"):
+            compare_chains(SWord((0, 1)), SWord((0, 0)), 2, -2)
 
     def test_matches_matrix_powers_for_all_start_states(self):
         # Independent route: entry (i, n) of the k-th power of the one-step
@@ -126,12 +154,95 @@ class TestReachTableInvariants:
 
     def test_forward_cross_check_catches_in_range_corruption(self):
         sp, rows = self.rows(upto=10)
-        _forward_cross_check(self.build(sp, rows))  # untouched table passes
+        _forward_cross_check(sp, tuple(row[0] for row in rows))  # untouched column passes
         assert 0 < rows[6][0] < 2**6
         rows[6][0] += 1
-        corrupted = self.build(sp, rows)  # still within [0, 1]
+        self.build(sp, rows)  # still within [0, 1]
         with pytest.raises(AssertionError, match="k=6"):
-            _forward_cross_check(corrupted)
+            _forward_cross_check(sp, tuple(row[0] for row in rows))
+
+    @pytest.mark.parametrize("k", [3, 0])
+    def test_forward_cross_check_compares_every_k(self, k):
+        # One in-range wrong count at any k is caught: k = 3 lies between the
+        # horizons a check at ten evenly spaced k of upto = 25 would compare,
+        # and k = 0 is the count the evolution starts from.
+        sp, rows = self.rows(upto=25)
+        column = [row[0] for row in rows]
+        column[k] += 1
+        assert column[k] <= 2**k
+        with pytest.raises(AssertionError, match=rf"k={k}\b"):
+            _forward_cross_check(sp, tuple(column))
+
+    def test_every_path_runs_the_forward_check(self, monkeypatch):
+        # A wrong count in column 0 that the table checks accept is caught
+        # on each path that reads the DP, the column paths included.
+        rows = markov._reach_rows
+
+        def off_by_one_at_k3(spec, upto):
+            for k, row in enumerate(rows(spec, upto)):
+                yield (row[0] + 1,) + row[1:] if k == 3 else row
+
+        monkeypatch.setattr(markov, "_reach_rows", off_by_one_at_k3)
+        for call in (
+            lambda: reach_table(spec((0, 1, 1)), 8),
+            lambda: chain_prob_table(BifixIndicator((0, 0)), 2, 8),
+            lambda: compare_chains(SWord((0, 1, 1)), SWord((0, 0, 0)), 2, 8),
+        ):
+            with pytest.raises(AssertionError, match=r"k=3\b"):
+                call()
+
+
+class TestStartColumn:
+    # chain_prob_table and compare_chains keep only the start-state column
+    # of the reach DP as its rows stream past; it must be column 0 of the
+    # full table.
+    def test_equals_column_zero_of_reach_table(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            n = rng.randrange(2, 8)
+            L = rng.choice([2, 3])
+            K = rng.randrange(0, 41)
+            h = BifixIndicator(tuple(rng.randint(0, 1) for _ in range(n - 1)))
+            table = reach_table(ChainSpec(s_from_h(h), L), K)
+            assert chain_prob_table(h, L, K).C == tuple(row[0] for row in table.P)
+
+            s = tuple(rng.randint(0, i) for i in range(n))
+            s2 = tuple(rng.randint(0, t) for t in s)
+            if s == s2:
+                continue
+            a = reach_table(spec(s, L), K).P
+            b = reach_table(spec(s2, L), K).P
+            expected = tuple("=" if x[0] == y[0] else (">" if x[0] > y[0] else "<") for x, y in zip(a, b))
+            assert compare_chains(SWord(s), SWord(s2), L, K).relations == expected
+
+    @pytest.mark.parametrize(
+        "call,h",
+        [
+            (lambda: chain_prob_table(BifixIndicator.parse("00000000000"), 2, 3000), "00000000000"),
+            (
+                lambda: compare_chains(
+                    s_from_h(BifixIndicator.parse("0000000000")),
+                    s_from_h(BifixIndicator.parse("1000000000")),
+                    2,
+                    3000,
+                ),
+                "0000000000",
+            ),
+        ],
+        ids=["chain_prob_table", "compare_chains"],
+    )
+    def test_memory_is_one_column(self, call, h):
+        # The whole (K+1) x (n+1) reach table would be about n + 1 columns
+        # per chain; the column paths hold one column per chain plus the
+        # DP's current rows.
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column = chain_prob_table(BifixIndicator.parse(h), 2, 3000).C
+        assert peak < 3 * (sys.getsizeof(column) + sum(map(sys.getsizeof, column)))
 
 
 class TestChainProbTable:
@@ -174,6 +285,17 @@ class TestCompareChains:
             compare_chains(SWord((0, 1)), SWord((0, 1)), 2, 5)
         with pytest.raises(ValueError):
             compare_chains(SWord((0, 1)), SWord((0, 0, 0)), 2, 5)
+
+    def test_violations_list_the_deviating_k(self, monkeypatch):
+        # No valid pair deviates (that is the theorem), so the comparison is
+        # fed two columns that do: still equal at k0 = 3, reversed at k = 4.
+        columns = iter([(0, 0, 1, 3, 7, 15), (0, 0, 1, 3, 8, 14)])
+        monkeypatch.setattr(markov, "_start_column", lambda spec, upto: next(columns))
+        report = compare_chains(SWord((0, 1)), SWord((0, 0)), 2, 5)
+        assert report.k0 == 3
+        assert report.relations == ("=", "=", "=", "=", "<", ">")
+        assert report.violations == (3, 4)
+        assert not report.conforms
 
     def test_json_shape(self):
         report = compare_chains(SWord((0, 1)), SWord((0, 0)), 2, 4)

@@ -18,6 +18,7 @@ from patprob.patterns import (
     compare_indicators,
     compare_swords,
     comparison_threshold,
+    is_realizable,
     k0_of_pair,
     k0_sharp,
     s_from_h,
@@ -147,6 +148,12 @@ class TestBifixIndicator:
             n = rng.randrange(2, 9)
             word = Word(tuple(rng.randrange(3) for _ in range(n)), 3)
             assert bifix_indicator(word) == naive_indicator(word)
+
+    @pytest.mark.parametrize("L,top", [(2, 12), (3, 8)])
+    def test_realizable_exactly_the_census_classes(self, L, top):
+        for n in range(2, top + 1):
+            every = {BifixIndicator(bits) for bits in itertools.product((0, 1), repeat=n - 1)}
+            assert {h for h in every if is_realizable(h)} == set(census(n, L)), n
 
     def test_parse_and_text(self):
         assert BifixIndicator.parse("1000").bits == (1, 0, 0, 0)
