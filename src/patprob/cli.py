@@ -13,6 +13,10 @@ entry of `patprob.TABLE_ROUTES` or `automaton`, and `--check-all` runs
 `patprob.route_tables`, which adds the automaton when `--word` is given.
 On disagreement it names the routes that differ from the first in sorted
 order on stderr and exits 1.
+
+Importing this module loads no other patprob module. Each subcommand
+imports what it calls when it runs, after its cheap argument checks, and
+`prob` writes its table rows with `ProbTable.json_text`.
 """
 
 from __future__ import annotations
@@ -22,39 +26,29 @@ import json
 import os
 import sys
 
-from . import TABLE_ROUTES, __version__, route_tables
-from .markov import ChainSpec, check_lemmas, compare_chains
-from .oracle import (
-    DEFAULT_MC_SEED,
-    McConfig,
-    automaton_prob_table,
-    counterexample_check,
-    monte_carlo,
-)
-from .patterns import (
-    DEFAULT_ENUM_BUDGET,
-    BifixIndicator,
-    Ordering,
-    SWord,
-    Word,
-    _ascii_ints,
-    bifix_indicator,
-    census,
-    compare_indicators,
-    compare_swords,
-    is_realizable,
-    k0_of_pair,
-    k0_sharp,
-    s_from_h,
-)
-from .recursions import ProbTable, expected_wait_closed
+from . import ROUTE_NAMES, __version__
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _int_option(text: str) -> int:
+    """argparse type of every integer option: ASCII digits 0-9, one optional
+    leading '-' (so that a negative value reaches the library's own check)."""
+    from .patterns import _ascii_ints
+
+    digits = text.removeprefix("-")
+    try:
+        (value,) = _ascii_ints([digits], f"integer {text!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value if digits == text else -value
+
+
 def _enum_budget() -> int:
+    from .patterns import DEFAULT_ENUM_BUDGET, _ascii_ints
+
     raw = os.environ.get("PATPROB_ENUM_BUDGET")
     if raw is None:
         return DEFAULT_ENUM_BUDGET
@@ -77,17 +71,32 @@ def _write(text: str) -> None:
         os.close(devnull)
 
 
-def _emit(command: str, params: dict, result: dict) -> None:
+def _emit(command: str, params: dict, result: dict, table: ProbTable | None = None) -> None:
+    """Write the envelope; `table`, if given, becomes the last key of `result`.
+
+    The table's text comes from its own writer. json.dumps writes the rest,
+    with "table": null where the table goes: the last such text, since only
+    "version" follows the result.
+    """
+    if table is not None:
+        result = {**result, "table": None}
     envelope = {
         "command": command,
         "params": params,
         "result": result,
         "version": __version__,
     }
-    _write(json.dumps(envelope, indent=2) + "\n")
+    text = json.dumps(envelope, indent=2)
+    if table is not None:
+        head, _, tail = text.rpartition('"table": null')
+        text = f'{head}"table": {table.json_text(4)}{tail}'  # "table" sits 4 spaces deep
+    _write(text + "\n")
 
 
 def cmd_bifix(args) -> int:
+    from .patterns import Word, bifix_indicator, s_from_h
+    from .recursions import expected_wait_closed
+
     word = Word.parse(args.word, args.L)
     h = bifix_indicator(word)
     s = s_from_h(h)
@@ -114,6 +123,8 @@ def _render_table(table: ProbTable, fmt: str, digits: int) -> str:
 
 def _parse_indicator(text: str) -> BifixIndicator:
     """An indicator from --h/--h2; one that no pattern has is refused."""
+    from .patterns import BifixIndicator, is_realizable
+
     h = BifixIndicator.parse(text)
     if not is_realizable(h):
         raise ValueError(f"indicator {h.text()} is not the bifix indicator of any pattern")
@@ -123,8 +134,17 @@ def _parse_indicator(text: str) -> BifixIndicator:
 def cmd_prob(args) -> int:
     if args.digits < 1:
         raise ValueError(f"--digits must be >= 1, got {args.digits}")
+    # Python 3.10.0-3.10.6 have no limit on integer strings.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if args.format != "json" and limit and args.digits > limit:
+        raise ValueError(
+            f"--digits must be <= {limit} (the integer string limit) "
+            f"for --format {args.format}, got {args.digits}"
+        )
     if (args.h is None) == (args.word is None):
         raise ValueError("give exactly one of --h or --word")
+    from .patterns import Word, bifix_indicator
+
     word = None
     if args.word is not None:
         word = Word.parse(args.word, args.L)
@@ -136,6 +156,8 @@ def cmd_prob(args) -> int:
     if args.check_all:
         if args.format != "json":
             raise ValueError(f"--check-all prints JSON only, not --format {args.format}")
+        from . import route_tables
+
         tables = route_tables(h, args.L, upto, word)
         names = sorted(tables)
         first = tables[names[0]]
@@ -143,7 +165,8 @@ def cmd_prob(args) -> int:
         _emit(
             "prob",
             {"h": h.text(), "L": args.L, "K": upto, "check_all": True, "methods": names},
-            {"agreement": not differ, "table": first.to_json_dict()},
+            {"agreement": not differ},
+            first,
         )
         if differ:
             k = min(k for m in differ
@@ -156,8 +179,12 @@ def cmd_prob(args) -> int:
     if args.method == "automaton":
         if word is None:
             raise ValueError("--method automaton needs --word, not --h")
+        from .oracle import automaton_prob_table
+
         table = automaton_prob_table(word, upto)
     else:
+        from . import TABLE_ROUTES
+
         table = TABLE_ROUTES[args.method](h, args.L, upto)
     if args.format in ("csv", "table"):
         _write(_render_table(table, args.format, args.digits))
@@ -165,13 +192,24 @@ def cmd_prob(args) -> int:
         _emit(
             "prob",
             {"h": h.text(), "L": args.L, "K": upto, "method": args.method},
-            {"table": table.to_json_dict()},
+            {},
+            table,
         )
     return EXIT_OK
 
 
 def _oriented_swords(args) -> tuple[SWord, SWord, dict]:
     """Resolve --h/--h2 or --s/--s2 into a strictly ordered pair s > s'."""
+    from .patterns import (
+        Ordering,
+        SWord,
+        compare_indicators,
+        compare_swords,
+        k0_of_pair,
+        k0_sharp,
+        s_from_h,
+    )
+
     by_h = args.h is not None or args.h2 is not None
     by_s = args.s is not None or args.s2 is not None
     if by_h == by_s:
@@ -207,6 +245,8 @@ def _oriented_swords(args) -> tuple[SWord, SWord, dict]:
 def cmd_compare(args) -> int:
     s_big, s_small, params = _oriented_swords(args)
     upto = args.K if args.K is not None else 3 * s_big.n
+    from .markov import compare_chains
+
     report = compare_chains(s_big, s_small, args.L, upto)
     params.update({"L": args.L, "K": upto})
     _emit("compare", params, report.to_json_dict())
@@ -214,6 +254,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .patterns import census
+
     classes = census(args.n, args.L, budget=_enum_budget(), max_representatives=args.max_reps)
     _emit(
         "census",
@@ -233,25 +275,34 @@ def cmd_census(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from .oracle import counterexample_check
+
     report = counterexample_check(args.L)
     _emit("counterexample", {"L": args.L}, report.to_json_dict())
     return EXIT_OK if report.ok else EXIT_PROPERTY_FAILED
 
 
 def cmd_simulate(args) -> int:
+    from .oracle import DEFAULT_MC_SEED, McConfig, monte_carlo
+    from .patterns import Word
+
     word = Word.parse(args.word, args.L)
     if len(word) < 2:
         raise ValueError(f"patterns must have length >= 2, got {len(word)}")
-    result = monte_carlo(word, McConfig(trials=args.trials, k=args.k, seed=args.seed))
+    seed = DEFAULT_MC_SEED if args.seed is None else args.seed
+    result = monte_carlo(word, McConfig(trials=args.trials, k=args.k, seed=seed))
     _emit(
         "simulate",
-        {"word": word.text(), "L": args.L, "trials": args.trials, "k": args.k, "seed": args.seed},
+        {"word": word.text(), "L": args.L, "trials": args.trials, "k": args.k, "seed": seed},
         result.to_json_dict(),
     )
     return EXIT_OK
 
 
 def cmd_lemmas(args) -> int:
+    from .markov import ChainSpec, check_lemmas
+    from .patterns import SWord
+
     s = SWord.parse(args.s)
     upto = args.K if args.K is not None else 3 * s.n
     report = check_lemmas(ChainSpec(s, args.L), upto)
@@ -268,20 +319,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bifix", help="bifix indicator, jump targets and expected wait")
     p.add_argument("--word", required=True, help="the pattern")
-    p.add_argument("--L", type=int, default=2, help="alphabet size (default 2)")
+    p.add_argument("--L", type=_int_option, default=2, help="alphabet size (default 2)")
     p.set_defaults(func=cmd_bifix)
 
     p = sub.add_parser("prob", help="table of p_k and P_k by a chosen method")
     p.add_argument("--h", help="bifix indicator bits, e.g. 1000")
     p.add_argument("--word", help="pattern; implies its indicator")
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--K", type=int, help="table horizon (default 3n)")
-    p.add_argument("--method", choices=[*TABLE_ROUTES, "automaton"], default="short")
+    p.add_argument("--L", type=_int_option, default=2)
+    p.add_argument("--K", type=_int_option, help="table horizon (default 3n)")
+    p.add_argument("--method", choices=[*ROUTE_NAMES, "automaton"], default="short")
     p.add_argument("--check-all", action="store_true",
                    help="run every applicable method (--method is not used) and require "
                         "exact agreement; prints JSON only")
     p.add_argument("--format", choices=["json", "csv", "table"], default="json")
-    p.add_argument("--digits", type=int, default=12, help="decimal digits for csv/table")
+    p.add_argument("--digits", type=_int_option, default=12, help="decimal digits for csv/table")
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("compare", help="compare two classes or two jump-target words")
@@ -289,33 +340,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h2")
     p.add_argument("--s")
     p.add_argument("--s2")
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--K", type=int, help="comparison horizon (default 3n)")
+    p.add_argument("--L", type=_int_option, default=2)
+    p.add_argument("--K", type=_int_option, help="comparison horizon (default 3n)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("census", help="partition all length-n words by bifix class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--max-reps", type=int, default=4)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--L", type=_int_option, default=2)
+    p.add_argument("--max-reps", type=_int_option, default=4)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("counterexample",
                        help="verify that occurrence probability is not affine in the indicator")
-    p.add_argument("--L", type=int, default=2)
+    p.add_argument("--L", type=_int_option, default=2)
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo first-occurrence simulation")
     p.add_argument("--word", required=True)
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--seed", type=int, default=DEFAULT_MC_SEED)
+    p.add_argument("--L", type=_int_option, default=2)
+    p.add_argument("--trials", type=_int_option, default=10_000)
+    p.add_argument("--k", type=_int_option, default=20)
+    p.add_argument("--seed", type=_int_option)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("lemmas", help="check the reach-probability laws of a chain")
     p.add_argument("--s", required=True, help="jump targets, e.g. 0,1,1")
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--K", type=int, help="horizon (default 3n, must be >= n)")
+    p.add_argument("--L", type=_int_option, default=2)
+    p.add_argument("--K", type=_int_option, help="horizon (default 3n, must be >= n)")
     p.set_defaults(func=cmd_lemmas)
 
     return parser

@@ -20,9 +20,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterator
 
-from .numerics import ExactProb, decimal_string
+from .numerics import ExactProb, canonical, decimal_string
 from .patterns import BifixIndicator
 
 
@@ -51,7 +52,8 @@ class ProbTable:
 
     `p` and `P` are the exact probability views, each built once on first use
     and shared with every table of equal counts. Rows of JSON, CSV and text
-    output are computed from the counts over a running L**k.
+    output are computed from the counts over a running L**k, without the
+    views; `_rows` is the one JSON row layout.
     """
 
     h: BifixIndicator
@@ -103,9 +105,19 @@ class ProbTable:
             prev = count
             power *= L
 
+    def _rows(self) -> Iterator[tuple[int, int, int, float, int, int, float]]:
+        """(k, p_num, p_den_exp, p_approx, P_num, P_den_exp, P_approx) for each k.
+
+        The num/den_exp pairs are the canonical forms of the views; int / int
+        is correctly rounded, so approx equals float() of the canonical value.
+        """
+        L = self.L
+        for k, (a, c, power) in enumerate(self._counts()):
+            p_num, p_exp = canonical(a, k, L)
+            P_num, P_exp = canonical(c, k, L)
+            yield k, p_num, p_exp, a / power, P_num, P_exp, c / power
+
     def to_json_dict(self) -> dict:
-        # The layout of ExactProb.to_json_dict; int / int is correctly
-        # rounded, so approx equals float() of the canonical value.
         L = self.L
         return {
             "h": self.h.text(),
@@ -115,12 +127,35 @@ class ProbTable:
             "rows": [
                 {
                     "k": k,
-                    "p": {"num": str(p.num), "base": L, "den_exp": p.den_exp, "approx": a / power},
-                    "P": {"num": str(P.num), "base": L, "den_exp": P.den_exp, "approx": c / power},
+                    "p": {"num": str(p_num), "base": L, "den_exp": p_exp, "approx": p_approx},
+                    "P": {"num": str(P_num), "base": L, "den_exp": P_exp, "approx": P_approx},
                 }
-                for k, ((a, c, power), p, P) in enumerate(zip(self._counts(), self.p, self.P))
+                for k, p_num, p_exp, p_approx, P_num, P_exp, P_approx in self._rows()
             ],
         }
+
+    def json_text(self, indent: int) -> str:
+        """The text json.dumps(..., indent=2) writes for `to_json_dict()` when
+        the table is a value on a line indented by `indent` spaces.
+
+        The rows are written directly, without the dict or json's pure-Python
+        indenting encoder: `num` in quotes, floats by float.__repr__ and
+        strings by json's own string encoder, as json.dumps does.
+        """
+        L = self.L
+        i1, i2, i3, i4 = ("\n" + " " * (indent + step) for step in (2, 4, 6, 8))
+        rows = ",".join(
+            f'{i2}{{{i3}"k": {k},{i3}"p": {{{i4}"num": "{p_num}",{i4}"base": {L},'
+            f'{i4}"den_exp": {p_exp},{i4}"approx": {p_approx!r}{i3}}},'
+            f'{i3}"P": {{{i4}"num": "{P_num}",{i4}"base": {L},'
+            f'{i4}"den_exp": {P_exp},{i4}"approx": {P_approx!r}{i3}}}{i2}}}'
+            for k, p_num, p_exp, p_approx, P_num, P_exp, P_approx in self._rows()
+        )
+        return (
+            f'{{{i1}"h": {_json_string(self.h.text())},{i1}"L": {L},{i1}"n": {self.n},'
+            f'{i1}"method": {_json_string(self.method)},{i1}"rows": [{rows}{i1}]'
+            f'\n{" " * indent}}}'
+        )
 
     def decimal_rows(self, digits: int) -> list[tuple[int, str, str]]:
         """(k, p_k, P_k) with both values rounded to `digits` fractional digits."""

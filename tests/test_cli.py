@@ -317,16 +317,16 @@ class TestTopLevel:
 
     def test_failed_property_check_exits_1(self, capsys, monkeypatch):
         # Force a non-reproducing report to exercise the verified-failure path.
-        import patprob.cli as cli_module
+        import patprob.oracle as oracle_module
 
-        real = cli_module.counterexample_check
+        real = oracle_module.counterexample_check
 
         def broken(L=2):
             report = real(L)
             object.__setattr__(report, "probability_sums_equal", True)
             return report
 
-        monkeypatch.setattr(cli_module, "counterexample_check", broken)
+        monkeypatch.setattr(oracle_module, "counterexample_check", broken)
         code, out, _ = run(capsys, "counterexample")
         assert code == 1
         assert json.loads(out)["result"]["ok"] is False
@@ -355,6 +355,53 @@ with contextlib.redirect_stdout(out):
     assert main(["simulate", "--word", "11", "--trials", "200", "--k", "10"]) == 0
 assert json.loads(out.getvalue())["result"]["generator"] == "numpy-philox4x64/block2^14"
 assert "numpy" in sys.modules, "simulate"
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_each_subcommand_loads_only_its_modules(self):
+        # A fresh interpreter, since this test process has every module loaded.
+        script = """
+import contextlib, importlib, inspect, io, sys
+import patprob, patprob.cli
+from patprob.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("patprob."))
+
+assert loaded() == ["patprob.cli"], loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["census", "--n", "3"]) == 0
+assert loaded() == ["patprob.cli", "patprob.patterns"], loaded()
+for argv in (["bifix", "--word", "10001"], ["prob", "--h", "10", "--K", "6", "--method", "short"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "patprob.oracle" not in sys.modules, argv
+
+# Every public name resolves to the object its defining module holds.
+assert len(patprob.__all__) == len(set(patprob.__all__)) == 43
+defined_by = {"DEFAULT_ENUM_BUDGET": "patprob.patterns", "TABLE_ROUTES": "patprob"}
+for name in patprob.__all__:
+    value = getattr(patprob, name)
+    where = value.__module__ if inspect.isclass(value) or inspect.isfunction(value) else defined_by[name]
+    assert value is getattr(importlib.import_module(where), name), name
+assert patprob.P_table is patprob.recursions.P_table
+assert patprob.TABLE_ROUTES is patprob.TABLE_ROUTES
+assert tuple(patprob.TABLE_ROUTES) == patprob.ROUTE_NAMES
+try:
+    patprob.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'patprob' has no attribute 'no_such_name'", exc
+else:
+    raise AssertionError("patprob.no_such_name resolved")
+from patprob import markov
+assert markov is sys.modules["patprob.markov"]
+
+names = {}
+exec("from patprob import *", names)
+assert sorted(set(names) - {"__builtins__"}) == sorted(patprob.__all__)
+assert set(patprob.__all__) <= set(dir(patprob))
 """
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
@@ -390,6 +437,45 @@ class TestByteIdentity:
         )
 
 
+def _prob_cases():
+    # Each route at the edge horizons 0, n - 1, n, n + 1 and 3n for one word
+    # per alphabet, and two deep horizons at L = 2; always with --word, so
+    # that the automaton runs too.
+    for L, text in [(2, "10010"), (3, "2102"), (2**33, "0,1,0")]:
+        n = len(text.split(",")) if L > 10 else len(text)
+        for K in (0, n - 1, n, n + 1, 3 * n):
+            yield text, L, K
+    yield "10010", 2, 400
+    yield "1000110001", 2, 2000
+
+
+class TestRowWriter:
+    # prob writes its table rows itself; the bytes must be those of
+    # json.dumps(indent=2) on the envelope built from to_json_dict().
+    @pytest.mark.parametrize("text,L,K", list(_prob_cases()))
+    def test_prob_stdout_is_json_dumps_of_the_envelope(self, capsys, text, L, K):
+        from patprob import bifix_indicator, route_tables
+        from patprob.patterns import Word
+
+        word = Word.parse(text, L)
+        h = bifix_indicator(word)
+        tables = route_tables(h, L, K, word)
+
+        def expected(params, result):
+            envelope = {"command": "prob", "params": params, "result": result, "version": "0.1.0"}
+            return json.dumps(envelope, indent=2) + "\n"
+
+        for method, table in tables.items():
+            argv = ["prob", "--word", text, "--L", str(L), "--K", str(K), "--method", method]
+            params = {"h": h.text(), "L": L, "K": K, "method": method}
+            assert run(capsys, *argv) == (0, expected(params, {"table": table.to_json_dict()}), "")
+        names = sorted(tables)
+        params = {"h": h.text(), "L": L, "K": K, "check_all": True, "methods": names}
+        result = {"agreement": True, "table": tables[names[0]].to_json_dict()}
+        argv = ["prob", "--word", text, "--L", str(L), "--K", str(K), "--check-all"]
+        assert run(capsys, *argv) == (0, expected(params, result), "")
+
+
 class TestErrorBoundary:
     @pytest.mark.parametrize(
         "argv",
@@ -423,6 +509,41 @@ class TestErrorBoundary:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,option,token",
+        [
+            (["census", "--n", "\uff15"], "--n", "\uff15"),  # fullwidth 5
+            (["simulate", "--word", "11", "--trials", "\u0665", "--k", "3"], "--trials", "\u0665"),
+            (["prob", "--h", "1", "--K", "1_0"], "--K", "1_0"),
+            (["prob", "--h", "1", "--K", "+3"], "--K", "+3"),
+            (["prob", "--h", "1", "--L", " 3"], "--L", " 3"),
+        ],
+    )
+    def test_integer_options_take_only_ascii_digits(self, capsys, argv, option, token):
+        # int() would read each of these tokens as a number.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument {option}: malformed integer {token!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit")
+    def test_digits_above_the_integer_string_limit_is_refused(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, "prob", "--h", "1", "--K", "3", "--format", "csv", "--digits", "5000") == (
+            2, "", f"error: --digits must be <= {limit} (the integer string limit) "
+                   "for --format csv, got 5000\n"
+        )
+
+    def test_digits_unbounded_without_a_limit(self, capsys, monkeypatch):
+        # No limit (0), or an interpreter without the function, lets a table of
+        # zeros print 5000 digits.
+        argv = ("prob", "--h", "1", "--K", "1", "--format", "csv", "--digits", "5000")
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        assert run(capsys, *argv)[:2] == (0, f"k,p,P\n0,0.{'0' * 5000},0.{'0' * 5000}\n"
+                                                f"1,0.{'0' * 5000},0.{'0' * 5000}\n")
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert run(capsys, *argv)[0] == 0
 
     @pytest.mark.parametrize(
         "argv,bad",
@@ -468,7 +589,7 @@ class TestErrorBoundary:
 
 # Argv fuzzing: bounded values keep every run small (large K, trials and k
 # are unbounded work, which no budget refuses yet).
-_NON_NUMERIC = st.sampled_from(["x", "1.5", "", "0x10"])
+_NON_NUMERIC = st.sampled_from(["x", "1.5", "", "0x10", "\u0661", "1_0", "+3", " 3"])
 
 
 def _int(lo, hi):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -285,6 +287,20 @@ class TestOutputFromCounts:
             assert table.to_csv(digits) == "k,p,P\n" + csv_rows
             text = _render_table(table, "table", digits).splitlines()
             assert text[2:] == [f"{k:>4} {p:>14} {P:>14}" for k, p, P in expected]
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_json_text_is_json_dumps_of_the_dict(self, depth):
+        # The writer at `depth` nesting levels, against json's own indenting;
+        # a method name that json must escape is written as json writes it.
+        odd = dataclasses.replace(P_table(H1, 2, 4), method='q"\\\u00e9\n')
+        for table in itertools.chain(_output_tables(), [odd]):
+            value = table.to_json_dict()
+            for _ in range(depth):
+                value = {"x": value}
+            expected = json.dumps(value, indent=2)
+            head = "".join("{\n" + " " * (2 * d + 2) + '"x": ' for d in range(depth))
+            tail = "".join("\n" + " " * (2 * d) + "}" for d in reversed(range(depth)))
+            assert head + table.json_text(2 * depth) + tail == expected, table.h.text()
 
     def test_digits_below_one_rejected(self):
         table = P_table(H1, 2, 4)
