@@ -22,6 +22,7 @@ _EXPORTS = {
     "compare_chains": "markov",
     "reach_table": "markov",
     "ExactProb": "numerics",
+    "ProbTable": "numerics",
     "CounterexampleReport": "oracle",
     "McConfig": "oracle",
     "McResult": "oracle",
@@ -47,7 +48,6 @@ _EXPORTS = {
     "k0_of_pair": "patterns",
     "k0_sharp": "patterns",
     "s_from_h": "patterns",
-    "ProbTable": "recursions",
     "SeriesResult": "recursions",
     "P_table": "recursions",
     "expected_wait_closed": "recursions",

@@ -112,15 +112,6 @@ def cmd_bifix(args) -> int:
     return EXIT_OK
 
 
-def _render_table(table: ProbTable, fmt: str, digits: int) -> str:
-    if fmt == "csv":
-        return table.to_csv(digits)
-    lines = [f"h={table.h.text()}  L={table.L}  method={table.method}"]
-    lines.append(f"{'k':>4} {'p_k':>14} {'P_k':>14}")
-    lines += [f"{k:>4} {p:>14} {P:>14}" for k, p, P in table.decimal_rows(digits)]
-    return "\n".join(lines) + "\n"
-
-
 def _parse_indicator(text: str) -> BifixIndicator:
     """An indicator from --h/--h2; one that no pattern has is refused."""
     from .patterns import BifixIndicator, is_realizable
@@ -186,8 +177,10 @@ def cmd_prob(args) -> int:
         from . import TABLE_ROUTES
 
         table = TABLE_ROUTES[args.method](h, args.L, upto)
-    if args.format in ("csv", "table"):
-        _write(_render_table(table, args.format, args.digits))
+    if args.format == "csv":
+        _write(table.to_csv(args.digits))
+    elif args.format == "table":
+        _write(table.to_text(args.digits))
     else:
         _emit(
             "prob",

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .numerics import ProbTable
 from .patterns import BifixIndicator, SWord, comparison_threshold, s_from_h
-from .recursions import ProbTable
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""The exact output value: a count of words over a power of the alphabet size.
+"""Exact results and every form in which they are written.
 
 Every probability produced by this package is a count of words divided by
 L**k. The routes compute those word counts as plain integers and compare
 them directly; `ExactProb(count, k, L)` is only the value that leaves a
-route, for equality, order, JSON and decimal rendering. Keeping the
-denominator as an exponent of a fixed base makes equality checks exact
-and cheap and avoids gcd churn.
+route, for equality, `<` and JSON. Keeping the denominator as an
+exponent of a fixed base makes equality checks exact and cheap and avoids
+gcd churn. `ProbTable` holds a route's validated counts C_k = L**k P_k and
+writes them as JSON, CSV or a text table; it is the one place that decides
+how an exact result is written.
 
 `ExactProb(num, den_exp, base)` validates its fields. The trusted
 constructor `ExactProb.from_checked(num, den_exp, base)` skips that check
@@ -14,12 +16,18 @@ den_exp >= 0 and num <= base**den_exp, such as the counts a `ProbTable`
 has validated. Both bring the value into canonical form through the one
 helper `canonical`, and `decimal_string` is the one rounding rule for
 decimal strings.
+
+This module imports no other patprob module. `ProbTable` only reads `h.n`
+and `h.text()` of its indicator, and its annotations stay unevaluated
+strings, so naming `BifixIndicator` imports nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import Iterator
 
 
 def canonical(num: int, den_exp: int, base: int) -> tuple[int, int]:
@@ -57,7 +65,6 @@ def decimal_string(num: int, den: int, digits: int) -> str:
     return f"{whole}.{frac:0{digits}d}"
 
 
-@total_ordering
 @dataclass(frozen=True)
 class ExactProb:
     """Probability num / base**den_exp with 0 <= num <= base**den_exp, held in
@@ -115,15 +122,6 @@ class ExactProb:
         # int true division is correctly rounded for arbitrarily large operands.
         return self.num / self.base**self.den_exp
 
-    def to_decimal(self, digits: int) -> str:
-        """Correctly rounded decimal string with `digits` fractional digits.
-
-        Ties round half to even.
-        """
-        if digits < 1:
-            raise ValueError(f"digits must be >= 1, got {digits}")
-        return decimal_string(self.num, self.base**self.den_exp, digits)
-
     def to_json_dict(self) -> dict:
         # num as a string: JSON consumers may not support big integers.
         return {
@@ -136,3 +134,155 @@ class ExactProb:
     @classmethod
     def from_json_dict(cls, data: dict) -> ExactProb:
         return cls(int(data["num"]), int(data["den_exp"]), int(data["base"]))
+
+
+# The views of equal counts are equal, so tables with equal (L, C) share
+# them: the routes of one check agree by design and build p and P once. A
+# hit needs exact equality of C, so a route that disagrees gets views of its
+# own. The routes never see this memo; only ProbTable's views use it.
+_VIEW_MEMO_SIZE = 4
+
+
+@lru_cache(maxsize=_VIEW_MEMO_SIZE)
+def _P_view(L: int, C: tuple[int, ...]) -> tuple[ExactProb, ...]:
+    return tuple(ExactProb.from_checked(c, k, L) for k, c in enumerate(C))
+
+
+@lru_cache(maxsize=_VIEW_MEMO_SIZE)
+def _p_view(L: int, C: tuple[int, ...]) -> tuple[ExactProb, ...]:
+    return tuple(
+        ExactProb.from_checked(c - L * b, k, L) for k, (b, c) in enumerate(zip((0,) + C, C))
+    )
+
+
+@dataclass(frozen=True)
+class ProbTable:
+    """Counts C_k = L**k P_k of the length-k words containing the pattern.
+
+    `p` and `P` are the exact probability views, each built once on first use
+    and shared with every table of equal counts. Rows of JSON, CSV and text
+    output are computed from the counts over a running L**k, without the
+    views; `_rows` is the one JSON row layout.
+    """
+
+    h: BifixIndicator
+    L: int
+    upto: int
+    C: tuple[int, ...]
+    method: str
+
+    def __post_init__(self) -> None:
+        n, L = self.h.n, self.L
+        if L < 2:
+            raise ValueError(f"alphabet size must be >= 2, got {L}")
+        if self.upto < 0:
+            raise ValueError(f"upto must be >= 0, got {self.upto}")
+        if len(self.C) != self.upto + 1:
+            raise ValueError("table counts must cover k = 0..upto")
+        prev = 0
+        for k, count in enumerate(self.C):
+            if k < n and count:
+                raise ValueError(f"p_{k} and P_{k} must be 0 below the pattern length")
+            # The first-occurrence count a_k = C_k - L C_{k-1} cannot be negative.
+            if count < L * prev:
+                raise ValueError(f"C_{k} = {count} is below L * C_{k - 1} = {L * prev}")
+            prev = count
+        if prev > L**self.upto:
+            raise ValueError("P exceeded 1")
+
+    # The checks above make every view field valid: L >= 2, k >= 0, and
+    # 0 <= L C_{k-1} <= C_k, so the views use the trusted constructor.
+    @cached_property
+    def P(self) -> tuple[ExactProb, ...]:
+        return _P_view(self.L, self.C)
+
+    @cached_property
+    def p(self) -> tuple[ExactProb, ...]:
+        """p_k = (C_k - L C_{k-1}) / L**k."""
+        return _p_view(self.L, self.C)
+
+    @property
+    def n(self) -> int:
+        return self.h.n
+
+    def _counts(self) -> Iterator[tuple[int, int, int]]:
+        """(L**k p_k, L**k P_k, L**k) for k = 0..upto, on a running power."""
+        L = self.L
+        prev, power = 0, 1
+        for count in self.C:
+            yield count - L * prev, count, power
+            prev = count
+            power *= L
+
+    def _rows(self) -> Iterator[tuple[int, int, int, float, int, int, float]]:
+        """(k, p_num, p_den_exp, p_approx, P_num, P_den_exp, P_approx) for each k.
+
+        The num/den_exp pairs are the canonical forms of the views; int / int
+        is correctly rounded, so approx equals float() of the canonical value.
+        """
+        L = self.L
+        for k, (a, c, power) in enumerate(self._counts()):
+            p_num, p_exp = canonical(a, k, L)
+            P_num, P_exp = canonical(c, k, L)
+            yield k, p_num, p_exp, a / power, P_num, P_exp, c / power
+
+    def to_json_dict(self) -> dict:
+        L = self.L
+        return {
+            "h": self.h.text(),
+            "L": L,
+            "n": self.n,
+            "method": self.method,
+            "rows": [
+                {
+                    "k": k,
+                    "p": {"num": str(p_num), "base": L, "den_exp": p_exp, "approx": p_approx},
+                    "P": {"num": str(P_num), "base": L, "den_exp": P_exp, "approx": P_approx},
+                }
+                for k, p_num, p_exp, p_approx, P_num, P_exp, P_approx in self._rows()
+            ],
+        }
+
+    def json_text(self, indent: int) -> str:
+        """The text json.dumps(..., indent=2) writes for `to_json_dict()` when
+        the table is a value on a line indented by `indent` spaces.
+
+        The rows are written directly, without the dict or json's pure-Python
+        indenting encoder: `num` in quotes, floats by float.__repr__ and
+        strings by json's own string encoder, as json.dumps does.
+        """
+        L = self.L
+        i1, i2, i3, i4 = ("\n" + " " * (indent + step) for step in (2, 4, 6, 8))
+        rows = ",".join(
+            f'{i2}{{{i3}"k": {k},{i3}"p": {{{i4}"num": "{p_num}",{i4}"base": {L},'
+            f'{i4}"den_exp": {p_exp},{i4}"approx": {p_approx!r}{i3}}},'
+            f'{i3}"P": {{{i4}"num": "{P_num}",{i4}"base": {L},'
+            f'{i4}"den_exp": {P_exp},{i4}"approx": {P_approx!r}{i3}}}{i2}}}'
+            for k, p_num, p_exp, p_approx, P_num, P_exp, P_approx in self._rows()
+        )
+        return (
+            f'{{{i1}"h": {_json_string(self.h.text())},{i1}"L": {L},{i1}"n": {self.n},'
+            f'{i1}"method": {_json_string(self.method)},{i1}"rows": [{rows}{i1}]'
+            f'\n{" " * indent}}}'
+        )
+
+    def decimal_rows(self, digits: int) -> list[tuple[int, str, str]]:
+        """(k, p_k, P_k) with both values rounded to `digits` fractional digits."""
+        if digits < 1:
+            raise ValueError(f"digits must be >= 1, got {digits}")
+        return [
+            (k, decimal_string(a, power, digits), decimal_string(c, power, digits))
+            for k, (a, c, power) in enumerate(self._counts())
+        ]
+
+    def to_csv(self, digits: int = 12) -> str:
+        lines = ["k,p,P"]
+        lines += [f"{k},{p},{P}" for k, p, P in self.decimal_rows(digits)]
+        return "\n".join(lines) + "\n"
+
+    def to_text(self, digits: int) -> str:
+        """A header line, then k, p_k and P_k in right-aligned columns."""
+        lines = [f"h={self.h.text()}  L={self.L}  method={self.method}"]
+        lines.append(f"{'k':>4} {'p_k':>14} {'P_k':>14}")
+        lines += [f"{k:>4} {p:>14} {P:>14}" for k, p, P in self.decimal_rows(digits)]
+        return "\n".join(lines) + "\n"

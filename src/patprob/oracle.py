@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
-from .numerics import ExactProb
+from .numerics import ExactProb, ProbTable
 from .patterns import (
     DEFAULT_ENUM_BUDGET,
     BifixIndicator,
@@ -26,7 +26,6 @@ from .patterns import (
     bifix_indicator,
     check_enum_budget,
 )
-from .recursions import ProbTable
 
 
 class PatternAutomaton:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -143,7 +144,7 @@ class TestProb:
 
     def test_check_all_disagreement_exits_1(self, capsys, monkeypatch):
         import patprob
-        from patprob.recursions import ProbTable
+        from patprob.numerics import ProbTable
 
         real = patprob.TABLE_ROUTES["long"]
 
@@ -360,6 +361,26 @@ assert "numpy" in sys.modules, "simulate"
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("module", ["recursions", "markov", "oracle"])
+    def test_route_modules_import_only_numerics_and_patterns(self, module):
+        # The routes stay independent: none imports another route's module.
+        imported = set()
+        for node in ast.walk(ast.parse((SRC / "patprob" / f"{module}.py").read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # The package is flat, so a relative import starts at patprob.
+                base = ".".join(filter(None, ["patprob" if node.level else "", node.module]))
+                # `from . import x` and `from patprob import x` name x in the package.
+                names = [f"{base}.{a.name}" if base == "patprob" else base for a in node.names]
+            else:
+                continue
+            for name in names:
+                top, _, rest = name.partition(".")
+                if top == "patprob":
+                    imported.add(rest.split(".")[0])
+        assert imported == {"numerics", "patterns"}
+
     def test_each_subcommand_loads_only_its_modules(self):
         # A fresh interpreter, since this test process has every module loaded.
         script = """
@@ -378,6 +399,7 @@ for argv in (["bifix", "--word", "10001"], ["prob", "--h", "10", "--K", "6", "--
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     assert "patprob.oracle" not in sys.modules, argv
+assert patprob.ProbTable is patprob.numerics.ProbTable is patprob.recursions.ProbTable
 
 # Every public name resolves to the object its defining module holds.
 assert len(patprob.__all__) == len(set(patprob.__all__)) == 43
@@ -406,6 +428,27 @@ assert set(patprob.__all__) <= set(dir(patprob))
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+
+        # The chain and oracle routes write their tables without the recursions.
+        loaded_by = """
+import contextlib, io, sys
+from patprob.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+print(" ".join(sorted(m for m in sys.modules if m.startswith("patprob."))))
+"""
+        for argv, modules in (
+            ("compare --h 00 --h2 10", "markov numerics patterns"),
+            ("lemmas --s 0,1", "markov numerics patterns"),
+            ("counterexample", "numerics oracle patterns"),
+            ("prob --word 010 --method automaton", "numerics oracle patterns"),
+        ):
+            proc = subprocess.run([sys.executable, "-c", loaded_by, *argv.split()],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            expected = ["patprob.cli", *(f"patprob.{m}" for m in modules.split())]
+            assert proc.stdout.split() == expected, argv
 
 
 # Every digest-checked call in bench/golden.json: exit code and stdout SHA-256.
@@ -502,6 +545,9 @@ class TestErrorBoundary:
             "bifix --word 1_0,1 --L 11",
             "lemmas --s 0,+1,0_1",
             f"simulate --word 0,1 --L {2**64}",
+            "compare --h 1",
+            "compare --s 0,1",
+            "compare --s 0,1,0 --s2 0,0,1",
         ],
     )
     def test_bad_argument_exits_2_with_one_error_line(self, capsys, argv):

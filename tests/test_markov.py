@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import tracemalloc
@@ -151,6 +152,18 @@ class TestReachTableInvariants:
         rows[4][1] = count  # row k=4 counts words out of 2**4
         with pytest.raises(ValueError, match=r"within \[0, 1\]"):
             self.build(sp, rows)
+
+    @pytest.mark.parametrize("defect", ["row missing", "row short", "row long"])
+    def test_wrong_shape(self, defect):
+        sp, rows = self.rows()
+        if defect == "row missing":
+            rows.pop()
+            upto = len(rows)  # one more row than the table holds
+        else:
+            rows[3] = rows[3][:-1] if defect == "row short" else rows[3] + [0]
+            upto = len(rows) - 1
+        with pytest.raises(ValueError, match=r"reach table must be \(upto\+1\) x \(n\+1\)"):
+            ReachTable(sp, upto, tuple(tuple(row) for row in rows))
 
     def test_forward_cross_check_catches_in_range_corruption(self):
         sp, rows = self.rows(upto=10)
@@ -349,6 +362,58 @@ class TestLemmaSuite:
     def test_requires_enough_horizon(self):
         with pytest.raises(ValueError):
             check_lemmas(spec((0, 1, 2)), 2)
+
+    # Each law broken by one planted cell of the true s = 0,1,0, L = 3 table,
+    # whose rows 1..6 are (0,0,1,3) (0,1,3,9) (1,4,9,27) (6,14,29,81)
+    # (26,49,93,243) (101,168,295,729). Every planted table passes
+    # ReachTable's own checks. Expected: (monotone_k, zero_pattern, monotone_i).
+    PLANTED = [
+        # 3 * R_4(1) = 42 > R_5(1) = 41: P_k(1) falls from k = 4 to 5.
+        ((5, 1, 41), ([(4, 1)], [], [])),
+        # R_3(0) = 0 although k + i = n: the one word that climbs 0 -> 3 is lost.
+        ((3, 0, 0), ([], [(3, 0)], [])),
+        # R_6(1) = R_6(2): not strictly increasing in i where k + i + 1 >= n.
+        ((6, 1, 295), ([], [], [(6, 1)])),
+        # R_1(0) = 1 where k + i + 1 < n: nonzero where both sides must be 0,
+        # which also breaks the zero pattern and, since R_2(0) = 0, law k.
+        ((1, 0, 1), ([(1, 0)], [(1, 0)], [(1, 0)])),
+    ]
+
+    def planted(self, monkeypatch, k, i, value):
+        sp = spec((0, 1, 0), 3)
+        rows = [list(row) for row in reach_table(sp, 6).P]
+        rows[k][i] = value
+        table = ReachTable(sp, 6, tuple(tuple(row) for row in rows))
+
+        def fake(spec_, upto):
+            assert (spec_, upto) == (sp, 6)
+            return table
+
+        monkeypatch.setattr(markov, "reach_table", fake)
+        return sp
+
+    @pytest.mark.parametrize("cell,expected", PLANTED)
+    def test_each_violation_is_reported(self, monkeypatch, cell, expected):
+        report = check_lemmas(self.planted(monkeypatch, *cell), 6)
+        found = (
+            report.monotone_k_violations,
+            report.zero_pattern_violations,
+            report.monotone_i_violations,
+        )
+        assert found == tuple(tuple(cells) for cells in expected)
+        assert report.passed is False
+
+    @pytest.mark.parametrize("cell,expected", PLANTED)
+    def test_cli_exits_1_on_a_violation(self, monkeypatch, capsys, cell, expected):
+        from patprob.cli import main
+
+        self.planted(monkeypatch, *cell)
+        assert main(["lemmas", "--s", "0,1,0", "--L", "3", "--K", "6"]) == 1
+        out = capsys.readouterr().out
+        assert '"passed": false' in out
+        result = json.loads(out)["result"]
+        keys = ("monotone_k_violations", "zero_pattern_violations", "monotone_i_violations")
+        assert [result[key] for key in keys] == [[list(c) for c in cells] for cells in expected]
 
     def test_json_shape(self):
         d = check_lemmas(spec((0, 1)), 5).to_json_dict()

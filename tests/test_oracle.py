@@ -198,6 +198,20 @@ class TestCounts:
         for j in range(1, 13):
             assert ExactProb(counts.first_at[j], 12, 2) == table.p[j]
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: enum_counts(w("01"), -1), "k must be >= 0, got -1"),
+            (lambda: automaton_counts(w("01"), -1), "k must be >= 0, got -1"),
+            (lambda: monte_carlo(Word((), 2), McConfig(trials=1, k=1, seed=0)),
+             "pattern must be nonempty"),
+        ],
+        ids=["enum_counts", "automaton_counts", "monte_carlo"],
+    )
+    def test_empty_pattern_or_negative_length_is_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
 
 class TestCounterexample:
     def test_report(self):

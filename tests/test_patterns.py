@@ -163,6 +163,11 @@ class TestBifixIndicator:
         with pytest.raises(ValueError):
             BifixIndicator(())
 
+    @pytest.mark.parametrize("bits,bad", [((0, 2), 2), ((-1,), -1)])
+    def test_bits_must_be_0_or_1(self, bits, bad):
+        with pytest.raises(ValueError, match=f"^indicator bits must be 0 or 1, got {bad}$"):
+            BifixIndicator(bits)
+
 
 class TestCompare:
     def test_less(self):

@@ -5,17 +5,19 @@ import json
 import pytest
 
 from patprob import TABLE_ROUTES, route_tables
-from patprob.cli import _render_table
 from patprob.markov import ChainSpec, reach_table
-from patprob.numerics import ExactProb
+from patprob.numerics import (
+    _VIEW_MEMO_SIZE,
+    ExactProb,
+    ProbTable,
+    _P_view,
+    _p_view,
+    decimal_string,
+)
 from patprob.oracle import PatternAutomaton, automaton_counts, automaton_prob_table, enum_counts
 from patprob.patterns import BifixIndicator, Word, bifix_indicator, census, s_from_h
 from patprob.recursions import (
-    _VIEW_MEMO_SIZE,
-    ProbTable,
     _iter_counts,
-    _P_view,
-    _p_view,
     P_table,
     expected_wait_closed,
     expected_wait_series,
@@ -236,9 +238,13 @@ def _per_value_json_rows(table: ProbTable) -> list[dict]:
 
 
 def _per_value_decimals(table: ProbTable, digits: int) -> list[tuple[int, str, str]]:
+    """Reference decimals: the rounding rule applied to each validated ExactProb."""
+    def dec(x: ExactProb) -> str:
+        return decimal_string(x.num, x.base**x.den_exp, digits)
+
     L, C = table.L, table.C
     return [
-        (k, ExactProb(c - L * b, k, L).to_decimal(digits), ExactProb(c, k, L).to_decimal(digits))
+        (k, dec(ExactProb(c - L * b, k, L)), dec(ExactProb(c, k, L)))
         for k, (b, c) in enumerate(zip((0,) + C, C))
     ]
 
@@ -285,7 +291,7 @@ class TestOutputFromCounts:
             assert table.decimal_rows(digits) == expected
             csv_rows = "".join(f"{k},{p},{P}\n" for k, p, P in expected)
             assert table.to_csv(digits) == "k,p,P\n" + csv_rows
-            text = _render_table(table, "table", digits).splitlines()
+            text = table.to_text(digits).splitlines()
             assert text[2:] == [f"{k:>4} {p:>14} {P:>14}" for k, p, P in expected]
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
@@ -304,7 +310,7 @@ class TestOutputFromCounts:
 
     def test_digits_below_one_rejected(self):
         table = P_table(H1, 2, 4)
-        for render in (table.decimal_rows, table.to_csv):
+        for render in (table.decimal_rows, table.to_csv, table.to_text):
             with pytest.raises(ValueError, match="digits must be >= 1, got 0"):
                 render(0)
 
