@@ -6,7 +6,9 @@ rendering when requested). Diagnostics go to stderr.
 
 Exit codes: 0 success / property conforms, 1 a checked property does not
 hold, 2 usage error. Every rejected input, from argparse or from the
-library's own `ValueError` checks, is mapped to exit 2 in `main` alone.
+library's own `ValueError` checks, is mapped to exit 2 in `main` alone, and
+so is a `MemoryError`: an input too large for the machine is not a failed
+check.
 
 `prob` takes its routes from the package's registry: `--method` names an
 entry of `patprob.TABLE_ROUTES` or `automaton`, and `--check-all` runs
@@ -375,6 +377,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_USAGE
 
 

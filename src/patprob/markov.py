@@ -13,7 +13,7 @@ chain comparison keep only the start-state column as the rows stream past.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .numerics import ProbTable
 from .patterns import BifixIndicator, SWord, comparison_threshold, s_from_h
@@ -92,48 +92,43 @@ def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
     As a transcription guard, the start-state column is cross-checked at
     every k against forward evolution of the start state's word counts.
     """
-    rows = tuple(_reach_rows(spec, upto))
-    table = ReachTable(spec, upto, rows)
-    _forward_cross_check(spec, tuple(row[0] for row in rows))
+    table = ReachTable(spec, upto, tuple(_reach_rows(spec, upto)))
+    for _ in _start_counts(spec, table.P):
+        pass
     return table
 
 
-def _start_column(spec: ChainSpec, upto: int) -> tuple[int, ...]:
-    """R_0(0) ... R_upto(0), cross-checked, without keeping the other columns."""
-    column = tuple(row[0] for row in _reach_rows(spec, upto))
-    _forward_cross_check(spec, column)
-    return column
+def _start_counts(spec: ChainSpec, rows: Iterable[tuple[int, ...]]) -> Iterator[int]:
+    """Yield R_k(0) of each reach row once forward evolution confirms it.
 
-
-def _forward_cross_check(spec: ChainSpec, counts: tuple[int, ...]) -> None:
-    """Evolve the start state's word counts forward and compare absorption.
-
-    Each state i < n sends its count to i+1 and to s_i once each and to 0
-    (L-2) times; state n keeps its count L times. counts[k] must equal the
-    count absorbed after k steps, for every k. Since the evolution starts at
-    state 0 and multiplies the total by L per step, each checked count lies
-    in [0, L**k].
+    The start state's word counts evolve one step per row: each state i < n
+    sends its count to i+1 and to s_i once each and to 0 (L-2) times; state
+    n keeps its count L times. R_k(0) must equal the count absorbed after k
+    steps, which lies in [0, L**k] since the total grows by L per step.
     """
     n, L = spec.n, spec.L
     targets = spec.s.targets
     dist = [1] + [0] * n
-    for k, count in enumerate(counts):
+    for k, row in enumerate(rows):
         if k:
             nxt = [(L - 2) * sum(dist[:n])] + [0] * (n - 1) + [L * dist[n]]
             for i, target in enumerate(targets):
                 nxt[i + 1] += dist[i]
                 nxt[target] += dist[i]
             dist = nxt
-        if dist[n] != count:
+        if dist[n] != row[0]:
             raise AssertionError(
                 f"forward evolution disagrees with reach DP at k={k}: "
-                f"{dist[n]} vs {count} words of {L}^{k}"
+                f"{dist[n]} vs {row[0]} words of {L}^{k}"
             )
+        yield row[0]
 
 
 def chain_prob_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """Occurrence-probability table of a bifix class via its chain."""
-    return ProbTable(h, L, upto, _start_column(ChainSpec(s_from_h(h), L), upto), "markov")
+    spec = ChainSpec(s_from_h(h), L)
+    counts = _start_counts(spec, _reach_rows(spec, upto))
+    return ProbTable.from_counts(h, L, upto, counts, "markov")
 
 
 @dataclass(frozen=True)
@@ -174,14 +169,15 @@ def compare_chains(s: SWord, s_prime: SWord, L: int, upto: int) -> ChainComparis
 
     The threshold k0 = n + 1 + min{i - s_i : s_i > s'_i} marks the first
     index of strict separation. Both start-state columns are computed
-    independently.
+    independently and streamed side by side.
     """
     k0 = comparison_threshold(s, s_prime)  # also validates strict order
-    column = _start_column(ChainSpec(s, L), upto)
-    column_prime = _start_column(ChainSpec(s_prime, L), upto)
+    spec, spec_prime = ChainSpec(s, L), ChainSpec(s_prime, L)
+    counts = _start_counts(spec, _reach_rows(spec, upto))
+    counts_prime = _start_counts(spec_prime, _reach_rows(spec_prime, upto))
     relations = []
     violations = []
-    for k, (a, b) in enumerate(zip(column, column_prime)):  # counts over the same L**k
+    for k, (a, b) in enumerate(zip(counts, counts_prime)):  # counts over the same L**k
         rel = "=" if a == b else (">" if a > b else "<")
         relations.append(rel)
         expected = "=" if k < k0 else ">"

@@ -5,9 +5,9 @@ L**k. The routes compute those word counts as plain integers and compare
 them directly; `ExactProb(count, k, L)` is only the value that leaves a
 route, for equality, `<` and JSON. Keeping the denominator as an
 exponent of a fixed base makes equality checks exact and cheap and avoids
-gcd churn. `ProbTable` holds a route's validated counts C_k = L**k P_k and
-writes them as JSON, CSV or a text table; it is the one place that decides
-how an exact result is written.
+gcd churn. `ProbTable.from_counts` cuts a route's stream of counts
+C_k = L**k P_k at a horizon; the table checks them and writes them as JSON,
+CSV or a text table, the one place that decides how a result is written.
 
 `ExactProb(num, den_exp, base)` validates its fields. The trusted
 constructor `ExactProb.from_checked(num, den_exp, base)` skips that check
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 def canonical(num: int, den_exp: int, base: int) -> tuple[int, int]:
@@ -189,6 +189,16 @@ class ProbTable:
             prev = count
         if prev > L**self.upto:
             raise ValueError("P exceeded 1")
+
+    @classmethod
+    def from_counts(
+        cls, h: BifixIndicator, L: int, upto: int, counts: Iterable[int], method: str
+    ) -> ProbTable:
+        """The table of C_0 .. C_upto, the first upto + 1 counts of a stream.
+
+        zip, not islice: a negative upto pulls no count; __post_init__ refuses it.
+        """
+        return cls(h, L, upto, tuple(c for _, c in zip(range(upto + 1), counts)), method)
 
     # The checks above make every view field valid: L >= 2, k >= 0, and
     # 0 <= L C_{k-1} <= C_k, so the views use the trusted constructor.

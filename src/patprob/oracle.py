@@ -14,7 +14,9 @@ independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import sqrt
+from typing import Iterator
 
 from .numerics import ExactProb, ProbTable
 from .patterns import (
@@ -109,21 +111,20 @@ def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> Occ
     return OccurrenceCounts(pattern, k, found.bit_count(), tuple(first_at))
 
 
-def _absorbed_counts(pattern: Word, k: int) -> list[int]:
-    """Entry j: how many length-j words contain the pattern, for j = 0..k.
+def _absorbed_counts(pattern: Word) -> Iterator[int]:
+    """Yield how many length-j words contain the pattern, for j = 0, 1, ...
 
     Dynamic programming over automaton states: tracks how many length-j
     words sit in each state. A step sends each state's count along its
     stored transitions, the L - len(row) other symbols to state 0, and all
-    L symbols of the absorbing state to itself, so it runs in O(k*n) for
-    any alphabet size.
+    L symbols of the absorbing state to itself, so it runs in O(n) per step
+    for any alphabet size.
     """
     aut = PatternAutomaton(pattern)
     L, n = aut.L, aut.n
-    state_counts = [0] * (n + 1)
-    state_counts[0] = 1
-    absorbed = [0] * (k + 1)
-    for j in range(1, k + 1):
+    state_counts = [1] + [0] * n
+    while True:
+        yield state_counts[n]
         nxt = [0] * (n + 1)
         nxt[n] = L * state_counts[n]
         for row, count in zip(aut.rows, state_counts):
@@ -132,8 +133,6 @@ def _absorbed_counts(pattern: Word, k: int) -> list[int]:
                     nxt[target] += count
                 nxt[0] += (L - len(row)) * count
         state_counts = nxt
-        absorbed[j] = state_counts[n]
-    return absorbed
 
 
 def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
@@ -144,7 +143,7 @@ def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     L = pattern.alphabet_size
-    absorbed = _absorbed_counts(pattern, k)
+    absorbed = tuple(islice(_absorbed_counts(pattern), k + 1))
     first_at = [0] * (k + 1)
     for j in range(1, k + 1):
         fresh = absorbed[j] - L * absorbed[j - 1]  # first arrivals at step j
@@ -154,13 +153,8 @@ def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
 
 def automaton_prob_table(pattern: Word, upto: int) -> ProbTable:
     """Probability table of a concrete pattern from automaton state counts."""
-    return ProbTable(
-        bifix_indicator(pattern),
-        pattern.alphabet_size,
-        upto,
-        tuple(_absorbed_counts(pattern, upto)),
-        "automaton",
-    )
+    h, L = bifix_indicator(pattern), pattern.alphabet_size
+    return ProbTable.from_counts(h, L, upto, _absorbed_counts(pattern), "automaton")
 
 
 # Binary words whose class indicators sum to the same vector pairwise yet

@@ -10,17 +10,18 @@ routes compute the same table:
   * the differenced (n+1)-term recursion on p_k,
   * the direct recursion on P_k.
 
-All three run on exact integer word counts (L**k p_k or L**k P_k) and return
-the counts C_k = L**k P_k in a `numerics.ProbTable`, which checks them and
-writes every output form; a count that goes negative means a transcription
-bug and aborts instead of clamping. The expected first-occurrence position
-comes in closed form and as the series sum_k (1 - P_k) on the same counts.
+All three run on exact integer word counts (L**k p_k or L**k P_k) and yield
+C_k = L**k P_k as an endless stream that `ProbTable.from_counts` cuts at a
+horizon; a count that goes negative means a transcription bug and aborts
+instead of clamping. The expected first-occurrence position comes in closed
+form and as the series sum_k (1 - P_k) on the same counts.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator
 
 from .numerics import ProbTable
@@ -38,59 +39,66 @@ def _borders(h: BifixIndicator, L: int) -> list[int]:
     return [i for i in range(1, h.n) if h.bits[i - 1] == 1]
 
 
-def _nonneg(count: int, k: int) -> int:
-    if count < 0:
-        raise ValueError(f"count underflow at k={k}: {count}")
-    return count
+def _nonneg(value: int, k: int) -> int:
+    if value < 0:
+        raise ValueError(f"count underflow at k={k}: {value}")
+    return value
 
 
-def _accumulate(a: list[int], L: int) -> tuple[int, ...]:
-    """C_k = L C_{k-1} + a_k: occurrence counts from first-occurrence counts."""
-    C = []
-    running = 0
-    for count in a:
-        running = L * running + count
-        C.append(running)
-    return tuple(C)
+def _long_counts(h: BifixIndicator, L: int) -> Iterator[int]:
+    """Yield C_0, C_1, ... from the long recursion, keeping the last n a_k.
+
+    p_k = 1/L**n - (1/L**n) * sum_{i=n}^{k-n} p_i - sum_i h_i/L**(n-i) * p_{k-n+i}.
+    The middle sum is empty while k < 2n. On counts a_k = L**k p_k:
+    a_k = L**(k-n) - M_k - sum_i h_i a_{k-n+i}, where the history
+    M_k = sum_{i=n}^{k-n} a_i L**(k-n-i) = L M_{k-1} + a_{k-n}; C_k = L C_{k-1} + a_k.
+    """
+    n = h.n
+    borders = _borders(h, L)
+    window = deque([0] * n, maxlen=n)  # a_{k-n} .. a_{k-1}
+    yield from window  # C_k = a_k = 0 for k < n
+    history = C = 0
+    power = 1  # L**(k-n)
+    for k in count(n):
+        history = L * history + window[0]
+        a_k = _nonneg(power - history - sum(window[i] for i in borders), k)
+        window.append(a_k)  # maxlen evicts a_{k-n}
+        C = L * C + a_k
+        yield C
+        power *= L
 
 
 def p_table_long(h: BifixIndicator, L: int, upto: int) -> ProbTable:
-    """p_k = 1/L**n - (1/L**n) * sum_{i=n}^{k-n} p_i - sum_i h_i/L**(n-i) * p_{k-n+i}.
+    """Table built from the long recursion on p (see `_long_counts`)."""
+    return ProbTable.from_counts(h, L, upto, _long_counts(h, L), "long-recursion")
 
-    The middle sum is empty while k < 2n. On counts a_k = L**k p_k:
-    a_k = L**(k-n) - M_k - sum_i h_i a_{k-n+i}, where the history
-    M_k = sum_{i=n}^{k-n} a_i L**(k-n-i) = L M_{k-1} + a_{k-n}.
+
+def _short_counts(h: BifixIndicator, L: int) -> Iterator[int]:
+    """Yield C_0, C_1, ... from the (n+1)-term recursion, keeping n+1 values a_k.
+
+    Differencing the long recursion gives
+    p_{k+1} = p_k - p_{k+1-n}/L**n - sum_i h_i/L**(n-i) * (p_{k-n+i+1} - p_{k-n+i}),
+    on counts a_k = L**k p_k:
+    a_{k+1} = L a_k - a_{k+1-n} - sum_i h_i (a_{k-n+i+1} - L a_{k-n+i}),
+    and C_{k+1} = L C_k + a_{k+1}.
     """
     n = h.n
     borders = _borders(h, L)
-    a = [0] * min(n, upto + 1)
-    history = 0
-    power = 1  # L**(k-n)
-    for k in range(n, upto + 1):
-        history = L * history + a[k - n]
-        a.append(_nonneg(power - history - sum(a[k - n + i] for i in borders), k))
-        power *= L
-    return ProbTable(h, L, upto, _accumulate(a, L), "long-recursion")
+    window = deque([0] * n + [1], maxlen=n + 1)  # a_{k-n} .. a_k
+    yield from window  # C_k = a_k up to k = n
+    C = 1
+    for k in count(n + 1):  # window holds a_{k-1-n} .. a_{k-1}
+        nxt = L * window[n] - window[1]
+        for i in borders:
+            nxt -= window[i + 1] - L * window[i]
+        window.append(_nonneg(nxt, k))  # maxlen evicts a_{k-1-n}
+        C = L * C + nxt
+        yield C
 
 
 def p_table_short(h: BifixIndicator, L: int, upto: int) -> ProbTable:
-    """(n+1)-term recursion obtained by differencing the long one.
-
-    p_{k+1} = p_k - p_{k+1-n}/L**n - sum_i h_i/L**(n-i) * (p_{k-n+i+1} - p_{k-n+i}),
-    on counts a_k = L**k p_k:
-    a_{k+1} = L a_k - a_{k+1-n} - sum_i h_i (a_{k-n+i+1} - L a_{k-n+i}).
-    """
-    n = h.n
-    borders = _borders(h, L)
-    a = [0] * min(n, upto + 1)
-    if upto >= n:
-        a.append(1)
-    for k in range(n, upto):
-        nxt = L * a[k] - a[k + 1 - n]
-        for i in borders:
-            nxt -= a[k - n + i + 1] - L * a[k - n + i]
-        a.append(_nonneg(nxt, k + 1))
-    return ProbTable(h, L, upto, _accumulate(a, L), "short-recursion")
+    """Table built from the differenced recursion on p (see `_short_counts`)."""
+    return ProbTable.from_counts(h, L, upto, _short_counts(h, L), "short-recursion")
 
 
 def _iter_counts(h: BifixIndicator, L: int) -> Iterator[int]:
@@ -103,17 +111,11 @@ def _iter_counts(h: BifixIndicator, L: int) -> Iterator[int]:
     """
     n = h.n
     borders = _borders(h, L)
-    window: deque[int] = deque(maxlen=n + 1)  # C_{k-n} .. C_k
-    for _ in range(n):
-        window.append(0)
-        yield 0
-    window.append(1)
-    yield 1
+    window = deque([0] * n + [1], maxlen=n + 1)  # C_{k-n} .. C_k
+    yield from window
     power = 1  # L**(k-n)
-    k = n
-    while True:
+    for k in count(n + 1):
         power *= L
-        k += 1
         nxt = power + L * window[n] - window[1]
         for i in borders:
             nxt -= window[i + 1] - L * window[i]
@@ -122,10 +124,8 @@ def _iter_counts(h: BifixIndicator, L: int) -> Iterator[int]:
 
 
 def P_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
-    """Table built from the direct recursion on P."""
-    # zip, not islice: a negative upto yields no counts, and ProbTable rejects it.
-    C = tuple(count for _, count in zip(range(upto + 1), _iter_counts(h, L)))
-    return ProbTable(h, L, upto, C, "P-recursion")
+    """Table built from the direct recursion on P (see `_iter_counts`)."""
+    return ProbTable.from_counts(h, L, upto, _iter_counts(h, L), "P-recursion")
 
 
 def expected_wait_closed(h: BifixIndicator, L: int) -> int:

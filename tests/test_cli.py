@@ -556,6 +556,23 @@ class TestErrorBoundary:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("detail", ["Unable to allocate 763. MiB", ""])
+    def test_out_of_memory_exits_2_with_one_error_line(self, capsys, monkeypatch, detail):
+        # numpy raises a MemoryError subclass with a message; Python's own has none.
+        import patprob
+        import patprob.oracle
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(*([detail] if detail else []))
+
+        monkeypatch.setattr(patprob.oracle, "monte_carlo", exhausted)
+        monkeypatch.setitem(patprob.TABLE_ROUTES, "P", exhausted)
+        expected = f"error: out of memory{': ' + detail if detail else ''}\n"
+        for argv in ("simulate --word 11 --trials 1 --k 100", "prob --h 1 --K 5 --method P"):
+            code, out, err = run(capsys, *argv.split())
+            assert (code, out, err) == (2, "", expected), argv
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv,option,token",
         [

@@ -9,7 +9,7 @@ from patprob import markov
 from patprob.markov import (
     ChainSpec,
     ReachTable,
-    _forward_cross_check,
+    _start_counts,
     chain_prob_table,
     check_lemmas,
     compare_chains,
@@ -167,12 +167,14 @@ class TestReachTableInvariants:
 
     def test_forward_cross_check_catches_in_range_corruption(self):
         sp, rows = self.rows(upto=10)
-        _forward_cross_check(sp, tuple(row[0] for row in rows))  # untouched column passes
+        assert list(_start_counts(sp, rows)) == [row[0] for row in rows]  # untouched rows pass
         assert 0 < rows[6][0] < 2**6
         rows[6][0] += 1
         self.build(sp, rows)  # still within [0, 1]
+        checked = _start_counts(sp, rows)
+        assert [next(checked) for _ in range(6)] == [row[0] for row in rows[:6]]
         with pytest.raises(AssertionError, match="k=6"):
-            _forward_cross_check(sp, tuple(row[0] for row in rows))
+            next(checked)  # the wrong count is never yielded
 
     @pytest.mark.parametrize("k", [3, 0])
     def test_forward_cross_check_compares_every_k(self, k):
@@ -180,11 +182,10 @@ class TestReachTableInvariants:
         # horizons a check at ten evenly spaced k of upto = 25 would compare,
         # and k = 0 is the count the evolution starts from.
         sp, rows = self.rows(upto=25)
-        column = [row[0] for row in rows]
-        column[k] += 1
-        assert column[k] <= 2**k
+        rows[k][0] += 1
+        assert rows[k][0] <= 2**k
         with pytest.raises(AssertionError, match=rf"k={k}\b"):
-            _forward_cross_check(sp, tuple(column))
+            list(_start_counts(sp, rows))
 
     def test_every_path_runs_the_forward_check(self, monkeypatch):
         # A wrong count in column 0 that the table checks accept is caught
@@ -301,9 +302,9 @@ class TestCompareChains:
 
     def test_violations_list_the_deviating_k(self, monkeypatch):
         # No valid pair deviates (that is the theorem), so the comparison is
-        # fed two columns that do: still equal at k0 = 3, reversed at k = 4.
+        # fed two count streams that do: still equal at k0 = 3, reversed at k = 4.
         columns = iter([(0, 0, 1, 3, 7, 15), (0, 0, 1, 3, 8, 14)])
-        monkeypatch.setattr(markov, "_start_column", lambda spec, upto: next(columns))
+        monkeypatch.setattr(markov, "_start_counts", lambda spec, rows: iter(next(columns)))
         report = compare_chains(SWord((0, 1)), SWord((0, 0)), 2, 5)
         assert report.k0 == 3
         assert report.relations == ("=", "=", "=", "=", "<", ">")
