@@ -10,9 +10,10 @@ library's own `ValueError` checks, is mapped to exit 2 in `main` alone, and
 so is a `MemoryError`: an input too large for the machine is not a failed
 check.
 
-`prob` takes its routes from the package's registry: `--method` names an
-entry of `patprob.TABLE_ROUTES` or `automaton`, and `--check-all` runs
-`patprob.route_tables`, which adds the automaton when `--word` is given.
+`prob` takes its routes from the package's registry: `--method` names a
+route of `patprob.ROUTE_NAMES`, whose module alone it imports, or
+`automaton`, and `--check-all` runs `patprob.route_tables`, which adds the
+automaton when `--word` is given.
 On disagreement it names the routes that differ from the first in sorted
 order on stderr and exits 1.
 
@@ -176,9 +177,13 @@ def cmd_prob(args) -> int:
 
         table = automaton_prob_table(word, upto)
     else:
-        from . import TABLE_ROUTES
+        from importlib import import_module
 
-        table = TABLE_ROUTES[args.method](h, args.L, upto)
+        from . import _ROUTES
+
+        # Only the named route's module: TABLE_ROUTES would import every route.
+        module, builder = {name: (m, b) for name, m, b in _ROUTES}[args.method]
+        table = getattr(import_module(f".{module}", __package__), builder)(h, args.L, upto)
     if args.format == "csv":
         _write(table.to_csv(args.digits))
     elif args.format == "table":

@@ -12,23 +12,22 @@ chain comparison keep only the start-state column as the rows stream past.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .numerics import ProbTable
-from .patterns import BifixIndicator, SWord, comparison_threshold, s_from_h
+from .patterns import BifixIndicator, SWord, _Value, comparison_threshold, s_from_h
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(_Value):
     """Jump-target word plus alphabet size; states are 0..n with n absorbing."""
 
-    s: SWord
-    L: int
+    __slots__ = ("s", "L")
 
-    def __post_init__(self) -> None:
-        if self.L < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.L}")
+    def __init__(self, s: SWord, L: int) -> None:
+        if L < 2:
+            raise ValueError(f"alphabet size must be >= 2, got {L}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "L", L)
 
     @property
     def n(self) -> int:
@@ -38,31 +37,31 @@ class ChainSpec:
         return {"s": list(self.s.targets), "L": self.L}
 
 
-@dataclass(frozen=True)
-class ReachTable:
+class ReachTable(_Value):
     """P[k][i] = number of length-k symbol sequences that take state i to n.
 
     The probability of reaching state n within k steps from state i is
     P[k][i] / L**k.
     """
 
-    spec: ChainSpec
-    upto: int
-    P: tuple[tuple[int, ...], ...]
+    __slots__ = ("spec", "upto", "P")
 
-    def __post_init__(self) -> None:
-        n, L = self.spec.n, self.spec.L
-        if len(self.P) != self.upto + 1 or any(len(row) != n + 1 for row in self.P):
+    def __init__(self, spec: ChainSpec, upto: int, P: tuple[tuple[int, ...], ...]) -> None:
+        n, L = spec.n, spec.L
+        if len(P) != upto + 1 or any(len(row) != n + 1 for row in P):
             raise ValueError("reach table must be (upto+1) x (n+1)")
-        if self.P[0] != tuple([0] * n + [1]):
+        if P[0] != tuple([0] * n + [1]):
             raise ValueError("row k=0 must be the unit vector at the absorbing state")
         power = 1  # L**k
-        for row in self.P:
+        for row in P:
             if row[n] != power:
                 raise ValueError("absorbing state must have probability 1 at every k")
             if min(row) < 0 or max(row) > power:
                 raise ValueError("reach probabilities must stay within [0, 1]")
             power *= L
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "upto", upto)
+        object.__setattr__(self, "P", P)
 
 
 def _reach_rows(spec: ChainSpec, upto: int) -> Iterator[tuple[int, ...]]:
@@ -131,8 +130,7 @@ def chain_prob_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     return ProbTable.from_counts(h, L, upto, counts, "markov")
 
 
-@dataclass(frozen=True)
-class ChainComparison:
+class ChainComparison(_Value):
     """Per-k comparison of two chains' absorption probabilities.
 
     relations[k] is "=", ">" or "<" for P_k(0) vs P'_k(0). The expected
@@ -140,13 +138,25 @@ class ChainComparison:
     listed in violations (none occur for valid strictly ordered pairs).
     """
 
-    s: SWord
-    s_prime: SWord
-    L: int
-    upto: int
-    k0: int
-    relations: tuple[str, ...]
-    violations: tuple[int, ...]
+    __slots__ = ("s", "s_prime", "L", "upto", "k0", "relations", "violations")
+
+    def __init__(
+        self,
+        s: SWord,
+        s_prime: SWord,
+        L: int,
+        upto: int,
+        k0: int,
+        relations: tuple[str, ...],
+        violations: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s_prime", s_prime)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "upto", upto)
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def conforms(self) -> bool:
@@ -186,8 +196,7 @@ def compare_chains(s: SWord, s_prime: SWord, L: int, upto: int) -> ChainComparis
     return ChainComparison(s, s_prime, L, upto, k0, tuple(relations), tuple(violations))
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(_Value):
     """Violations of the three reach-probability laws, empty when all hold.
 
     Checked on the exact table up to `upto`:
@@ -197,11 +206,27 @@ class LemmaReport:
         with both sides zero otherwise.
     """
 
-    spec: ChainSpec
-    upto: int
-    monotone_k_violations: tuple[tuple[int, int], ...]
-    zero_pattern_violations: tuple[tuple[int, int], ...]
-    monotone_i_violations: tuple[tuple[int, int], ...]
+    __slots__ = (
+        "spec",
+        "upto",
+        "monotone_k_violations",
+        "zero_pattern_violations",
+        "monotone_i_violations",
+    )
+
+    def __init__(
+        self,
+        spec: ChainSpec,
+        upto: int,
+        monotone_k_violations: tuple[tuple[int, int], ...],
+        zero_pattern_violations: tuple[tuple[int, int], ...],
+        monotone_i_violations: tuple[tuple[int, int], ...],
+    ) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "upto", upto)
+        object.__setattr__(self, "monotone_k_violations", monotone_k_violations)
+        object.__setattr__(self, "zero_pattern_violations", zero_pattern_violations)
+        object.__setattr__(self, "monotone_i_violations", monotone_i_violations)
 
     @property
     def passed(self) -> bool:

@@ -65,7 +65,6 @@ def decimal_string(num: int, den: int, digits: int) -> str:
     return f"{whole}.{frac:0{digits}d}"
 
 
-@dataclass(frozen=True)
 class ExactProb:
     """Probability num / base**den_exp with 0 <= num <= base**den_exp, held in
     canonical form.
@@ -75,25 +74,27 @@ class ExactProb:
     den_exp reaches 0. Structural equality of canonical values is value
     equality (for a common base).
 
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads. Equality, hash
+    and repr are those of a frozen dataclass over (num, den_exp, base),
+    written out here as `patterns._Value` writes them for the other value
+    types, since this module imports no other patprob module.
     """
 
-    num: int
-    den_exp: int
-    base: int
+    __slots__ = ("num", "den_exp", "base")
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if self.num < 0:
-            raise ValueError(f"numerator must be nonnegative, got {self.num}")
-        if self.den_exp < 0:
-            raise ValueError(f"denominator exponent must be nonnegative, got {self.den_exp}")
-        num, exp = canonical(self.num, self.den_exp, self.base)
-        if num > self.base**exp:
-            raise ValueError(f"probability must be <= 1, got num > {self.base}**{self.den_exp}")
-        object.__setattr__(self, "num", num)
+    def __init__(self, num: int, den_exp: int, base: int) -> None:
+        if base < 2:
+            raise ValueError(f"base must be >= 2, got {base}")
+        if num < 0:
+            raise ValueError(f"numerator must be nonnegative, got {num}")
+        if den_exp < 0:
+            raise ValueError(f"denominator exponent must be nonnegative, got {den_exp}")
+        canon_num, exp = canonical(num, den_exp, base)
+        if canon_num > base**exp:
+            raise ValueError(f"probability must be <= 1, got num > {base}**{den_exp}")
+        object.__setattr__(self, "num", canon_num)
         object.__setattr__(self, "den_exp", exp)
+        object.__setattr__(self, "base", base)
 
     @classmethod
     def from_checked(cls, num: int, den_exp: int, base: int) -> ExactProb:
@@ -108,6 +109,29 @@ class ExactProb:
         object.__setattr__(self, "den_exp", den_exp)
         object.__setattr__(self, "base", base)
         return self
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.num, self.den_exp, self.base) == (other.num, other.den_exp, other.base)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den_exp, self.base))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(num={self.num!r}, den_exp={self.den_exp!r}, "
+            f"base={self.base!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.num, self.den_exp, self.base)
 
     def __lt__(self, other: ExactProb) -> bool:
         if self.base != other.base:
@@ -155,6 +179,8 @@ def _p_view(L: int, C: tuple[int, ...]) -> tuple[ExactProb, ...]:
     )
 
 
+# A dataclass, unlike the value types, because callers derive altered
+# tables with dataclasses.replace.
 @dataclass(frozen=True)
 class ProbTable:
     """Counts C_k = L**k P_k of the length-k words containing the pattern.

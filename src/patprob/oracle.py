@@ -25,6 +25,7 @@ from .patterns import (
     Word,
     _failure,
     _symbol_mask,
+    _Value,
     bifix_indicator,
     check_enum_budget,
 )
@@ -66,8 +67,7 @@ class PatternAutomaton:
         return self.rows[state].get(symbol, 0)
 
 
-@dataclass(frozen=True)
-class OccurrenceCounts:
+class OccurrenceCounts(_Value):
     """Exact counts over all L**k words of length k.
 
     contains: words with at least one occurrence of the pattern.
@@ -75,10 +75,13 @@ class OccurrenceCounts:
     ends exactly at position j (entry 0 is unused and zero).
     """
 
-    pattern: Word
-    k: int
-    contains: int
-    first_at: tuple[int, ...]
+    __slots__ = ("pattern", "k", "contains", "first_at")
+
+    def __init__(self, pattern: Word, k: int, contains: int, first_at: tuple[int, ...]) -> None:
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "contains", contains)
+        object.__setattr__(self, "first_at", first_at)
 
     def prob_contains(self) -> ExactProb:
         return ExactProb(self.contains, self.k, self.pattern.alphabet_size)
@@ -169,16 +172,33 @@ NON_AFFINE_WORDS = (
 NON_AFFINE_HORIZON = 12
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(_Value):
     """Evidence that occurrence probability is not affine in the indicator."""
 
-    words: tuple[Word, ...]
-    indicators: tuple[BifixIndicator, ...]
-    horizon: int
-    probabilities: tuple[ExactProb, ...]
-    indicator_sums_equal: bool
-    probability_sums_equal: bool
+    __slots__ = (
+        "words",
+        "indicators",
+        "horizon",
+        "probabilities",
+        "indicator_sums_equal",
+        "probability_sums_equal",
+    )
+
+    def __init__(
+        self,
+        words: tuple[Word, ...],
+        indicators: tuple[BifixIndicator, ...],
+        horizon: int,
+        probabilities: tuple[ExactProb, ...],
+        indicator_sums_equal: bool,
+        probability_sums_equal: bool,
+    ) -> None:
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "indicators", indicators)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "probabilities", probabilities)
+        object.__setattr__(self, "indicator_sums_equal", indicator_sums_equal)
+        object.__setattr__(self, "probability_sums_equal", probability_sums_equal)
 
     @property
     def ok(self) -> bool:
@@ -221,23 +241,25 @@ BLOCK_SYMBOLS = 2**14  # symbols per Monte Carlo draw, k permitting
 DEFAULT_MC_SEED = 12345
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(_Value):
     """trials independent streams, each observed up to position k."""
 
-    trials: int
-    k: int
-    seed: int
+    __slots__ = ("trials", "k", "seed")
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.k < 1:
-            raise ValueError(f"horizon k must be >= 1, got {self.k}")
-        if not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed must be in [0, 2**128), the Philox key range, got {self.seed}")
+    def __init__(self, trials: int, k: int, seed: int) -> None:
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if k < 1:
+            raise ValueError(f"horizon k must be >= 1, got {k}")
+        if not 0 <= seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128), the Philox key range, got {seed}")
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "seed", seed)
 
 
+# A dataclass, unlike the value types, because callers derive altered
+# results with dataclasses.replace.
 @dataclass(frozen=True)
 class McResult:
     """Empirical first-occurrence estimates from seeded simulation.

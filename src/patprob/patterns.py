@@ -10,7 +10,7 @@ storage is 0-based.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 
@@ -37,21 +37,62 @@ def _ascii_ints(parts: Iterable[str], what: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class Word:
+class _Value:
+    """Base of the immutable value types: a fixed tuple of fields in `__slots__`.
+
+    Equality, hash and repr are those of a frozen dataclass over the field
+    tuple: instances of one class are equal when their fields are, and
+    assigning or deleting an attribute raises AttributeError. A subclass
+    lists its fields in `__slots__` and stores them in `__init__` with
+    `object.__setattr__`, after its checks. Building a dataclass generates
+    and compiles its methods at import, which costs more than the rest of
+    the module; these are written once.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # attrgetter reads the fields in C; given one name it returns the bare value.
+        cls._get_fields = staticmethod(attrgetter(*cls.__slots__))
+        cls._one_field = len(cls.__slots__) == 1
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            get = self._get_fields
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        fields = self._get_fields(self)
+        return hash((fields,) if self._one_field else fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Word(_Value):
     """A finite word over the alphabet {0, ..., alphabet_size - 1}."""
 
-    symbols: tuple[int, ...]
-    alphabet_size: int
+    __slots__ = ("symbols", "alphabet_size")
 
-    def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.alphabet_size}")
-        for sym in self.symbols:
-            if not 0 <= sym < self.alphabet_size:
-                raise ValueError(
-                    f"symbol {sym} out of range for alphabet size {self.alphabet_size}"
-                )
+    def __init__(self, symbols: tuple[int, ...], alphabet_size: int) -> None:
+        if alphabet_size < 2:
+            raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
+        for sym in symbols:
+            if not 0 <= sym < alphabet_size:
+                raise ValueError(f"symbol {sym} out of range for alphabet size {alphabet_size}")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -74,18 +115,18 @@ class Word:
         return ",".join(str(s) for s in self.symbols)
 
 
-@dataclass(frozen=True)
-class BifixIndicator:
+class BifixIndicator(_Value):
     """Binary word h_1..h_{n-1} marking the border lengths of a length-n pattern."""
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        if len(self.bits) < 1:
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        if len(bits) < 1:
             raise ValueError("indicator needs at least one bit (pattern length >= 2)")
-        for bit in self.bits:
+        for bit in bits:
             if bit not in (0, 1):
                 raise ValueError(f"indicator bits must be 0 or 1, got {bit}")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def n(self) -> int:
@@ -103,18 +144,18 @@ class BifixIndicator:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass(frozen=True)
-class SWord:
+class SWord(_Value):
     """Jump targets s_0..s_{n-1} with 0 <= s_i <= i, defining a chase chain."""
 
-    targets: tuple[int, ...]
+    __slots__ = ("targets",)
 
-    def __post_init__(self) -> None:
-        if not self.targets:
+    def __init__(self, targets: tuple[int, ...]) -> None:
+        if not targets:
             raise ValueError("jump-target word must be nonempty")
-        for i, target in enumerate(self.targets):
+        for i, target in enumerate(targets):
             if not 0 <= target <= i:
                 raise ValueError(f"target s_{i}={target} violates 0 <= s_{i} <= {i}")
+        object.__setattr__(self, "targets", targets)
 
     @property
     def n(self) -> int:
@@ -284,13 +325,17 @@ def check_enum_budget(L: int, k: int, budget: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CensusClass:
+class CensusClass(_Value):
     """One bifix class: exact population plus a capped list of representatives."""
 
-    indicator: BifixIndicator
-    count: int
-    representatives: tuple[Word, ...]
+    __slots__ = ("indicator", "count", "representatives")
+
+    def __init__(
+        self, indicator: BifixIndicator, count: int, representatives: tuple[Word, ...]
+    ) -> None:
+        object.__setattr__(self, "indicator", indicator)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "representatives", representatives)
 
 
 def _symbol_mask(k: int, L: int, i: int, c: int, every_word: int) -> int:

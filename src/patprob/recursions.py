@@ -20,12 +20,11 @@ form and as the series sum_k (1 - P_k) on the same counts.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
 
 from .numerics import ProbTable
-from .patterns import BifixIndicator
+from .patterns import BifixIndicator, _Value
 
 
 def _borders(h: BifixIndicator, L: int) -> list[int]:
@@ -133,14 +132,16 @@ def expected_wait_closed(h: BifixIndicator, L: int) -> int:
     return L**h.n + sum(L**i for i in range(1, h.n) if h.bits[i - 1] == 1)
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(_Value):
     """Partial sum of sum_k (1 - P_k) with its estimated tail bound."""
 
-    value: float
-    tail_bound: float
-    upto: int
-    converged: bool
+    __slots__ = ("value", "tail_bound", "upto", "converged")
+
+    def __init__(self, value: float, tail_bound: float, upto: int, converged: bool) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "tail_bound", tail_bound)
+        object.__setattr__(self, "upto", upto)
+        object.__setattr__(self, "converged", converged)
 
 
 # Ratio window that must agree before the geometric tail bound is trusted.

@@ -384,7 +384,7 @@ assert "numpy" in sys.modules, "simulate"
     def test_each_subcommand_loads_only_its_modules(self):
         # A fresh interpreter, since this test process has every module loaded.
         script = """
-import contextlib, importlib, inspect, io, sys
+import contextlib, io, sys
 import patprob, patprob.cli
 from patprob.cli import main
 
@@ -395,11 +395,17 @@ assert loaded() == ["patprob.cli"], loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["census", "--n", "3"]) == 0
 assert loaded() == ["patprob.cli", "patprob.patterns"], loaded()
+# The value types of patterns are no dataclasses, so census loads neither
+# dataclasses nor the inspect module it imports.
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
 for argv in (["bifix", "--word", "10001"], ["prob", "--h", "10", "--K", "6", "--method", "short"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     assert "patprob.oracle" not in sys.modules, argv
+assert "patprob.markov" not in sys.modules  # prob --method imports that route's module alone
 assert patprob.ProbTable is patprob.numerics.ProbTable is patprob.recursions.ProbTable
+
+import importlib, inspect
 
 # Every public name resolves to the object its defining module holds.
 assert len(patprob.__all__) == len(set(patprob.__all__)) == 43
@@ -559,14 +565,15 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("detail", ["Unable to allocate 763. MiB", ""])
     def test_out_of_memory_exits_2_with_one_error_line(self, capsys, monkeypatch, detail):
         # numpy raises a MemoryError subclass with a message; Python's own has none.
-        import patprob
         import patprob.oracle
+        import patprob.recursions
 
         def exhausted(*args, **kwargs):
             raise MemoryError(*([detail] if detail else []))
 
         monkeypatch.setattr(patprob.oracle, "monte_carlo", exhausted)
-        monkeypatch.setitem(patprob.TABLE_ROUTES, "P", exhausted)
+        # prob --method P calls the builder its route module holds.
+        monkeypatch.setattr(patprob.recursions, "P_table", exhausted)
         expected = f"error: out of memory{': ' + detail if detail else ''}\n"
         for argv in ("simulate --word 11 --trials 1 --k 100", "prob --h 1 --K 5 --method P"):
             code, out, err = run(capsys, *argv.split())

@@ -1,0 +1,166 @@
+"""The value types behave as frozen dataclasses over their field tuple.
+
+Construction, equality, hash, repr, immutability and every validation
+message are pinned here, whatever mechanism builds the classes.
+"""
+
+import ast
+import copy
+import pickle
+from pathlib import Path
+
+import pytest
+
+from patprob.markov import ChainComparison, ChainSpec, LemmaReport, ReachTable
+from patprob.numerics import ExactProb
+from patprob.oracle import CounterexampleReport, McConfig, OccurrenceCounts
+from patprob.patterns import BifixIndicator, CensusClass, SWord, Word
+from patprob.recursions import SeriesResult
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "patprob"
+
+S01 = SWord((0, 1))
+SPEC = ChainSpec(SWord((0,)), 2)
+
+# (class, field names, positional args, args of an unequal instance, repr of the first)
+CASES = [
+    (Word, ("symbols", "alphabet_size"), ((1, 0), 2), ((1, 1), 2),
+     "Word(symbols=(1, 0), alphabet_size=2)"),
+    (BifixIndicator, ("bits",), ((1, 0),), ((0, 0),),
+     "BifixIndicator(bits=(1, 0))"),
+    (SWord, ("targets",), ((0, 1),), ((0, 0),),
+     "SWord(targets=(0, 1))"),
+    (CensusClass, ("indicator", "count", "representatives"),
+     (BifixIndicator((1,)), 2, (Word((0, 0), 2), Word((1, 1), 2))),
+     (BifixIndicator((1,)), 3, (Word((0, 0), 2), Word((1, 1), 2))),
+     "CensusClass(indicator=BifixIndicator(bits=(1,)), count=2, representatives=("
+     "Word(symbols=(0, 0), alphabet_size=2), Word(symbols=(1, 1), alphabet_size=2)))"),
+    (ExactProb, ("num", "den_exp", "base"), (1, 2, 3), (1, 2, 2),
+     "ExactProb(num=1, den_exp=2, base=3)"),
+    (SeriesResult, ("value", "tail_bound", "upto", "converged"),
+     (2.5, 0.125, 10, True), (2.5, 0.125, 10, False),
+     "SeriesResult(value=2.5, tail_bound=0.125, upto=10, converged=True)"),
+    (ChainSpec, ("s", "L"), (S01, 2), (S01, 3),
+     "ChainSpec(s=SWord(targets=(0, 1)), L=2)"),
+    (ReachTable, ("spec", "upto", "P"), (SPEC, 1, ((0, 1), (1, 2))), (SPEC, 0, ((0, 1),)),
+     "ReachTable(spec=ChainSpec(s=SWord(targets=(0,)), L=2), upto=1, P=((0, 1), (1, 2)))"),
+    (ChainComparison, ("s", "s_prime", "L", "upto", "k0", "relations", "violations"),
+     (S01, SWord((0, 0)), 2, 3, 3, ("=", "=", "=", ">"), ()),
+     (S01, SWord((0, 0)), 2, 3, 3, ("=", "=", ">", ">"), (2,)),
+     "ChainComparison(s=SWord(targets=(0, 1)), s_prime=SWord(targets=(0, 0)), L=2, upto=3, "
+     "k0=3, relations=('=', '=', '=', '>'), violations=())"),
+    (LemmaReport,
+     ("spec", "upto", "monotone_k_violations", "zero_pattern_violations", "monotone_i_violations"),
+     (SPEC, 1, (), (), ()), (SPEC, 1, (), ((0, 0),), ()),
+     "LemmaReport(spec=ChainSpec(s=SWord(targets=(0,)), L=2), upto=1, monotone_k_violations=(), "
+     "zero_pattern_violations=(), monotone_i_violations=())"),
+    (OccurrenceCounts, ("pattern", "k", "contains", "first_at"),
+     (Word((1, 1), 2), 2, 1, (0, 0, 1)), (Word((1, 1), 2), 2, 2, (0, 0, 1)),
+     "OccurrenceCounts(pattern=Word(symbols=(1, 1), alphabet_size=2), k=2, contains=1, "
+     "first_at=(0, 0, 1))"),
+    (CounterexampleReport,
+     ("words", "indicators", "horizon", "probabilities", "indicator_sums_equal",
+      "probability_sums_equal"),
+     ((Word((1, 0), 2),), (BifixIndicator((0,)),), 12, (ExactProb(1, 1, 2),), True, False),
+     ((Word((1, 0), 2),), (BifixIndicator((0,)),), 12, (ExactProb(1, 1, 2),), True, True),
+     "CounterexampleReport(words=(Word(symbols=(1, 0), alphabet_size=2),), "
+     "indicators=(BifixIndicator(bits=(0,)),), horizon=12, "
+     "probabilities=(ExactProb(num=1, den_exp=1, base=2),), indicator_sums_equal=True, "
+     "probability_sums_equal=False)"),
+    (McConfig, ("trials", "k", "seed"), (100, 10, 7), (100, 10, 8),
+     "McConfig(trials=100, k=10, seed=7)"),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+@pytest.mark.parametrize("cls, names, args, other, text", CASES, ids=IDS)
+def test_value_semantics(cls, names, args, other, text):
+    value = cls(*args)
+    by_keyword = cls(**dict(zip(names, args)))
+    assert tuple(getattr(value, name) for name in names) == args
+    assert value == by_keyword and not value != by_keyword
+    assert hash(value) == hash(by_keyword) == hash(args)
+    assert value != cls(*other) and not value == cls(*other)
+    assert value != args  # a tuple of the same fields is another value
+    assert repr(value) == text
+    assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("cls, names, args, other, text", CASES, ids=IDS)
+def test_values_are_immutable(cls, names, args, other, text):
+    value = cls(*args)
+    for name in names:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.no_such_field = 1
+    # The escape hatch for code that must patch a value still works.
+    object.__setattr__(value, names[-1], other[-1])
+    assert getattr(value, names[-1]) == other[-1]
+
+
+def test_distinct_types_with_equal_fields_differ():
+    assert BifixIndicator((0, 1)) != SWord((0, 1))
+    assert ExactProb(1, 1, 2) != (1, 1, 2)
+
+
+def test_exact_prob_orders_only_by_less_than():
+    half, quarter = ExactProb(1, 1, 2), ExactProb(1, 2, 2)
+    assert quarter < half and half > quarter
+    assert not half < quarter and not quarter > half
+    assert ExactProb(2, 2, 2) == half  # canonical form
+    for compare in (lambda a, b: a <= b, lambda a, b: a >= b):
+        with pytest.raises(TypeError):
+            compare(half, quarter)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Word((0, 1), 1), "alphabet size must be >= 2, got 1"),
+        (lambda: Word((0, 2), 2), "symbol 2 out of range for alphabet size 2"),
+        (lambda: BifixIndicator(()), "indicator needs at least one bit (pattern length >= 2)"),
+        (lambda: BifixIndicator((0, 2)), "indicator bits must be 0 or 1, got 2"),
+        (lambda: SWord(()), "jump-target word must be nonempty"),
+        (lambda: SWord((0, 2)), "target s_1=2 violates 0 <= s_1 <= 1"),
+        (lambda: ExactProb(1, 1, 1), "base must be >= 2, got 1"),
+        (lambda: ExactProb(-1, 1, 2), "numerator must be nonnegative, got -1"),
+        (lambda: ExactProb(1, -1, 2), "denominator exponent must be nonnegative, got -1"),
+        (lambda: ExactProb(6, 2, 2), "probability must be <= 1, got num > 2**2"),
+        (lambda: ChainSpec(S01, 1), "alphabet size must be >= 2, got 1"),
+        (lambda: ReachTable(SPEC, 1, ((0, 1),)), "reach table must be (upto+1) x (n+1)"),
+        (lambda: ReachTable(SPEC, 0, ((1, 1),)),
+         "row k=0 must be the unit vector at the absorbing state"),
+        (lambda: ReachTable(SPEC, 1, ((0, 1), (1, 1))),
+         "absorbing state must have probability 1 at every k"),
+        (lambda: ReachTable(SPEC, 1, ((0, 1), (3, 2))),
+         "reach probabilities must stay within [0, 1]"),
+        (lambda: McConfig(0, 10, 1), "trials must be >= 1, got 0"),
+        (lambda: McConfig(1, 0, 1), "horizon k must be >= 1, got 0"),
+        (lambda: McConfig(1, 10, 2**128),
+         f"seed must be in [0, 2**128), the Philox key range, got {2**128}"),
+    ],
+)
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_only_replaced_types_are_dataclasses():
+    # Building a dataclass generates and compiles its methods at import, so
+    # only the types that callers pass to dataclasses.replace are dataclasses;
+    # the other value types subclass patterns._Value (ExactProb writes the
+    # same methods out itself).
+    decorated = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = target.attr if isinstance(target, ast.Attribute) else target.id
+                    if name == "dataclass":
+                        decorated.add(node.name)
+    assert decorated == {"ProbTable", "McResult"}
