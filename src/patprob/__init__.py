@@ -45,12 +45,12 @@ _EXPORTS = {
     "compare_indicators": "patterns",
     "compare_swords": "patterns",
     "comparison_threshold": "patterns",
+    "expected_wait_closed": "patterns",
     "k0_of_pair": "patterns",
     "k0_sharp": "patterns",
     "s_from_h": "patterns",
     "SeriesResult": "recursions",
     "P_table": "recursions",
-    "expected_wait_closed": "recursions",
     "expected_wait_series": "recursions",
     "p_table_long": "recursions",
     "p_table_short": "recursions",

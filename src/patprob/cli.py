@@ -97,8 +97,7 @@ def _emit(command: str, params: dict, result: dict, table: ProbTable | None = No
 
 
 def cmd_bifix(args) -> int:
-    from .patterns import Word, bifix_indicator, s_from_h
-    from .recursions import expected_wait_closed
+    from .patterns import Word, bifix_indicator, expected_wait_closed, s_from_h
 
     word = Word.parse(args.word, args.L)
     h = bifix_indicator(word)

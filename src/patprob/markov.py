@@ -12,9 +12,9 @@ chain comparison keep only the start-state column as the rows stream past.
 
 from __future__ import annotations
 
+from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .numerics import ProbTable
 from .patterns import BifixIndicator, SWord, _Value, comparison_threshold, s_from_h
 
 
@@ -67,18 +67,25 @@ class ReachTable(_Value):
 def _reach_rows(spec: ChainSpec, upto: int) -> Iterator[tuple[int, ...]]:
     """Yield the count rows R_0 ... R_upto of the reach DP (see `reach_table`).
 
-    The generator holds only its current row, so a caller that keeps one
+    A step is a few whole-row operations: `row[1:]` holds R(i+1) for each
+    i < n, one itemgetter gathers R(s_i), `map(add, ...)` adds the two, and
+    the reset (L-2) R(0) is added to every entry only when L > 2. The
+    generator holds only its current row, so a caller that keeps one
     column holds one column.
     """
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
     n, L = spec.n, spec.L
     targets = spec.s.targets
-    row = tuple([0] * n + [1])
+    # Given one index, itemgetter returns a bare value; a slice keeps a tuple.
+    jump = itemgetter(*targets) if n > 1 else itemgetter(slice(0, 1))
+    row = (0,) * n + (1,)
     yield row
     for _ in range(upto):
-        reset = (L - 2) * row[0]
-        row = tuple([row[i + 1] + row[targets[i]] + reset for i in range(n)] + [L * row[n]])
+        step = map(add, row[1:], jump(row))
+        if L > 2:
+            step = map(((L - 2) * row[0]).__add__, step)
+        row = (*step, L * row[n])
         yield row
 
 
@@ -102,18 +109,21 @@ def _start_counts(spec: ChainSpec, rows: Iterable[tuple[int, ...]]) -> Iterator[
 
     The start state's word counts evolve one step per row: each state i < n
     sends its count to i+1 and to s_i once each and to 0 (L-2) times; state
-    n keeps its count L times. R_k(0) must equal the count absorbed after k
-    steps, which lies in [0, L**k] since the total grows by L per step.
+    n keeps its count L times. A step is the slice `dist[:n]` shifted up by
+    one state, which carries every i -> i+1 count, plus one scatter over
+    `zip(dist, targets)` for the i -> s_i counts. R_k(0) must equal the
+    count absorbed after k steps, which lies in [0, L**k] since the total
+    grows by L per step.
     """
     n, L = spec.n, spec.L
     targets = spec.s.targets
     dist = [1] + [0] * n
     for k, row in enumerate(rows):
         if k:
-            nxt = [(L - 2) * sum(dist[:n])] + [0] * (n - 1) + [L * dist[n]]
-            for i, target in enumerate(targets):
-                nxt[i + 1] += dist[i]
-                nxt[target] += dist[i]
+            nxt = [(L - 2) * sum(dist[:n]) if L > 2 else 0, *dist[:n]]
+            nxt[n] += L * dist[n]
+            for count, target in zip(dist, targets):
+                nxt[target] += count
             dist = nxt
         if dist[n] != row[0]:
             raise AssertionError(
@@ -125,6 +135,8 @@ def _start_counts(spec: ChainSpec, rows: Iterable[tuple[int, ...]]) -> Iterator[
 
 def chain_prob_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """Occurrence-probability table of a bifix class via its chain."""
+    from .numerics import ProbTable  # here, so that compare and lemmas load no numerics
+
     spec = ChainSpec(s_from_h(h), L)
     counts = _start_counts(spec, _reach_rows(spec, upto))
     return ProbTable.from_counts(h, L, upto, counts, "markov")

@@ -13,9 +13,11 @@ independent.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from math import sqrt
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .numerics import ExactProb, ProbTable
@@ -91,26 +93,37 @@ def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> Occ
     """Brute-force occurrence counts over every word of length k.
 
     Scans all L**k words at once on L**k-bit integers (bit w is word number
-    w in `itertools.product` order). For each end position j, `hit` ANDs
-    the n masks "symbol j-n+t is pattern[t]", so it marks the words whose
-    window ending at j holds the pattern; the words in `hit` but not yet in
-    `found` first hit at j. Only O(1) masks are live at a time: at k = 24,
-    L = 2 each is 2 MiB.
+    w in `itertools.product` order). Each position p gets its mask
+    S(p, 0), "symbol p is 0", once; S(p, c) is S(p, 0) shifted up by c runs
+    of L**(k-1-p) bits. For each end position j, `hit` ANDs the shifted
+    masks of positions j-n .. j-1 with the pattern's symbols, so it marks
+    the words whose window ending at j holds the pattern; the words in
+    `hit` but not yet in `found` first hit at j. A call builds k masks and
+    keeps a window of the last n of them, so between operations at most
+    n + 2 masks are live: the window, `hit` and `found`. At k = 24, L = 2
+    each is 2 MiB.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     L = pattern.alphabet_size
     n = len(pattern)
     check_enum_budget(L, k, budget, f"enum_counts(len {k}, L={L})")
-    every_word = (1 << L**k) - 1
+    symbols = pattern.symbols
     first_at = [0] * (k + 1)
     found = 0
-    for j in range(n, k + 1):
-        hit = every_word
-        for t, c in enumerate(pattern.symbols):
-            hit &= _symbol_mask(k, L, j - n + t, c, every_word)
-        first_at[j] = (hit & ~found).bit_count()
+    window: deque[int] = deque()  # S(p, 0) for p = j-n .. j-1
+    for j in range(1, k + 1):
+        window.append(_symbol_mask(k, L, j - 1, 0))
+        if j < n:
+            continue
+        # The oldest mask is popped at its last use.
+        hit = window.popleft() << symbols[0] * L ** (k - 1 - (j - n))
+        for p, (mask, c) in enumerate(zip(window, symbols[1:]), j - n + 1):
+            hit &= mask << c * L ** (k - 1 - p)
+        before = found.bit_count()
         found |= hit
+        del hit  # not live while the next mask is built
+        first_at[j] = found.bit_count() - before
     return OccurrenceCounts(pattern, k, found.bit_count(), tuple(first_at))
 
 
@@ -118,23 +131,36 @@ def _absorbed_counts(pattern: Word) -> Iterator[int]:
     """Yield how many length-j words contain the pattern, for j = 0, 1, ...
 
     Dynamic programming over automaton states: tracks how many length-j
-    words sit in each state. A step sends each state's count along its
-    stored transitions, the L - len(row) other symbols to state 0, and all
-    L symbols of the absorbing state to itself, so it runs in O(n) per step
-    for any alphabet size.
+    words sit in each state. A step moves every count along the edge
+    i -> i+1 at once, as the slice `state_counts[:n]` shifted up by one
+    state; adds to each target of a stored back-edge the counts of its
+    sources, gathered with one itemgetter per target; sends the
+    L - len(rows[i]) other symbols of each state i to state 0, one weighted
+    sum; and keeps all L symbols of the absorbing state. The gathers are
+    built once from `PatternAutomaton.rows`, and a string-matching
+    automaton has at most n back-edges, so a step costs O(n) for any
+    alphabet size.
     """
     aut = PatternAutomaton(pattern)
     L, n = aut.L, aut.n
+    sources: dict[int, list[int]] = {}  # back-edge target -> its source states
+    for i, row in enumerate(aut.rows):
+        for target in row.values():
+            if target != i + 1:
+                sources.setdefault(target, []).append(i)
+    gathers = []
+    for target, (first, *rest) in sources.items():
+        # Given one index, itemgetter returns a bare value; a slice keeps a list.
+        gather = itemgetter(first, *rest) if rest else itemgetter(slice(first, first + 1))
+        gathers.append((target, gather))
+    to_start = [L - len(row) for row in aut.rows]  # symbols of each state i < n that lead to 0
     state_counts = [1] + [0] * n
     while True:
         yield state_counts[n]
-        nxt = [0] * (n + 1)
-        nxt[n] = L * state_counts[n]
-        for row, count in zip(aut.rows, state_counts):
-            if count:
-                for target in row.values():
-                    nxt[target] += count
-                nxt[0] += (L - len(row)) * count
+        nxt = [sum(map(mul, to_start, state_counts)), *state_counts[:n]]
+        nxt[n] += L * state_counts[n]
+        for target, gather in gathers:
+            nxt[target] += sum(gather(state_counts))
         state_counts = nxt
 
 

@@ -306,6 +306,11 @@ def comparison_threshold(s: SWord, s_prime: SWord) -> int:
     return s.n + 1 + min(gaps)
 
 
+def expected_wait_closed(h: BifixIndicator, L: int) -> int:
+    """Expected first-occurrence position: L**n + sum_i h_i * L**i, exactly."""
+    return L**h.n + sum(L**i for i in range(1, h.n) if h.bits[i - 1] == 1)
+
+
 DEFAULT_ENUM_BUDGET = 2**24
 
 
@@ -338,22 +343,25 @@ class CensusClass(_Value):
         object.__setattr__(self, "representatives", representatives)
 
 
-def _symbol_mask(k: int, L: int, i: int, c: int, every_word: int) -> int:
+def _symbol_mask(k: int, L: int, i: int, c: int) -> int:
     """Mask of the length-k words whose symbol i is c, words in product order.
 
     Bit w of an L**k-bit integer stands for word number w in
     `itertools.product` order. Word number w has symbol
     i = (w // L**(k-1-i)) % L, so the mask is a run of L**(k-1-i) ones at
     offset c * L**(k-1-i), repeated with period L**(k-i). The period is
-    doubled until it covers all L**k bits, and `every_word` (all L**k bits
-    set) trims the overshoot.
+    doubled while the copy fits in L**k bits, and the last copy keeps only
+    the bits that still fit, so no all-words mask is needed to trim it.
     """
+    total = L**k
     run = L ** (k - 1 - i)
     mask, width = ((1 << run) - 1) << (c * run), L * run
-    while width < every_word.bit_length():
+    while 2 * width <= total:
         mask |= mask << width
         width *= 2
-    return mask & every_word
+    if width < total:
+        mask |= (mask & ((1 << (total - width)) - 1)) << width
+    return mask
 
 
 def census(
@@ -391,7 +399,7 @@ def census(
     every_word = (1 << L**n) - 1
     # S(pos, c) is S(pos, 0) shifted by c runs, so one mask per position
     # stands for all L of them and a comparison holds O(1) masks.
-    first_symbol = [_symbol_mask(n, L, pos, 0, every_word) for pos in range(n)]
+    first_symbol = [_symbol_mask(n, L, pos, 0) for pos in range(n)]
     borders = []
     for i in range(1, n):
         border = every_word

@@ -13,8 +13,9 @@ routes compute the same table:
 All three run on exact integer word counts (L**k p_k or L**k P_k) and yield
 C_k = L**k P_k as an endless stream that `ProbTable.from_counts` cuts at a
 horizon; a count that goes negative means a transcription bug and aborts
-instead of clamping. The expected first-occurrence position comes in closed
-form and as the series sum_k (1 - P_k) on the same counts.
+instead of clamping. The expected first-occurrence position comes as the
+series sum_k (1 - P_k) on the same counts, to be checked against the closed
+form `patterns.expected_wait_closed`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from itertools import count
 from typing import Iterator
 
 from .numerics import ProbTable
-from .patterns import BifixIndicator, _Value
+# expected_wait_closed, the closed form that the series approximates, lives in
+# patterns so that `bifix` loads no recursion; bench/workloads.py reads it here.
+from .patterns import BifixIndicator, _Value, expected_wait_closed  # noqa: F401
 
 
 def _borders(h: BifixIndicator, L: int) -> list[int]:
@@ -125,11 +128,6 @@ def _iter_counts(h: BifixIndicator, L: int) -> Iterator[int]:
 def P_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """Table built from the direct recursion on P (see `_iter_counts`)."""
     return ProbTable.from_counts(h, L, upto, _iter_counts(h, L), "P-recursion")
-
-
-def expected_wait_closed(h: BifixIndicator, L: int) -> int:
-    """Expected first-occurrence position: L**n + sum_i h_i * L**i, exactly."""
-    return L**h.n + sum(L**i for i in range(1, h.n) if h.bits[i - 1] == 1)
 
 
 class SeriesResult(_Value):

@@ -31,11 +31,12 @@ from patprob.patterns import (
     bifix_indicator,
     census,
     compare_indicators,
+    expected_wait_closed,
     k0_of_pair,
     k0_sharp,
     s_from_h,
 )
-from patprob.recursions import P_table, expected_wait_closed, expected_wait_series
+from patprob.recursions import P_table, expected_wait_series
 
 
 def report(cid, name, ok, detail):

@@ -398,10 +398,14 @@ assert loaded() == ["patprob.cli", "patprob.patterns"], loaded()
 # The value types of patterns are no dataclasses, so census loads neither
 # dataclasses nor the inspect module it imports.
 assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
-for argv in (["bifix", "--word", "10001"], ["prob", "--h", "10", "--K", "6", "--method", "short"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
-    assert "patprob.oracle" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["bifix", "--word", "10001"]) == 0
+# bifix needs the closed-form expected wait alone, which patterns holds.
+assert loaded() == ["patprob.cli", "patprob.patterns"], loaded()
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["prob", "--h", "10", "--K", "6", "--method", "short"]) == 0
+assert "patprob.oracle" not in sys.modules
 assert "patprob.markov" not in sys.modules  # prob --method imports that route's module alone
 assert patprob.ProbTable is patprob.numerics.ProbTable is patprob.recursions.ProbTable
 
@@ -435,7 +439,9 @@ assert set(patprob.__all__) <= set(dir(patprob))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
-        # The chain and oracle routes write their tables without the recursions.
+        # The chain and oracle routes write their tables without the recursions,
+        # and compare and lemmas, which build no table, load no numerics (and so
+        # neither dataclasses nor inspect).
         loaded_by = """
 import contextlib, io, sys
 from patprob.cli import main
@@ -443,18 +449,22 @@ from patprob.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(sys.argv[1:]) == 0
 print(" ".join(sorted(m for m in sys.modules if m.startswith("patprob."))))
+print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
 """
         for argv, modules in (
-            ("compare --h 00 --h2 10", "markov numerics patterns"),
-            ("lemmas --s 0,1", "markov numerics patterns"),
+            ("compare --h 00 --h2 10", "markov patterns"),
+            ("lemmas --s 0,1", "markov patterns"),
             ("counterexample", "numerics oracle patterns"),
             ("prob --word 010 --method automaton", "numerics oracle patterns"),
         ):
             proc = subprocess.run([sys.executable, "-c", loaded_by, *argv.split()],
                                   capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
+            patprob_modules, other_modules = proc.stdout.split("\n")[:2]
             expected = ["patprob.cli", *(f"patprob.{m}" for m in modules.split())]
-            assert proc.stdout.split() == expected, argv
+            assert patprob_modules.split() == expected, argv
+            if "numerics" not in modules:
+                assert other_modules == "", argv
 
 
 # Every digest-checked call in bench/golden.json: exit code and stdout SHA-256.

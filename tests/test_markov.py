@@ -378,6 +378,9 @@ class TestLemmaSuite:
         # R_1(0) = 1 where k + i + 1 < n: nonzero where both sides must be 0,
         # which also breaks the zero pattern and, since R_2(0) = 0, law k.
         ((1, 0, 1), ([(1, 0)], [(1, 0)], [(1, 0)])),
+        # R_1(2) = 0 although k + i = n, so R_1(1) = R_1(2) = 0 at k + i + 1 = n:
+        # the one strict violation below k = n - 1.
+        ((1, 2, 0), ([], [(1, 2)], [(1, 1)])),
     ]
 
     def planted(self, monkeypatch, k, i, value):

@@ -1,14 +1,16 @@
 import functools
 import itertools
 import random
+import sys
 import time
+import tracemalloc
 from collections import Counter
 from math import sqrt
 
 import numpy as np
 import pytest
 
-from patprob import EnumerationBudgetError
+from patprob import EnumerationBudgetError, oracle
 from patprob.numerics import ExactProb
 from patprob.oracle import (
     GENERATOR_NAME,
@@ -211,6 +213,46 @@ class TestCounts:
     def test_empty_pattern_or_negative_length_is_refused(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+
+class TestEnumerationWork:
+    # enum_counts builds the mask S(p, 0) of each position p once and shifts
+    # it for each of its up to n uses, keeping a window of the last n.
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_one_mask_per_position(self, monkeypatch, n):
+        k = 10
+        built = []
+        symbol_mask = oracle._symbol_mask
+
+        def counting(*args):
+            built.append(args)
+            return symbol_mask(*args)
+
+        monkeypatch.setattr(oracle, "_symbol_mask", counting)
+        word = Word(tuple(random.Random(n).randrange(2) for _ in range(n)), 2)
+        counts = enum_counts(word, k)
+        assert sorted(position for _, _, position, _ in built) == list(range(k))
+        assert (counts.contains, counts.first_at) == enum_counts_reference(word, k)
+
+    @pytest.mark.parametrize("n,bound", [(20, 22), (8, 11.25)])
+    def test_masks_live_at_once(self, n, bound):
+        # Between operations the window of n masks, `hit` and `found` are
+        # live: n + 2. A long pattern (n = k) has one window, whose oldest
+        # masks are shorter than L**k bits, so even its peak stays below
+        # n + 2. A short one peaks while a shifted mask is ANDed into `hit`:
+        # the window then holds n - 1 masks, beside `found`, `hit`, the
+        # shifted operand and the result, n + 3 in all.
+        k = 20
+        mask_bytes = sys.getsizeof((1 << 2**k) - 1)
+        word = Word(tuple(random.Random(n).randrange(2) for _ in range(n)), 2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            enum_counts(word, k)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * mask_bytes, peak / mask_bytes
 
 
 class TestCounterexample:

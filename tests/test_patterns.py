@@ -13,6 +13,7 @@ from patprob.patterns import (
     SWord,
     Word,
     _lowest_words,
+    _symbol_mask,
     bifix_indicator,
     census,
     compare_indicators,
@@ -381,6 +382,15 @@ class TestCensus:
         reps = {h.text(): [word.symbols for word in cls.representatives] for h, cls in classes.items()}
         assert reps["1" * (n - 1)] == [(c,) * n for c in range(4)]
         assert reps["0" * (n - 1)] == [(0,) * (n - 1) + (c,) for c in range(1, 5)]
+
+    @pytest.mark.parametrize("k,L", [(1, 2), (5, 2), (4, 3), (3, 5), (2, 7)])
+    def test_symbol_masks_mark_their_words(self, k, L):
+        # Bit w is word number w in product order; the mask has no bit past L**k.
+        for i in range(k):
+            for c in range(L):
+                bits = [int(word[i] == c) for word in itertools.product(range(L), repeat=k)]
+                expected = int("".join(map(str, reversed(bits))), 2)
+                assert _symbol_mask(k, L, i, c) == expected, (i, c)
 
     def test_representatives_across_decode_chunks(self):
         # Set bits on both sides of the chunk boundaries of a 2^16-bit part.

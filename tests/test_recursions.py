@@ -15,11 +15,17 @@ from patprob.numerics import (
     decimal_string,
 )
 from patprob.oracle import PatternAutomaton, automaton_counts, automaton_prob_table, enum_counts
-from patprob.patterns import BifixIndicator, Word, bifix_indicator, census, s_from_h
+from patprob.patterns import (
+    BifixIndicator,
+    Word,
+    bifix_indicator,
+    census,
+    expected_wait_closed,
+    s_from_h,
+)
 from patprob.recursions import (
     _iter_counts,
     P_table,
-    expected_wait_closed,
     expected_wait_series,
     p_table_long,
     p_table_short,
