@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from math import sqrt
 from operator import itemgetter, mul
 from typing import Iterator
 
@@ -37,7 +36,8 @@ class PatternAutomaton:
     """Matched-prefix automaton of a pattern, with the full match absorbing.
 
     State i < n is the length of the longest prefix of the pattern that is
-    a suffix of the data read so far; state n, once reached, persists.
+    a suffix of the data read so far; state n, once reached, persists, and
+    has no row.
 
     Only the transitions that do not fall back to state 0 are stored:
     `rows[i]` maps each such symbol of state i < n to its target, and every
@@ -61,12 +61,6 @@ class PatternAutomaton:
             row[c] = i + 1
             rows.append(row)
         self.rows = rows
-
-    def step(self, state: int, symbol: int) -> int:
-        """The state after reading `symbol` in `state`."""
-        if state == self.n:
-            return self.n
-        return self.rows[state].get(symbol, 0)
 
 
 class OccurrenceCounts(_Value):
@@ -371,18 +365,16 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     waited = np.flatnonzero(tally)
     wait_counts = dict(zip(waited.tolist(), tally[waited].tolist()))
     censored = trials - sum(wait_counts.values())
-    p_hat = [0.0] * (horizon + 1)
-    cumulative = 0
-    for j in range(1, horizon + 1):
-        cumulative += wait_counts.get(j, 0)
-        p_hat[j] = cumulative / trials
-    stderr = [sqrt(p * (1.0 - p) / trials) for p in p_hat]
+    # Every count is below 2**53, so these whole-array float operations round
+    # exactly as the same operations on Python ints and floats would.
+    p_hat = np.cumsum(tally) / trials
+    stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
     return McResult(
         pattern,
         config,
         GENERATOR_NAME,
-        tuple(p_hat),
-        tuple(stderr),
+        tuple(p_hat.tolist()),
+        tuple(stderr.tolist()),
         wait_counts,
         censored,
         (sum(j * c for j, c in wait_counts.items()) + censored * horizon) / trials,

@@ -432,31 +432,23 @@ def census(
     return {h: classes[h] for h in sorted(classes, key=lambda ind: ind.bits)}
 
 
-_DECODE_CHUNK = 1 << 12  # bytes of a slice decoded at a time
-
-
 def _lowest_words(part: int, n: int, L: int, count: int) -> tuple[Word, ...]:
     """The words of the `count` lowest set bits of `part`, in product order.
 
     The search runs on a low slice of `part`, doubled until it holds `count`
     bits or all of `part`, so it costs the slice rather than all L**n bits.
+    Its set bits are read lowest first, each by one pass over the slice.
     """
     width = 64
     while (low := part & ((1 << width) - 1)) != part and low.bit_count() < count:
         width *= 2
-    # The slice is read once, in chunks, so its binary text stays small.
-    data = low.to_bytes((low.bit_length() + 7) // 8, "little")
     words: list[Word] = []
-    for start in range(0, len(data), _DECODE_CHUNK):
-        if len(words) == count:
-            break
-        digits = bin(int.from_bytes(data[start : start + _DECODE_CHUNK], "little"))[:1:-1]
-        bit = digits.find("1")
-        while bit >= 0 and len(words) < count:
-            w, bit = 8 * start + bit, digits.find("1", bit + 1)
-            symbols = []
-            for _ in range(n):
-                w, digit = divmod(w, L)
-                symbols.append(digit)
-            words.append(Word(tuple(reversed(symbols)), L))
+    while low and len(words) < count:
+        w = (low & -low).bit_length() - 1
+        low &= low - 1
+        symbols = []
+        for _ in range(n):
+            w, digit = divmod(w, L)
+            symbols.append(digit)
+        words.append(Word(tuple(reversed(symbols)), L))
     return tuple(words)

@@ -14,8 +14,8 @@ All three run on exact integer word counts (L**k p_k or L**k P_k) and yield
 C_k = L**k P_k as an endless stream that `ProbTable.from_counts` cuts at a
 horizon; a count that goes negative means a transcription bug and aborts
 instead of clamping. The expected first-occurrence position comes as the
-series sum_k (1 - P_k) on the same counts, to be checked against the closed
-form `patterns.expected_wait_closed`.
+series sum_k (1 - P_k) on the same counts, stopped by a proven bound on its
+tail, to be checked against the closed form `patterns.expected_wait_closed`.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def P_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
 
 
 class SeriesResult(_Value):
-    """Partial sum of sum_k (1 - P_k) with its estimated tail bound."""
+    """Partial sum of sum_k (1 - P_k) with a proven bound on its tail."""
 
     __slots__ = ("value", "tail_bound", "upto", "converged")
 
@@ -142,47 +142,36 @@ class SeriesResult(_Value):
         object.__setattr__(self, "converged", converged)
 
 
-# Ratio window that must agree before the geometric tail bound is trusted.
-_STABLE_RATIOS = 5
-_RATIO_SPREAD = 1e-4
-
-
 def expected_wait_series(
     h: BifixIndicator, L: int, tol: float, k_max: int = 50_000
 ) -> SeriesResult:
     """Approximate the expected wait as sum_{k=0..K} (1 - P_k).
 
-    Stops at the smallest K <= k_max whose estimated tail is below `tol`.
-    The tail is bounded geometrically from the empirical decay ratio
-    r = (1 - P_K) / (1 - P_{K-1}) once the last few ratios are below 1 and
-    agree closely; the linear recursion's dominant-root decay justifies the
-    geometric model. If k_max is hit first the partial result is flagged
+    Stops at the smallest K <= k_max whose tail bound is below `tol`. The
+    bound is proven: a word of length k + n avoids the pattern only if its
+    first k symbols avoid it and its last n symbols are not the pattern,
+    two independent events, so 1 - P_{k+n} <= (1 - P_k)(1 - L**-n). As
+    1 - P_k never grows, sum_{j>K} (1 - P_j) <= n L**n (1 - P_K). The stop
+    test compares exact integers; only the reported sum and bound are
+    rounded to floats. If k_max is hit first the partial result is flagged
     as unconverged.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol_num, tol_den = tol.as_integer_ratio()
+    weight = h.n * L**h.n
+    stop = weight * tol_den  # converged once q * stop < tol_num * L**K
     total = 0  # L**k * sum_{j<=k} (1 - P_j)
     power = 1  # L**k
-    ratios: deque[float] = deque(maxlen=_STABLE_RATIOS)
-    prev_q = None
-    bound = float("inf")
-    upto = 0
     for k, C_k in enumerate(_iter_counts(h, L)):
         if k:
             power *= L
-        q = _nonneg(power - C_k, k)
+        q = _nonneg(power - C_k, k)  # L**k (1 - P_k)
         total = L * total + q
-        q_float = q / power
-        if prev_q is not None and prev_q > 0.0:
-            ratios.append(q_float / prev_q)
-        prev_q = q_float
-        upto = k
-        if len(ratios) == _STABLE_RATIOS:
-            r = max(ratios)
-            if r < 1.0 and max(ratios) - min(ratios) <= _RATIO_SPREAD:
-                bound = q_float * r / (1.0 - r)
-                if bound < tol:
-                    return SeriesResult(total / power, bound, k, True)
-        if k >= k_max:
-            break
-    return SeriesResult(total / power, bound, upto, False)
+        converged = q * stop < tol_num * power
+        if converged or k >= k_max:
+            try:
+                bound = weight * q / power
+            except OverflowError:  # n L**n beyond the float range
+                bound = float("inf")
+            return SeriesResult(total / power, bound, k, converged)

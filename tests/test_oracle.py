@@ -75,6 +75,11 @@ def _reference_cases():
 ONE_WORD_PER_CLASS_N4 = ("1000", "1001", "1010", "1111")
 
 
+def stored_step(aut, state, symbol):
+    """The automaton's move as its rows store it, with state n absorbing."""
+    return aut.n if state == aut.n else aut.rows[state].get(symbol, 0)
+
+
 class TestAutomaton:
     def test_matches_naive_step_everywhere(self):
         rng = random.Random(555)
@@ -84,7 +89,7 @@ class TestAutomaton:
             aut = PatternAutomaton(word)
             for state in range(aut.n + 1):
                 for symbol in range(aut.L):
-                    assert aut.step(state, symbol) == naive_step(word, state, symbol)
+                    assert stored_step(aut, state, symbol) == naive_step(word, state, symbol)
 
     def test_structural_invariants(self):
         for text in ["11011", "10010", "0000", "10"]:
@@ -92,12 +97,12 @@ class TestAutomaton:
             aut = PatternAutomaton(word)
             n = aut.n
             for i in range(n):
-                assert aut.step(i, word.symbols[i]) == i + 1
+                assert stored_step(aut, i, word.symbols[i]) == i + 1
             for c in range(aut.L):
-                assert aut.step(n, c) == n
+                assert stored_step(aut, n, c) == n
             for i in range(n + 1):
                 for c in range(aut.L):
-                    assert aut.step(i, c) <= i + 1
+                    assert stored_step(aut, i, c) <= i + 1
 
     @staticmethod
     def _check_sparse_rows(word):
@@ -394,7 +399,7 @@ def reference_monte_carlo(pattern, config, stream=block_stream):
     """Monte Carlo with a fresh Philox and Generator per stream, stepped symbol
     by symbol through the automaton's transition function.
 
-    naive_step, not PatternAutomaton.step, moves the state (TestAutomaton
+    naive_step, not the automaton's rows, moves the state (TestAutomaton
     checks that they agree), so the reference shares no code with the
     library it checks.
     """
@@ -473,6 +478,7 @@ class TestMonteCarloStream:
         assert result.to_json_dict() == expected
         assert all(type(j) is int and type(c) is int for j, c in result.wait_counts.items())
         assert type(result.censored) is int
+        assert all(type(x) is float for x in result.p_hat + result.stderr)
         if L > 3:
             assert expected["censored"] < trials  # the drawn pattern is hit
 

@@ -6,7 +6,6 @@ import pytest
 
 from patprob import EnumerationBudgetError
 from patprob.patterns import (
-    _DECODE_CHUNK,
     BifixIndicator,
     CensusClass,
     Ordering,
@@ -392,9 +391,9 @@ class TestCensus:
                 expected = int("".join(map(str, reversed(bits))), 2)
                 assert _symbol_mask(k, L, i, c) == expected, (i, c)
 
-    def test_representatives_across_decode_chunks(self):
-        # Set bits on both sides of the chunk boundaries of a 2^16-bit part.
-        positions = [0, 5, 8 * _DECODE_CHUNK - 1, 8 * _DECODE_CHUNK, 2**16 - 1]
+    def test_representatives_of_a_wide_part(self):
+        # Set bits at both ends of a 2^16-bit part and on both sides of bit 2^15.
+        positions = [0, 5, 32767, 32768, 2**16 - 1]
         part = sum(1 << p for p in positions)
         decoded = [
             int("".join(map(str, word.symbols)), 2) for word in _lowest_words(part, 16, 2, 10)

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -384,6 +386,45 @@ class TestExpectedWait:
     def test_series_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             expected_wait_series(H1, 2, 0.0)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-9])
+    def test_series_rejects_non_finite_or_negative_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            expected_wait_series(H1, 2, tol)
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_tail_bound_holds_for_every_class(self, L):
+        # The true tail is about E (1 - P_K) > L**n (1 - P_K): a bound without
+        # its factor n fails here.
+        tol = Fraction(1e-9)
+        for n in range(2, 6):
+            for h in census(n, L):
+                for k_max in (n, 2 * n, 20, 50_000):
+                    result = expected_wait_series(h, L, 1e-9, k_max)
+                    K = result.upto
+                    assert result.converged == (k_max == 50_000) and K <= k_max, (h, k_max)
+                    C = P_table(h, L, K).C
+                    partial = 0  # L**K * sum_{k<=K} (1 - P_k), exactly
+                    for k, C_k in enumerate(C):
+                        partial = L * partial + L**k - C_k
+                    tail = expected_wait_closed(h, L) - Fraction(partial, L**K)
+                    assert math.isfinite(result.tail_bound)
+                    assert tail <= Fraction(result.tail_bound)
+                    assert (result.tail_bound < tol) == result.converged
+                    if result.converged:  # and no earlier K met the bound
+                        assert Fraction(n * L**n * (L ** (K - 1) - C[K - 1]), L ** (K - 1)) >= tol
+
+    def test_series_stops_only_below_tol(self):
+        # The bound reported at K is exact here (a dyadic rational); at a tol
+        # equal to it, the series runs one more term.
+        first = expected_wait_series(H1, 2, 1e-2)
+        again = expected_wait_series(H1, 2, first.tail_bound)
+        assert (again.upto, again.converged) == (first.upto + 1, True)
+
+    def test_tail_bound_beyond_float_range_is_infinite(self):
+        # n L**n overflows a float; the bound reads inf, as a finite one could not hold.
+        result = expected_wait_series(BifixIndicator((0,) * 1099), 2, 1e-9, k_max=3)
+        assert (result.value, result.tail_bound, result.upto, result.converged) == (4.0, math.inf, 3, False)
 
 
 def test_class_determines_table():
