@@ -332,7 +332,11 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     A trial's first occurrence ends n - 1 symbols after the first column
     where all n shifted comparisons with the pattern hold; the pattern
     automaton is not consulted, so Monte Carlo checks the automaton route
-    independently.
+    independently. The comparisons run on a copy of the block cast to the
+    narrowest unsigned type that holds L - 1 (uint8 up to L = 256, then
+    uint16, uint32, uint64), so at small L they read an eighth of the bytes.
+    The draw itself stays int64, because narrower draws give a different
+    stream for the same seed.
 
     numpy is imported here, so only callers of this function load it.
     """
@@ -346,6 +350,9 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     bits = np.random.Philox(key=config.seed, counter=0)
     draw = np.random.Generator(bits).integers
     fresh = bits.state  # empty buffer, no cached half word; counter set per block
+    # Only the search reads the narrow copy. The draw stays int64 because
+    # numpy draws a different stream when asked for uint8 or int16 symbols.
+    narrow = np.min_scalar_type(L - 1)
     trials, horizon = config.trials, config.k
     per_block = max(1, BLOCK_SYMBOLS // horizon)
     starts = horizon - n + 1  # columns where an occurrence can start
@@ -354,7 +361,7 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     for block, first in enumerate(blocks):
         fresh["state"]["counter"][2] = block  # counter block << 128
         bits.state = fresh
-        data = draw(0, L, size=(min(per_block, trials - first), horizon))
+        data = draw(0, L, size=(min(per_block, trials - first), horizon)).astype(narrow)
         hit = data[:, :starts] == pattern.symbols[0]
         for i in range(1, n):
             hit &= data[:, i : i + starts] == pattern.symbols[i]

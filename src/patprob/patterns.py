@@ -435,20 +435,25 @@ def census(
 def _lowest_words(part: int, n: int, L: int, count: int) -> tuple[Word, ...]:
     """The words of the `count` lowest set bits of `part`, in product order.
 
-    The search runs on a low slice of `part`, doubled until it holds `count`
-    bits or all of `part`, so it costs the slice rather than all L**n bits.
-    Its set bits are read lowest first, each by one pass over the slice.
+    The search skips the zero bits below the lowest word and runs on a low
+    slice of the rest, doubled until it holds `count` bits or all of it, so
+    it costs the slice rather than all L**n bits. The slice is written once
+    as binary digits, lowest bit first, and its set bits are found by
+    scanning that text forward: one pass however many words it returns.
     """
+    skip = (part & -part).bit_length() - 1  # bit of the lowest word
+    part >>= skip
     width = 64
     while (low := part & ((1 << width) - 1)) != part and low.bit_count() < count:
         width *= 2
+    text = bin(low)[:1:-1]  # text[w] is bit skip + w of the part
     words: list[Word] = []
-    while low and len(words) < count:
-        w = (low & -low).bit_length() - 1
-        low &= low - 1
-        symbols = []
+    w = text.find("1")
+    while w >= 0 and len(words) < count:
+        index, symbols = skip + w, []
         for _ in range(n):
-            w, digit = divmod(w, L)
+            index, digit = divmod(index, L)
             symbols.append(digit)
         words.append(Word(tuple(reversed(symbols)), L))
+        w = text.find("1", w + 1)
     return tuple(words)

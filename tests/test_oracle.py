@@ -445,6 +445,21 @@ def drawn_pattern(L, seed, k, trial, start, n):
 
 LONG_K = 2**14 + 3  # one trial per block
 
+# Monte Carlo searches each block in np.min_scalar_type(L - 1). At each L where
+# that type changes, (L, seed, trial, start, narrower): row `trial` of block 0
+# at k = 16 holds at column `start` a symbol that `narrower`, the type one
+# width narrower (int8 below uint8), cannot hold, so a search one width too
+# narrow misses the hit there. Seeds were found by scanning upwards from 0.
+WIDTH_EDGES = (
+    (256, 0, 0, 2, np.int8),
+    (257, 0, 3, 7, np.uint8),
+    (2**16, 0, 0, 0, np.uint8),
+    (2**16 + 1, 11, 189, 2, np.uint16),
+    (2**32, 0, 0, 0, np.uint16),
+    (2**32 + 1, 316505, 207, 3, np.uint32),  # the symbol 2**32: 1 draw in 2**32
+    (2**63, 0, 0, 0, np.uint32),
+)
+
 
 class TestMonteCarloStream:
     """monte_carlo draws exactly the reference's streams and finds the same hits."""
@@ -468,6 +483,10 @@ class TestMonteCarloStream:
             (drawn_pattern(2**33, 2**128 - 1, 2, 0, 0, 2), 2**33, 2**128 - 1, 1, 2),
             (drawn_pattern(2**33, 8, 6000, 3, 17, 2), 2**33, 8, 5, 6000),  # 2 rows a block
             (drawn_pattern(300, 1, LONG_K, 2, LONG_K - 2, 2), 300, 1, 3, LONG_K),
+            *(
+                (drawn_pattern(L, seed, 16, trial, start, 2), L, seed, trial + 1, 16)
+                for L, seed, trial, start, _ in WIDTH_EDGES
+            ),
         ],
     )
     def test_matches_reference(self, text, L, seed, trials, k):
@@ -481,6 +500,10 @@ class TestMonteCarloStream:
         assert all(type(x) is float for x in result.p_hat + result.stderr)
         if L > 3:
             assert expected["censored"] < trials  # the drawn pattern is hit
+
+    @pytest.mark.parametrize("L, seed, trial, start, narrower", WIDTH_EDGES)
+    def test_width_edge_patterns_need_their_width(self, L, seed, trial, start, narrower):
+        assert block_stream(L, seed, 16, trial)[start] > np.iinfo(narrower).max
 
     def test_long_horizon_draws_one_trial_per_counter(self):
         # From k = 2**14 on, a block is one trial, so trial t's stream is the

@@ -391,6 +391,20 @@ class TestCensus:
                 expected = int("".join(map(str, reversed(bits))), 2)
                 assert _symbol_mask(k, L, i, c) == expected, (i, c)
 
+    def test_every_word_of_a_class_in_product_order(self):
+        # The borderless class of census(10, 2) spans nearly all 1024 bits, so
+        # the decoder reads it from the widest slice and returns every set bit.
+        n = 10
+        h = BifixIndicator((0,) * (n - 1))
+        cls = census(n, 2, max_representatives=2**n)[h]
+        expected = [
+            symbols
+            for symbols in itertools.product(range(2), repeat=n)
+            if naive_indicator(Word(symbols, 2)) == h
+        ]
+        assert [word.symbols for word in cls.representatives] == expected
+        assert cls.count == len(expected) > 64
+
     def test_representatives_of_a_wide_part(self):
         # Set bits at both ends of a 2^16-bit part and on both sides of bit 2^15.
         positions = [0, 5, 32767, 32768, 2**16 - 1]
