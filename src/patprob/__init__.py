@@ -56,27 +56,30 @@ _EXPORTS = {
     "p_table_short": "recursions",
 }
 
-# The class routes as (route name, submodule, builder), each builder
+# The class routes: route name -> (submodule, builder), each builder
 # (h, L, upto) -> ProbTable. They share no code; `prob --check-all` and the
 # agreement tests run every entry. TABLE_ROUTES is built from this on first
 # use; the names are known before any route module loads.
-_ROUTES = (
-    ("long", "recursions", "p_table_long"),
-    ("short", "recursions", "p_table_short"),
-    ("P", "recursions", "P_table"),
-    ("markov", "markov", "chain_prob_table"),
-)
-ROUTE_NAMES = tuple(name for name, _, _ in _ROUTES)
+_ROUTES = {
+    "long": ("recursions", "p_table_long"),
+    "short": ("recursions", "p_table_short"),
+    "P": ("recursions", "P_table"),
+    "markov": ("markov", "chain_prob_table"),
+}
+ROUTE_NAMES = tuple(_ROUTES)
 
 __all__ = sorted([*_EXPORTS, "TABLE_ROUTES", "route_tables"])
 
 
+def _route(name: str):
+    """The builder of route `name`, importing that route's module alone."""
+    module, builder = _ROUTES[name]
+    return getattr(import_module(f".{module}", __name__), builder)
+
+
 def __getattr__(name: str):
     if name == "TABLE_ROUTES":
-        value = {
-            route: getattr(import_module(f".{module}", __name__), builder)
-            for route, module, builder in _ROUTES
-        }
+        value = {route: _route(route) for route in _ROUTES}
     elif name in _EXPORTS:
         value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
     else:

@@ -176,13 +176,9 @@ def cmd_prob(args) -> int:
 
         table = automaton_prob_table(word, upto)
     else:
-        from importlib import import_module
+        from . import _route
 
-        from . import _ROUTES
-
-        # Only the named route's module: TABLE_ROUTES would import every route.
-        module, builder = {name: (m, b) for name, m, b in _ROUTES}[args.method]
-        table = getattr(import_module(f".{module}", __package__), builder)(h, args.L, upto)
+        table = _route(args.method)(h, args.L, upto)
     if args.format == "csv":
         _write(table.to_csv(args.digits))
     elif args.format == "table":

@@ -17,9 +17,11 @@ has validated. Both bring the value into canonical form through the one
 helper `canonical`, and `decimal_string` is the one rounding rule for
 decimal strings.
 
-This module imports no other patprob module. `ProbTable` only reads `h.n`
-and `h.text()` of its indicator, and its annotations stay unevaluated
-strings, so naming `BifixIndicator` imports nothing.
+From the package this module imports only `patterns._Value`, the base
+that gives `ExactProb` its equality, hash, repr and immutability.
+`ProbTable` only reads `h.n` and `h.text()` of its indicator, and its
+annotations stay unevaluated strings, so naming `BifixIndicator` imports
+nothing more.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator
+
+from .patterns import _Value
 
 
 def canonical(num: int, den_exp: int, base: int) -> tuple[int, int]:
@@ -65,7 +69,7 @@ def decimal_string(num: int, den: int, digits: int) -> str:
     return f"{whole}.{frac:0{digits}d}"
 
 
-class ExactProb:
+class ExactProb(_Value):
     """Probability num / base**den_exp with 0 <= num <= base**den_exp, held in
     canonical form.
 
@@ -75,9 +79,8 @@ class ExactProb:
     equality (for a common base).
 
     Instances are immutable and safe to share across threads. Equality, hash
-    and repr are those of a frozen dataclass over (num, den_exp, base),
-    written out here as `patterns._Value` writes them for the other value
-    types, since this module imports no other patprob module.
+    and repr are those of a frozen dataclass over (num, den_exp, base), from
+    `patterns._Value` like every other value type.
     """
 
     __slots__ = ("num", "den_exp", "base")
@@ -110,30 +113,9 @@ class ExactProb:
         object.__setattr__(self, "base", base)
         return self
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.num, self.den_exp, self.base) == (other.num, other.den_exp, other.base)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den_exp, self.base))
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(num={self.num!r}, den_exp={self.den_exp!r}, "
-            f"base={self.base!r})"
-        )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.num, self.den_exp, self.base)
-
     def __lt__(self, other: ExactProb) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         if self.base != other.base:
             raise ValueError(f"mismatched bases: {self.base} vs {other.base}")
         # Compare the numerators over the common denominator base**e.

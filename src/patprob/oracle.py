@@ -79,9 +79,6 @@ class OccurrenceCounts(_Value):
         object.__setattr__(self, "contains", contains)
         object.__setattr__(self, "first_at", first_at)
 
-    def prob_contains(self) -> ExactProb:
-        return ExactProb(self.contains, self.k, self.pattern.alphabet_size)
-
 
 def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> OccurrenceCounts:
     """Brute-force occurrence counts over every word of length k.
@@ -250,7 +247,7 @@ def counterexample_check(alphabet_size: int = 2) -> CounterexampleReport:
         words,
         indicators,
         NON_AFFINE_HORIZON,
-        tuple(c.prob_contains() for c in counts),
+        tuple(ExactProb(c.contains, NON_AFFINE_HORIZON, alphabet_size) for c in counts),
         sums_equal,
         c1 + c4 == c2 + c3,
     )

@@ -456,6 +456,7 @@ print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
             ("lemmas --s 0,1", "markov patterns"),
             ("counterexample", "numerics oracle patterns"),
             ("prob --word 010 --method automaton", "numerics oracle patterns"),
+            ("prob --h 10 --K 6 --method markov", "markov numerics patterns"),
         ):
             proc = subprocess.run([sys.executable, "-c", loaded_by, *argv.split()],
                                   capture_output=True, text=True, env=env)

@@ -201,7 +201,7 @@ class TestCounts:
         word = w("10000")
         counts = automaton_counts(word, 12)
         table = P_table(bifix_indicator(word), 2, 12)
-        assert counts.prob_contains() == table.P[12]
+        assert ExactProb(counts.contains, 12, 2) == table.P[12]
         for j in range(1, 13):
             assert ExactProb(counts.first_at[j], 12, 2) == table.p[j]
 
@@ -286,7 +286,7 @@ class TestCounterexample:
     def test_golden_against_enumeration(self):
         report = counterexample_check()
         for word, prob in zip(report.words, report.probabilities):
-            assert enum_counts(word, 12).prob_contains() == prob
+            assert ExactProb(enum_counts(word, 12).contains, 12, 2) == prob
 
 
 class TestMonteCarlo:

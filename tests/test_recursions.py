@@ -92,7 +92,7 @@ class TestAgainstEnumeration:
         assert bifix_indicator(word) == h
         counts = enum_counts(word, 12)
         table = p_table_short(h, 2, 12)
-        assert table.P[12] == counts.prob_contains()
+        assert table.P[12] == ExactProb(counts.contains, 12, 2)
 
     def test_full_distribution_matches_brute_force(self):
         word = Word.parse("110", 2)

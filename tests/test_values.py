@@ -116,6 +116,16 @@ def test_exact_prob_orders_only_by_less_than():
             compare(half, quarter)
 
 
+@pytest.mark.parametrize("other", [0.5, 1, None])
+def test_exact_prob_orders_only_against_exact_prob(other):
+    # Either side of < or > answers NotImplemented, so Python raises TypeError.
+    half = ExactProb(1, 1, 2)
+    for compare in (lambda a, b: a < b, lambda a, b: a > b):
+        for a, b in ((half, other), (other, half)):
+            with pytest.raises(TypeError):
+                compare(a, b)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -152,8 +162,7 @@ def test_validation_messages(build, message):
 def test_only_replaced_types_are_dataclasses():
     # Building a dataclass generates and compiles its methods at import, so
     # only the types that callers pass to dataclasses.replace are dataclasses;
-    # the other value types subclass patterns._Value (ExactProb writes the
-    # same methods out itself).
+    # the other value types subclass patterns._Value.
     decorated = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -164,3 +173,18 @@ def test_only_replaced_types_are_dataclasses():
                     if name == "dataclass":
                         decorated.add(node.name)
     assert decorated == {"ProbTable", "McResult"}
+
+
+def test_only_value_base_writes_value_methods():
+    # patterns._Value holds the one copy of the value methods; no other class
+    # writes its own.
+    value_methods = {"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__", "__reduce__"}
+    writers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in value_methods:
+                        writers.add((path.stem, node.name, item.name))
+    assert {(module, cls) for module, cls, _ in writers} == {("patterns", "_Value")}
+    assert {method for _, _, method in writers} == value_methods
