@@ -152,24 +152,6 @@ class ChainComparison(_Value):
 
     __slots__ = ("s", "s_prime", "L", "upto", "k0", "relations", "violations")
 
-    def __init__(
-        self,
-        s: SWord,
-        s_prime: SWord,
-        L: int,
-        upto: int,
-        k0: int,
-        relations: tuple[str, ...],
-        violations: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "s_prime", s_prime)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "upto", upto)
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "violations", violations)
-
     @property
     def conforms(self) -> bool:
         return not self.violations
@@ -225,20 +207,6 @@ class LemmaReport(_Value):
         "zero_pattern_violations",
         "monotone_i_violations",
     )
-
-    def __init__(
-        self,
-        spec: ChainSpec,
-        upto: int,
-        monotone_k_violations: tuple[tuple[int, int], ...],
-        zero_pattern_violations: tuple[tuple[int, int], ...],
-        monotone_i_violations: tuple[tuple[int, int], ...],
-    ) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "upto", upto)
-        object.__setattr__(self, "monotone_k_violations", monotone_k_violations)
-        object.__setattr__(self, "zero_pattern_violations", zero_pattern_violations)
-        object.__setattr__(self, "monotone_i_violations", monotone_i_violations)
 
     @property
     def passed(self) -> bool:

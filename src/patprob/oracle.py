@@ -73,12 +73,6 @@ class OccurrenceCounts(_Value):
 
     __slots__ = ("pattern", "k", "contains", "first_at")
 
-    def __init__(self, pattern: Word, k: int, contains: int, first_at: tuple[int, ...]) -> None:
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "contains", contains)
-        object.__setattr__(self, "first_at", first_at)
-
 
 def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> OccurrenceCounts:
     """Brute-force occurrence counts over every word of length k.
@@ -200,22 +194,6 @@ class CounterexampleReport(_Value):
         "indicator_sums_equal",
         "probability_sums_equal",
     )
-
-    def __init__(
-        self,
-        words: tuple[Word, ...],
-        indicators: tuple[BifixIndicator, ...],
-        horizon: int,
-        probabilities: tuple[ExactProb, ...],
-        indicator_sums_equal: bool,
-        probability_sums_equal: bool,
-    ) -> None:
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "indicators", indicators)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "probabilities", probabilities)
-        object.__setattr__(self, "indicator_sums_equal", indicator_sums_equal)
-        object.__setattr__(self, "probability_sums_equal", probability_sums_equal)
 
     @property
     def ok(self) -> bool:

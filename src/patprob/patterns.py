@@ -40,13 +40,17 @@ def _ascii_ints(parts: Iterable[str], what: str) -> tuple[int, ...]:
 class _Value:
     """Base of the immutable value types: a fixed tuple of fields in `__slots__`.
 
-    Equality, hash and repr are those of a frozen dataclass over the field
-    tuple: instances of one class are equal when their fields are, and
+    The constructor, equality, hash and repr are those of a frozen dataclass
+    over the field tuple: fields are given by position or keyword in slot
+    order, instances of one class are equal when their fields are, and
     assigning or deleting an attribute raises AttributeError. A subclass
-    lists its fields in `__slots__` and stores them in `__init__` with
-    `object.__setattr__`, after its checks. Building a dataclass generates
-    and compiles its methods at import, which costs more than the rest of
-    the module; these are written once.
+    lists its fields in `__slots__`. A type that checks its input writes its
+    own `__init__`, which stores the fields with `object.__setattr__` after
+    its checks: binding through this `__init__` took `Word` from about 0.9
+    to 2.4 us and cost 4 % of the benchmark's `class_sweep` ops/s (Python
+    3.11, 2-core x86). Building a dataclass generates and compiles its
+    methods at import, which costs more than the rest of the module; these
+    are written once.
     """
 
     __slots__ = ()
@@ -55,6 +59,20 @@ class _Value:
         # attrgetter reads the fields in C; given one name it returns the bare value.
         cls._get_fields = staticmethod(attrgetter(*cls.__slots__))
         cls._one_field = len(cls.__slots__) == 1
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names, where = self.__slots__, f"{type(self).__qualname__}()"
+        if len(args) > len(names):
+            raise TypeError(f"{where} takes {len(names)} fields but {len(args)} were given")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{where} missing field {name!r}")
+            object.__setattr__(self, name, kwargs.pop(name))
+        for name in kwargs:
+            problem = "multiple values for" if name in names else "an unexpected"
+            raise TypeError(f"{where} got {problem} field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -335,13 +353,6 @@ class CensusClass(_Value):
 
     __slots__ = ("indicator", "count", "representatives")
 
-    def __init__(
-        self, indicator: BifixIndicator, count: int, representatives: tuple[Word, ...]
-    ) -> None:
-        object.__setattr__(self, "indicator", indicator)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "representatives", representatives)
-
 
 def _symbol_mask(k: int, L: int, i: int, c: int) -> int:
     """Mask of the length-k words whose symbol i is c, words in product order.
@@ -386,7 +397,8 @@ def census(
     budget still bounds L**n, since every mask has L**n bits: at n = 24,
     L = 2 each is 2 MiB. At most about 3n masks are live, whatever L: one
     symbol mask per position, the n - 1 border masks and one pending part
-    per border length.
+    per border length. It also bounds the representatives' symbols, at most
+    min(max_representatives, L**n) * n, each an int in a tuple.
     """
     if n < 2:
         raise ValueError(f"census needs pattern length >= 2, got {n}")
@@ -396,6 +408,11 @@ def census(
         raise ValueError(f"max_representatives must be >= 0, got {max_representatives}")
     check_enum_budget(alphabet_size, n, budget, f"census(n={n}, L={alphabet_size})")
     L = alphabet_size
+    if (symbols := min(max_representatives, L**n) * n) > budget:
+        raise EnumerationBudgetError(
+            f"census(n={n}, L={L}) with max_representatives={max_representatives} would keep "
+            f"{symbols} symbols, exceeding the budget of {budget}"
+        )
     every_word = (1 << L**n) - 1
     # S(pos, c) is S(pos, 0) shifted by c runs, so one mask per position
     # stands for all L of them and a comparison holds O(1) masks.

@@ -135,12 +135,6 @@ class SeriesResult(_Value):
 
     __slots__ = ("value", "tail_bound", "upto", "converged")
 
-    def __init__(self, value: float, tail_bound: float, upto: int, converged: bool) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "tail_bound", tail_bound)
-        object.__setattr__(self, "upto", upto)
-        object.__setattr__(self, "converged", converged)
-
 
 def expected_wait_series(
     h: BifixIndicator, L: int, tol: float, k_max: int = 50_000

@@ -550,6 +550,7 @@ class TestErrorBoundary:
             "simulate --word 1",
             "census --n 1",
             "census --n 3 --max-reps -1",
+            "census --n 20 --max-reps 1048576",
             "lemmas --s 0,1 --L 1",
             "compare --h 0 --h2 1 --L 1",
             "counterexample --L 1",

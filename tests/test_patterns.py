@@ -326,6 +326,28 @@ class TestCensus:
         with pytest.raises(EnumerationBudgetError, match="budget of 100"):
             census(12, 2, budget=100)
 
+    def test_representative_symbols_are_budgeted(self):
+        # 2^20 representatives of 20 symbols each peaked at 263 MiB; the bound
+        # refuses them before any mask is built.
+        message = (
+            "census(n=20, L=2) with max_representatives=1048576 would keep 20971520 symbols, "
+            "exceeding the budget of 16777216"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBudgetError) as exc:
+                census(20, 2, max_representatives=2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == message
+        assert peak < 2**20
+        # The cap counts only words that exist: at most L**n of them, here 64 * 6.
+        assert sum(len(c.representatives) for c in census(6, 2, 384, 10**9).values()) == 64
+        with pytest.raises(EnumerationBudgetError, match="max_representatives=64 would keep 384"):
+            census(6, 2, 383, 64)
+        assert len(census(6, 2, 383, 63)) == len(census(6, 2))
+
     def test_negative_representative_cap_rejected(self):
         with pytest.raises(ValueError, match="max_representatives must be >= 0, got -1"):
             census(3, 2, max_representatives=-1)

@@ -71,6 +71,10 @@ CASES = [
      "McConfig(trials=100, k=10, seed=7)"),
 ]
 IDS = [case[0].__name__ for case in CASES]
+# The types whose fields need no check, so patterns._Value.__init__ stores them.
+FIELD_ONLY = {CensusClass, SeriesResult, ChainComparison, LemmaReport, OccurrenceCounts,
+              CounterexampleReport}
+UNCHECKED = [case for case in CASES if case[0] in FIELD_ONLY]
 
 
 @pytest.mark.parametrize("cls, names, args, other, text", CASES, ids=IDS)
@@ -99,6 +103,29 @@ def test_values_are_immutable(cls, names, args, other, text):
     # The escape hatch for code that must patch a value still works.
     object.__setattr__(value, names[-1], other[-1])
     assert getattr(value, names[-1]) == other[-1]
+
+
+@pytest.mark.parametrize("cls, names, args, other, text", UNCHECKED,
+                         ids=[case[0].__name__ for case in UNCHECKED])
+def test_value_base_binds_fields(cls, names, args, other, text):
+    value = cls(*args)
+    by_keyword = dict(zip(names, args))
+    assert cls(**dict(reversed(by_keyword.items()))) == value
+    assert cls(*args[:1], **dict(list(by_keyword.items())[1:])) == value
+    first, last = names[0], names[-1]
+    name = cls.__qualname__
+    for build, message in [
+        (lambda: cls(*args[:-1]), f"{name}() missing field {last!r}"),
+        (lambda: cls(**dict(list(by_keyword.items())[1:])), f"{name}() missing field {first!r}"),
+        (lambda: cls(*args, None),
+         f"{name}() takes {len(names)} fields but {len(names) + 1} were given"),
+        (lambda: cls(*args[:-1], **{first: args[0], last: args[-1]}),
+         f"{name}() got multiple values for field {first!r}"),
+        (lambda: cls(*args, no_such_field=1), f"{name}() got an unexpected field 'no_such_field'"),
+    ]:
+        with pytest.raises(TypeError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_distinct_types_with_equal_fields_differ():
@@ -188,3 +215,21 @@ def test_only_value_base_writes_value_methods():
                         writers.add((path.stem, node.name, item.name))
     assert {(module, cls) for module, cls, _ in writers} == {("patterns", "_Value")}
     assert {method for _, _, method in writers} == value_methods
+
+
+def test_only_checked_types_write_a_constructor():
+    # A constructor that only stores its fields is patterns._Value's job: every
+    # __init__ of a value type checks its input and can raise.
+    inits = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "_Value" for base in node.bases
+            ):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                        inits[node.name] = item
+    assert [name for name, init in inits.items()
+            if not any(isinstance(node, ast.Raise) for node in ast.walk(init))] == []
+    assert set(inits) == {"Word", "BifixIndicator", "SWord", "ExactProb", "ChainSpec",
+                          "ReachTable", "McConfig"}
