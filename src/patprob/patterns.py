@@ -61,18 +61,18 @@ class _Value:
         cls._one_field = len(cls.__slots__) == 1
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        names, where = self.__slots__, f"{type(self).__qualname__}()"
+        names = self.__slots__
         if len(args) > len(names):
-            raise TypeError(f"{where} takes {len(names)} fields but {len(args)} were given")
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} fields, got {len(args)}")
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
         for name in names[len(args):]:
             if name not in kwargs:
-                raise TypeError(f"{where} missing field {name!r}")
+                raise TypeError(f"{type(self).__qualname__}() missing field {name!r}")
             object.__setattr__(self, name, kwargs.pop(name))
         for name in kwargs:
             problem = "multiple values for" if name in names else "an unexpected"
-            raise TypeError(f"{where} got {problem} field {name!r}")
+            raise TypeError(f"{type(self).__qualname__}() got {problem} field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -397,8 +397,9 @@ def census(
     budget still bounds L**n, since every mask has L**n bits: at n = 24,
     L = 2 each is 2 MiB. At most about 3n masks are live, whatever L: one
     symbol mask per position, the n - 1 border masks and one pending part
-    per border length. It also bounds the representatives' symbols, at most
-    min(max_representatives, L**n) * n, each an int in a tuple.
+    per border length. The budget also bounds the representatives' symbols,
+    n per word: their running sum before a class's words are built, and
+    min(max_representatives, L**n) * n, a lower bound, before any mask.
     """
     if n < 2:
         raise ValueError(f"census needs pattern length >= 2, got {n}")
@@ -408,11 +409,12 @@ def census(
         raise ValueError(f"max_representatives must be >= 0, got {max_representatives}")
     check_enum_budget(alphabet_size, n, budget, f"census(n={n}, L={alphabet_size})")
     L = alphabet_size
-    if (symbols := min(max_representatives, L**n) * n) > budget:
-        raise EnumerationBudgetError(
-            f"census(n={n}, L={L}) with max_representatives={max_representatives} would keep "
-            f"{symbols} symbols, exceeding the budget of {budget}"
-        )
+    over_budget = (
+        f"census(n={n}, L={L}) with max_representatives={max_representatives} exceeds the "
+        f"budget of {budget} symbols, keeping at least "
+    )
+    if (kept := min(max_representatives, L**n) * n) > budget:
+        raise EnumerationBudgetError(f"{over_budget}{kept}")
     every_word = (1 << L**n) - 1
     # S(pos, c) is S(pos, 0) shifted by c runs, so one mask per position
     # stands for all L of them and a comparison holds O(1) masks.
@@ -433,12 +435,15 @@ def census(
     # Depth first on an explicit stack, so that a part is freed once split
     # and only one pending sibling per border length stays live.
     stack: list[tuple[int, tuple[int, ...]]] = [(every_word, ())]
+    kept = 0
     while stack:
         part, bits = stack.pop()  # bits is h_i..h_{n-1}
         if len(bits) == n - 1:
+            size = part.bit_count()
+            if (kept := kept + min(max_representatives, size) * n) > budget:
+                raise EnumerationBudgetError(f"{over_budget}{kept}")
             h = BifixIndicator(bits)
-            reps = _lowest_words(part, n, L, max_representatives)
-            classes[h] = CensusClass(h, part.bit_count(), reps)
+            classes[h] = CensusClass(h, size, _lowest_words(part, n, L, max_representatives))
             continue
         inside = part & borders[n - 2 - len(bits)]
         part ^= inside

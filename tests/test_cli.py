@@ -246,6 +246,13 @@ class TestCensus:
         code, _, err = run(capsys, "census", "--n", "4", "--L", "2")
         assert code == 2
         assert "budget of 10" in err
+        # Each n = 6 class has at most 22 words, so a cap of 22 keeps all 64.
+        monkeypatch.setenv("PATPROB_ENUM_BUDGET", "383")
+        assert run(capsys, "census", "--n", "6", "--max-reps", "22") == (2, "", (
+            "error: census(n=6, L=2) with max_representatives=22 exceeds the budget of "
+            "383 symbols, keeping at least 384\n"
+        ))
+        assert run(capsys, "census", "--n", "6", "--max-reps", "21")[0] == 0
 
     def test_bad_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PATPROB_ENUM_BUDGET", "lots")

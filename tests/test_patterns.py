@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from patprob import EnumerationBudgetError
+from patprob import EnumerationBudgetError, patterns
 from patprob.patterns import (
     BifixIndicator,
     CensusClass,
@@ -327,11 +327,11 @@ class TestCensus:
             census(12, 2, budget=100)
 
     def test_representative_symbols_are_budgeted(self):
-        # 2^20 representatives of 20 symbols each peaked at 263 MiB; the bound
-        # refuses them before any mask is built.
+        # 2^20 representatives of 20 symbols each peaked at 263 MiB; the lower
+        # bound min(max_representatives, L**n) * n refuses them before any mask.
         message = (
-            "census(n=20, L=2) with max_representatives=1048576 would keep 20971520 symbols, "
-            "exceeding the budget of 16777216"
+            "census(n=20, L=2) with max_representatives=1048576 exceeds the budget of "
+            "16777216 symbols, keeping at least 20971520"
         )
         tracemalloc.start()
         try:
@@ -344,9 +344,34 @@ class TestCensus:
         assert peak < 2**20
         # The cap counts only words that exist: at most L**n of them, here 64 * 6.
         assert sum(len(c.representatives) for c in census(6, 2, 384, 10**9).values()) == 64
-        with pytest.raises(EnumerationBudgetError, match="max_representatives=64 would keep 384"):
-            census(6, 2, 383, 64)
-        assert len(census(6, 2, 383, 63)) == len(census(6, 2))
+        # The cap is per class: at n = 6 the classes hold 2, 2, 2, 4, 6, 6, 20
+        # and 22 words, so a cap of 22, 63 or 64 keeps all 64 words, 384
+        # symbols, and a cap of 21 keeps 63 words, 378 symbols.
+        assert sorted(c.count for c in census(6, 2).values()) == [2, 2, 2, 4, 6, 6, 20, 22]
+        for cap in (22, 63, 64):
+            with pytest.raises(EnumerationBudgetError, match=f"={cap} .* at least 384$"):
+                census(6, 2, 383, cap)
+        with pytest.raises(EnumerationBudgetError, match="=21 .* at least 378$"):
+            census(6, 2, 377, 21)
+        kept = census(6, 2, 378, 21)
+        assert kept == census(6, 2, max_representatives=21)
+        assert sum(len(c.representatives) for c in kept.values()) == 63
+
+    def test_refused_representatives_are_never_built(self, monkeypatch):
+        # The running sum is checked before a class's words are built, so a
+        # refused census has built words of at most `budget` symbols.
+        built = []
+
+        def lowest_words(*args):
+            words = real(*args)
+            built.extend(words)
+            return words
+
+        real = patterns._lowest_words
+        monkeypatch.setattr(patterns, "_lowest_words", lowest_words)
+        with pytest.raises(EnumerationBudgetError):
+            census(12, 2, 4096 * 12 - 1, 4095)
+        assert built and sum(len(w.symbols) for w in built) <= 4096 * 12 - 1
 
     def test_negative_representative_cap_rejected(self):
         with pytest.raises(ValueError, match="max_representatives must be >= 0, got -1"):

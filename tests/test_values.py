@@ -117,8 +117,7 @@ def test_value_base_binds_fields(cls, names, args, other, text):
     for build, message in [
         (lambda: cls(*args[:-1]), f"{name}() missing field {last!r}"),
         (lambda: cls(**dict(list(by_keyword.items())[1:])), f"{name}() missing field {first!r}"),
-        (lambda: cls(*args, None),
-         f"{name}() takes {len(names)} fields but {len(names) + 1} were given"),
+        (lambda: cls(*args, None), f"{name}() takes {len(names)} fields, got {len(names) + 1}"),
         (lambda: cls(*args[:-1], **{first: args[0], last: args[-1]}),
          f"{name}() got multiple values for field {first!r}"),
         (lambda: cls(*args, no_such_field=1), f"{name}() got an unexpected field 'no_such_field'"),
