@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from operator import itemgetter, mul
 from typing import Iterator
@@ -290,6 +291,40 @@ class McResult:
         }
 
 
+def _raw_symbols(bits, L: int, count: int):
+    """`count` symbols uniform on 0 .. L-1, for 2 <= L <= 2**32, from the raw
+    words of the Philox bit generator `bits`: a uint64 array holding the
+    values numpy's `Generator(bits).integers(0, L, size=count)` draws.
+
+    That draw is Lemire's multiply-shift on 32-bit half words (Lemire, "Fast
+    random integer generation in an interval", ACM TOMACS 29(1), 2019). Each
+    raw word gives its low half, then its high half. A half word w gives the
+    symbol (w*L) >> 32, unless (w*L) mod 2**32 < t = (2**32 - L) mod L: then w
+    is dropped, which leaves each symbol exactly uniform. Exactly t of the
+    2**32 values of w are dropped, so each read takes enough words to expect
+    the missing symbols, ceil(missing * 2**31 / (2**32 - t)), which is
+    ceil(count / 2) when t = 0. Reads continue the stream until `count`
+    symbols are kept, and the symbols are cut to `count`.
+    """
+    import numpy as np
+
+    threshold = (2**32 - L) % L
+    parts, kept = [], 0
+    while kept < count:
+        words = -(-(count - kept) * 2**31 // (2**32 - threshold))
+        half = bits.random_raw(words).astype("<u8", copy=False).view("<u4")
+        product = np.multiply(half, np.uint64(L), dtype=np.uint64)
+        if threshold:
+            dropped = product.astype(np.uint32) < threshold  # the cast keeps the low 32 bits
+            if dropped.any():
+                product = product[~dropped]
+        product >>= np.uint64(32)
+        parts.append(product)
+        kept += len(product)
+    symbols = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return symbols[:count]
+
+
 def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     """Simulate seeded uniform streams and record first-occurrence times.
 
@@ -310,8 +345,15 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     independently. The comparisons run on a copy of the block cast to the
     narrowest unsigned type that holds L - 1 (uint8 up to L = 256, then
     uint16, uint32, uint64), so at small L they read an eighth of the bytes.
-    The draw itself stays int64, because narrower draws give a different
-    stream for the same seed.
+
+    The symbols are those of numpy's int64 `Generator.integers(0, L)` on the
+    block's fresh Philox. Up to L = 2**32 they are computed from the raw
+    Philox words by `_raw_symbols`, the multiply-shift numpy itself uses
+    there, and no Generator is built; above 2**32 numpy draws whole 64-bit
+    words with a 128-bit product, which numpy has no dtype for, so
+    `integers` draws the block. The stream tests in tests/test_oracle.py
+    (`TestMonteCarloStream`) pin both paths to a fresh Generator per block,
+    and tests/test_cli.py pins the SHA-256 of one `simulate` output.
 
     numpy is imported here, so only callers of this function load it.
     """
@@ -323,10 +365,11 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     import numpy as np
 
     bits = np.random.Philox(key=config.seed, counter=0)
-    draw = np.random.Generator(bits).integers
     fresh = bits.state  # empty buffer, no cached half word; counter set per block
-    # Only the search reads the narrow copy. The draw stays int64 because
-    # numpy draws a different stream when asked for uint8 or int16 symbols.
+    if L <= 2**32:  # numpy's own boundary between 32-bit and 64-bit draws
+        draw = partial(_raw_symbols, bits, L)
+    else:
+        draw = partial(np.random.Generator(bits).integers, 0, L)
     narrow = np.min_scalar_type(L - 1)
     trials, horizon = config.trials, config.k
     per_block = max(1, BLOCK_SYMBOLS // horizon)
@@ -336,7 +379,8 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     for block, first in enumerate(blocks):
         fresh["state"]["counter"][2] = block  # counter block << 128
         bits.state = fresh
-        data = draw(0, L, size=(min(per_block, trials - first), horizon)).astype(narrow)
+        rows = min(per_block, trials - first)
+        data = draw(rows * horizon).reshape(rows, horizon).astype(narrow)
         hit = data[:, :starts] == pattern.symbols[0]
         for i in range(1, n):
             hit &= data[:, i : i + starts] == pattern.symbols[i]

@@ -44,18 +44,23 @@ class _Value:
     over the field tuple: fields are given by position or keyword in slot
     order, instances of one class are equal when their fields are, and
     assigning or deleting an attribute raises AttributeError. A subclass
-    lists its fields in `__slots__`. A type that checks its input writes its
-    own `__init__`, which stores the fields with `object.__setattr__` after
-    its checks: binding through this `__init__` took `Word` from about 0.9
-    to 2.4 us and cost 4 % of the benchmark's `class_sweep` ops/s (Python
-    3.11, 2-core x86). Building a dataclass generates and compiles its
-    methods at import, which costs more than the rest of the module; these
-    are written once.
+    lists its fields in `__slots__`; subclassing a value type raises
+    TypeError. A type that checks its input writes its own `__init__`, which
+    stores the fields with `object.__setattr__` after its checks: binding
+    through this `__init__` took `Word` from about 0.9 to 2.4 us and cost
+    4 % of the benchmark's `class_sweep` ops/s (Python 3.11, 2-core x86).
+    Building a dataclass generates and compiles its methods at import, which
+    costs more than the rest of the module; these are written once.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        # The fields are the class's own __slots__, so a subclass of a value
+        # type would drop its base's fields from equality, hash and repr.
+        for base in cls.__mro__[1:]:
+            if "_get_fields" in vars(base):
+                raise TypeError(f"{cls.__qualname__} cannot subclass value type {base.__qualname__}")
         # attrgetter reads the fields in C; given one name it returns the bare value.
         cls._get_fields = staticmethod(attrgetter(*cls.__slots__))
         cls._one_field = len(cls.__slots__) == 1

@@ -483,6 +483,11 @@ class TestMonteCarloStream:
             (drawn_pattern(2**33, 2**128 - 1, 2, 0, 0, 2), 2**33, 2**128 - 1, 1, 2),
             (drawn_pattern(2**33, 8, 6000, 3, 17, 2), 2**33, 8, 5, 6000),  # 2 rows a block
             (drawn_pattern(300, 1, LONG_K, 2, LONG_K - 2, 2), 300, 1, 3, LONG_K),
+            # Half words dropped by the multiply-shift: about 1 in 4, then about 1 in 2.
+            (drawn_pattern(3 * 2**30, 0, 20, 5, 3, 2), 3 * 2**30, 0, 40, 20),
+            (drawn_pattern(3 * 2**30, 6, 5461, 3, 5000, 3), 3 * 2**30, 6, 4, 5461),  # 16383 draws
+            (drawn_pattern(2**31 + 1, 0, 20, 7, 10, 2), 2**31 + 1, 0, 40, 20),
+            (drawn_pattern(2**31 + 1, 2, LONG_K, 1, LONG_K - 2, 2), 2**31 + 1, 2, 2, LONG_K),
             *(
                 (drawn_pattern(L, seed, 16, trial, start, 2), L, seed, trial + 1, 16)
                 for L, seed, trial, start, _ in WIDTH_EDGES
@@ -504,6 +509,45 @@ class TestMonteCarloStream:
     @pytest.mark.parametrize("L, seed, trial, start, narrower", WIDTH_EDGES)
     def test_width_edge_patterns_need_their_width(self, L, seed, trial, start, narrower):
         assert block_stream(L, seed, 16, trial)[start] > np.iinfo(narrower).max
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 2**14 - 1, 2**14, 2**16 + 3])
+    @pytest.mark.parametrize("L", [2, 3, 256, 257, 10**7, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32])
+    def test_raw_symbols_are_numpy_draws(self, L, count):
+        seed, counter = L + count, count << 128
+        bits = np.random.Philox(key=seed, counter=counter)
+        expected = np.random.Generator(bits).integers(0, L, size=count)
+        symbols = oracle._raw_symbols(np.random.Philox(key=seed, counter=counter), L, count)
+        assert symbols.tolist() == expected.tolist()
+
+    # At these L, half word `half` of Philox(key=0, counter=0) leaves exactly the
+    # drop threshold (kept) or one less (dropped), so a threshold or comparison
+    # off by one changes the symbols. Found by scanning every L up to 2**32.
+    @pytest.mark.parametrize(
+        "L, half, dropped", [(3 * 2**30, 3, False), (4165572755, 1, True), (3962518667, 6, True)]
+    )
+    def test_raw_symbols_at_the_drop_threshold(self, L, half, dropped):
+        words = np.random.Philox(key=0, counter=0).random_raw(4).astype("<u8").view("<u4")
+        assert int(words[half]) * L % 2**32 == (2**32 - L) % L - dropped
+        expected = np.random.Generator(np.random.Philox(key=0, counter=0)).integers(0, L, size=8)
+        symbols = oracle._raw_symbols(np.random.Philox(key=0, counter=0), L, 8)
+        assert symbols.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("L, builds", [(2, False), (2**32, False), (2**32 + 1, True)])
+    def test_generator_is_built_above_two_to_the_32_only(self, monkeypatch, L, builds):
+        # The raw-word path must not fall back to Generator.integers quietly.
+        pattern = Word((L - 1, 0), L)
+        config = McConfig(trials=30, k=20, seed=3)
+        expected = reference_monte_carlo(pattern, config)
+
+        def refuse(bits):
+            raise AssertionError("Generator built")
+
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        if builds:
+            with pytest.raises(AssertionError, match="Generator built"):
+                monte_carlo(pattern, config)
+        else:
+            assert monte_carlo(pattern, config).to_json_dict() == expected
 
     def test_long_horizon_draws_one_trial_per_counter(self):
         # From k = 2**14 on, a block is one trial, so trial t's stream is the

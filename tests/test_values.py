@@ -132,6 +132,15 @@ def test_distinct_types_with_equal_fields_differ():
     assert ExactProb(1, 1, 2) != (1, 1, 2)
 
 
+@pytest.mark.parametrize("name, slots", [("Named", ()), ("Tagged", ("tag",))])
+def test_value_types_cannot_be_subclassed(name, slots):
+    # A value type's fields are its own __slots__: with none, Named failed in
+    # attrgetter at class creation; Tagged compared and printed only its tag.
+    with pytest.raises(TypeError) as exc:
+        type(name, (Word,), {"__slots__": slots})
+    assert str(exc.value) == f"{name} cannot subclass value type Word"
+
+
 def test_exact_prob_orders_only_by_less_than():
     half, quarter = ExactProb(1, 1, 2), ExactProb(1, 2, 2)
     assert quarter < half and half > quarter
