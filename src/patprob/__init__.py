@@ -56,35 +56,27 @@ _EXPORTS = {
     "p_table_short": "recursions",
 }
 
-# The class routes: route name -> (submodule, builder), each builder
-# (h, L, upto) -> ProbTable. They share no code; `prob --check-all` and the
-# agreement tests run every entry. TABLE_ROUTES is built from this on first
-# use; the names are known before any route module loads.
-_ROUTES = {
-    "long": ("recursions", "p_table_long"),
-    "short": ("recursions", "p_table_short"),
-    "P": ("recursions", "P_table"),
-    "markov": ("markov", "chain_prob_table"),
-}
+# The class routes: route name -> builder, each (h, L, upto) -> ProbTable and
+# defined in the submodule `_EXPORTS` names. They share no code; `prob
+# --check-all` and the agreement tests run every entry, resolved through
+# `_route` at each call, so a builder rebound on its module is the one run.
+_ROUTES = {"long": "p_table_long", "short": "p_table_short", "P": "P_table", "markov": "chain_prob_table"}
 ROUTE_NAMES = tuple(_ROUTES)
 
-__all__ = sorted([*_EXPORTS, "TABLE_ROUTES", "route_tables"])
+__all__ = sorted([*_EXPORTS, "ROUTE_NAMES", "route_tables"])
 
 
 def _route(name: str):
     """The builder of route `name`, importing that route's module alone."""
-    module, builder = _ROUTES[name]
-    return getattr(import_module(f".{module}", __name__), builder)
+    builder = _ROUTES[name]
+    return getattr(import_module(f".{_EXPORTS[builder]}", __name__), builder)
 
 
 def __getattr__(name: str):
-    if name == "TABLE_ROUTES":
-        value = {route: _route(route) for route in _ROUTES}
-    elif name in _EXPORTS:
-        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
-    else:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value  # later lookups, and changes to the dict, find this one
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups find this one
     return value
 
 
@@ -102,8 +94,7 @@ def route_tables(
     The automaton route runs only when `word` is given, since it needs the
     concrete pattern and not just its class.
     """
-    routes = globals().get("TABLE_ROUTES") or __getattr__("TABLE_ROUTES")
-    tables = {name: build(h, L, upto) for name, build in routes.items()}
+    tables = {name: _route(name)(h, L, upto) for name in ROUTE_NAMES}
     if word is not None:
         from .oracle import automaton_prob_table
 

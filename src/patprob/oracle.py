@@ -4,9 +4,9 @@ and a seeded Monte Carlo stream simulator.
 The enumeration oracle compares every window of every word with the
 pattern, all words at once: bit w of an L**k-bit integer stands for word
 number w in `itertools.product` order, so the words where symbol i equals
-c form one mask (`patterns._symbol_mask`, which the census shares), and a
-bitwise AND of n such masks marks every word whose window ending at j
-holds the pattern. The Monte Carlo simulator searches the drawn symbols
+c form one mask, S(i, 0) (`patterns._symbol_mask`, which the census
+shares) shifted up by c runs, and a bitwise AND of n such masks marks
+every word whose window ending at j holds the pattern. The Monte Carlo simulator searches the drawn symbols
 for the pattern. Neither consults the automaton, so the routes stay
 independent.
 """
@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterator
 
 from .numerics import ExactProb, ProbTable
@@ -99,7 +99,7 @@ def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> Occ
     found = 0
     window: deque[int] = deque()  # S(p, 0) for p = j-n .. j-1
     for j in range(1, k + 1):
-        window.append(_symbol_mask(k, L, j - 1, 0))
+        window.append(_symbol_mask(k, L, j - 1))
         if j < n:
             continue
         # The oldest mask is popped at its last use.
@@ -119,34 +119,29 @@ def _absorbed_counts(pattern: Word) -> Iterator[int]:
     Dynamic programming over automaton states: tracks how many length-j
     words sit in each state. A step moves every count along the edge
     i -> i+1 at once, as the slice `state_counts[:n]` shifted up by one
-    state; adds to each target of a stored back-edge the counts of its
-    sources, gathered with one itemgetter per target; sends the
-    L - len(rows[i]) other symbols of each state i to state 0, one weighted
-    sum; and keeps all L symbols of the absorbing state. The gathers are
-    built once from `PatternAutomaton.rows`, and a string-matching
-    automaton has at most n back-edges, so a step costs O(n) for any
-    alphabet size.
+    state; scatters the count of each stored back-edge's source onto its
+    target; sends the L - len(rows[i]) other symbols of each state i to
+    state 0, one weighted sum; and keeps all L symbols of the absorbing
+    state. The back-edges are listed once from `PatternAutomaton.rows`, and
+    a string-matching automaton has at most n of them, so a step costs O(n)
+    for any alphabet size.
     """
     aut = PatternAutomaton(pattern)
     L, n = aut.L, aut.n
-    sources: dict[int, list[int]] = {}  # back-edge target -> its source states
-    for i, row in enumerate(aut.rows):
-        for target in row.values():
-            if target != i + 1:
-                sources.setdefault(target, []).append(i)
-    gathers = []
-    for target, (first, *rest) in sources.items():
-        # Given one index, itemgetter returns a bare value; a slice keeps a list.
-        gather = itemgetter(first, *rest) if rest else itemgetter(slice(first, first + 1))
-        gathers.append((target, gather))
+    back_edges = [  # (source, target) of every stored edge other than i -> i+1
+        (i, target)
+        for i, row in enumerate(aut.rows)
+        for target in row.values()
+        if target != i + 1
+    ]
     to_start = [L - len(row) for row in aut.rows]  # symbols of each state i < n that lead to 0
     state_counts = [1] + [0] * n
     while True:
         yield state_counts[n]
         nxt = [sum(map(mul, to_start, state_counts)), *state_counts[:n]]
         nxt[n] += L * state_counts[n]
-        for target, gather in gathers:
-            nxt[target] += sum(gather(state_counts))
+        for source, target in back_edges:
+            nxt[target] += state_counts[source]
         state_counts = nxt
 
 

@@ -359,19 +359,19 @@ class CensusClass(_Value):
     __slots__ = ("indicator", "count", "representatives")
 
 
-def _symbol_mask(k: int, L: int, i: int, c: int) -> int:
-    """Mask of the length-k words whose symbol i is c, words in product order.
+def _symbol_mask(k: int, L: int, i: int) -> int:
+    """S(i, 0): mask of the length-k words whose symbol i is 0, in product order.
 
     Bit w of an L**k-bit integer stands for word number w in
     `itertools.product` order. Word number w has symbol
-    i = (w // L**(k-1-i)) % L, so the mask is a run of L**(k-1-i) ones at
-    offset c * L**(k-1-i), repeated with period L**(k-i). The period is
-    doubled while the copy fits in L**k bits, and the last copy keeps only
-    the bits that still fit, so no all-words mask is needed to trim it.
+    i = (w // L**(k-1-i)) % L, so the mask is a run of L**(k-1-i) ones,
+    repeated with period L**(k-i); shifted up by c runs, it is S(i, c). The
+    period is doubled while the copy fits in L**k bits, and the last copy
+    keeps only the bits that still fit, so no all-words mask trims it.
     """
     total = L**k
     run = L ** (k - 1 - i)
-    mask, width = ((1 << run) - 1) << (c * run), L * run
+    mask, width = (1 << run) - 1, L * run
     while 2 * width <= total:
         mask |= mask << width
         width *= 2
@@ -423,7 +423,7 @@ def census(
     every_word = (1 << L**n) - 1
     # S(pos, c) is S(pos, 0) shifted by c runs, so one mask per position
     # stands for all L of them and a comparison holds O(1) masks.
-    first_symbol = [_symbol_mask(n, L, pos, 0) for pos in range(n)]
+    first_symbol = [_symbol_mask(n, L, pos) for pos in range(n)]
     borders = []
     for i in range(1, n):
         border = every_word

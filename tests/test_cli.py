@@ -143,21 +143,29 @@ class TestProb:
         assert "automaton" not in env["params"]["methods"]
 
     def test_check_all_disagreement_exits_1(self, capsys, monkeypatch):
-        import patprob
+        # Both --check-all and --method resolve the builder on its module at
+        # call time, so a rebound builder reaches them even after an earlier
+        # route_tables call.
+        from patprob import BifixIndicator, recursions, route_tables
         from patprob.numerics import ProbTable
 
-        real = patprob.TABLE_ROUTES["long"]
+        h = BifixIndicator.parse("1")
+        route_tables(h, 2, 6)
+        real = recursions.p_table_long
 
         def one_count_off(h, L, upto):
             table = real(h, L, upto)
             C = table.C[:-1] + (table.C[-1] + 1,)
             return ProbTable(table.h, table.L, table.upto, C, table.method)
 
-        monkeypatch.setitem(patprob.TABLE_ROUTES, "long", one_count_off)
+        monkeypatch.setattr(recursions, "p_table_long", one_count_off)
         code, env, err = run_json(capsys, "prob", "--h", "1", "--K", "6", "--check-all")
         assert code == 1
         assert env["result"]["agreement"] is False
         assert err == "methods disagree: long differ from P (first at k=6)\n"
+        code, env, _ = run_json(capsys, "prob", "--h", "1", "--K", "6", "--method", "long")
+        assert code == 0
+        assert env["result"]["table"]["rows"][-1]["P"]["num"] == str(one_count_off(h, 2, 6).P[6].num)
 
     def test_automaton_requires_word(self, capsys):
         code, _, err = run(capsys, "prob", "--h", "1", "--method", "automaton")
@@ -420,14 +428,15 @@ import importlib, inspect
 
 # Every public name resolves to the object its defining module holds.
 assert len(patprob.__all__) == len(set(patprob.__all__)) == 43
-defined_by = {"DEFAULT_ENUM_BUDGET": "patprob.patterns", "TABLE_ROUTES": "patprob"}
+defined_by = {"DEFAULT_ENUM_BUDGET": "patprob.patterns", "ROUTE_NAMES": "patprob"}
 for name in patprob.__all__:
     value = getattr(patprob, name)
     where = value.__module__ if inspect.isclass(value) or inspect.isfunction(value) else defined_by[name]
     assert value is getattr(importlib.import_module(where), name), name
 assert patprob.P_table is patprob.recursions.P_table
-assert patprob.TABLE_ROUTES is patprob.TABLE_ROUTES
-assert tuple(patprob.TABLE_ROUTES) == patprob.ROUTE_NAMES
+assert patprob.ROUTE_NAMES == ("long", "short", "P", "markov")
+assert [patprob._route(name).__module__ for name in patprob.ROUTE_NAMES] == [
+    "patprob.recursions", "patprob.recursions", "patprob.recursions", "patprob.markov"]
 try:
     patprob.no_such_name
 except AttributeError as exc:

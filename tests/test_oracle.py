@@ -236,7 +236,7 @@ class TestEnumerationWork:
         monkeypatch.setattr(oracle, "_symbol_mask", counting)
         word = Word(tuple(random.Random(n).randrange(2) for _ in range(n)), 2)
         counts = enum_counts(word, k)
-        assert sorted(position for _, _, position, _ in built) == list(range(k))
+        assert sorted(position for _, _, position in built) == list(range(k))
         assert (counts.contains, counts.first_at) == enum_counts_reference(word, k)
 
     @pytest.mark.parametrize("n,bound", [(20, 22), (8, 11.25)])

@@ -432,11 +432,12 @@ class TestCensus:
     @pytest.mark.parametrize("k,L", [(1, 2), (5, 2), (4, 3), (3, 5), (2, 7)])
     def test_symbol_masks_mark_their_words(self, k, L):
         # Bit w is word number w in product order; the mask has no bit past L**k.
+        # Callers shift S(i, 0) up by c runs of L**(k-1-i) bits to get S(i, c).
         for i in range(k):
             for c in range(L):
                 bits = [int(word[i] == c) for word in itertools.product(range(L), repeat=k)]
                 expected = int("".join(map(str, reversed(bits))), 2)
-                assert _symbol_mask(k, L, i, c) == expected, (i, c)
+                assert _symbol_mask(k, L, i) << c * L ** (k - 1 - i) == expected, (i, c)
 
     def test_every_word_of_a_class_in_product_order(self):
         # The borderless class of census(10, 2) spans nearly all 1024 bits, so

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from patprob import TABLE_ROUTES, route_tables
+from patprob import _ROUTES, ROUTE_NAMES, _route, route_tables
 from patprob.markov import ChainSpec, reach_table
 from patprob.numerics import (
     _VIEW_MEMO_SIZE,
@@ -35,6 +35,11 @@ from patprob.recursions import (
 
 H1 = BifixIndicator((1,))
 H0 = BifixIndicator((0,))
+
+
+def builder_id(route):
+    """Test id of a route: the name of its builder."""
+    return _ROUTES.get(route, "automaton_prob_table")
 
 
 def ep(num, exp, base=2):
@@ -141,11 +146,14 @@ class TestTableInvariants:
         with pytest.raises(ValueError, match="upto must be >= 0, got -1"):
             ProbTable(H1, 2, -1, (), "P-recursion")
 
-    @pytest.mark.parametrize("route", [*TABLE_ROUTES.values(), automaton_prob_table])
+    @pytest.mark.parametrize("route", [*ROUTE_NAMES, "automaton"], ids=builder_id)
     def test_routes_leave_the_horizon_check_to_the_table(self, route):
-        args = (Word.parse("11", 2),) if route is automaton_prob_table else (H1, 2)
+        if route == "automaton":
+            build, args = automaton_prob_table, (Word.parse("11", 2),)
+        else:
+            build, args = _route(route), (H1, 2)
         with pytest.raises(ValueError, match="upto must be >= 0, got -3"):
-            route(*args, -3)
+            build(*args, -3)
 
     def test_views_are_built_once(self):
         t = P_table(H1, 2, 12)
@@ -176,7 +184,7 @@ class TestEdgeHorizons:
         for upto in range(n + 2):
             expected = tuple(enum_counts(word, k).contains for k in range(upto + 1))
             tables = route_tables(bifix_indicator(word), L, upto, word)
-            assert sorted(tables) == sorted([*TABLE_ROUTES, "automaton"])
+            assert list(tables) == [*ROUTE_NAMES, "automaton"]
             for name, table in tables.items():
                 assert (table.upto, table.C) == (upto, expected), (name, upto)
 
@@ -349,11 +357,11 @@ class TestLongHorizonAgreement:
 
 
 class TestAlphabetCheck:
-    @pytest.mark.parametrize("route", list(TABLE_ROUTES.values()))
+    @pytest.mark.parametrize("route", ROUTE_NAMES, ids=builder_id)
     @pytest.mark.parametrize("L", [1, 0, -1])
     def test_rejected_before_the_recursion_runs(self, route, L):
         with pytest.raises(ValueError, match=f"alphabet size must be >= 2, got {L}"):
-            route(H1, L, 100_000)
+            _route(route)(H1, L, 100_000)
 
 
 class TestExpectedWait:
