@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from math import ceil, sqrt
 from operator import mul
 from typing import Iterator
 
@@ -229,6 +230,7 @@ def counterexample_check(alphabet_size: int = 2) -> CounterexampleReport:
 
 GENERATOR_NAME = "numpy-philox4x64/block2^14"
 BLOCK_SYMBOLS = 2**14  # symbols per Monte Carlo draw, k permitting
+SEARCH_SYMBOLS = 2**17  # symbols per Monte Carlo search, unless one block is larger
 DEFAULT_MC_SEED = 12345
 
 
@@ -295,29 +297,38 @@ def _raw_symbols(bits, L: int, count: int):
     random integer generation in an interval", ACM TOMACS 29(1), 2019). Each
     raw word gives its low half, then its high half. A half word w gives the
     symbol (w*L) >> 32, unless (w*L) mod 2**32 < t = (2**32 - L) mod L: then w
-    is dropped, which leaves each symbol exactly uniform. Exactly t of the
-    2**32 values of w are dropped, so each read takes enough words to expect
-    the missing symbols, ceil(missing * 2**31 / (2**32 - t)), which is
-    ceil(count / 2) when t = 0. Reads continue the stream until `count`
-    symbols are kept, and the symbols are cut to `count`.
+    is dropped, which leaves each symbol exactly uniform.
+
+    Exactly t of the 2**32 values of w are dropped, so a half word is dropped
+    with probability p = t / 2**32, and reading h half words to keep m more
+    symbols drops about h*p, with variance h*p*(1 - p). A read takes
+    ceil((m + 3*sqrt(m*p)) / (2*(1 - p))) raw words, so it expects to keep m
+    symbols plus a margin of three standard deviations of the number kept,
+    sqrt(m*p), and a second read is needed about once in 740 reads (the
+    normal tail beyond three standard deviations). When t = 0 the margin is
+    0 and the read is ceil(count / 2) words. Reads continue the stream until
+    `count` symbols are kept. The drop test needs only (w*L) mod 2**32, a
+    uint32 product, so dropped half words are removed before the 64-bit
+    product, which is taken only of the half words kept and needed.
     """
     import numpy as np
 
     threshold = (2**32 - L) % L
     parts, kept = [], 0
     while kept < count:
-        words = -(-(count - kept) * 2**31 // (2**32 - threshold))
+        missing = count - kept
+        margin = 3 * sqrt(missing * threshold / 2**32)
+        words = ceil((missing + margin) * 2**31 / (2**32 - threshold))
         half = bits.random_raw(words).astype("<u8", copy=False).view("<u4")
-        product = np.multiply(half, np.uint64(L), dtype=np.uint64)
-        if threshold:
-            dropped = product.astype(np.uint32) < threshold  # the cast keeps the low 32 bits
+        if threshold:  # then L < 2**32, and uint32 arithmetic wraps to (w*L) mod 2**32
+            dropped = np.multiply(half, np.uint32(L), dtype=np.uint32) < threshold
             if dropped.any():
-                product = product[~dropped]
+                half = half[~dropped]
+        product = np.multiply(half[:missing], np.uint64(L), dtype=np.uint64)
         product >>= np.uint64(32)
         parts.append(product)
         kept += len(product)
-    symbols = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return symbols[:count]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def monte_carlo(pattern: Word, config: McConfig) -> McResult:
@@ -337,9 +348,18 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     A trial's first occurrence ends n - 1 symbols after the first column
     where all n shifted comparisons with the pattern hold; the pattern
     automaton is not consulted, so Monte Carlo checks the automaton route
-    independently. The comparisons run on a copy of the block cast to the
-    narrowest unsigned type that holds L - 1 (uint8 up to L = 256, then
-    uint16, uint32, uint64), so at small L they read an eighth of the bytes.
+    independently. The search runs on several blocks at once: each block is
+    drawn as above and written, cast to the narrowest unsigned type that
+    holds L - 1 (uint8 up to L = 256, then uint16, uint32, uint64), into one
+    buffer of whole blocks, row after row, holding up to SEARCH_SYMBOLS =
+    2**17 symbols, or one block where a block is larger. The n comparisons
+    run once on the flat buffer; their result is reshaped to (rows, k) and
+    cut to its first k - n + 1 columns, so a window that runs from one
+    trial's row into the next is never counted. The first column of each
+    row, the found rows and the histogram of waits are then taken once per
+    buffer. A block of 2**14 symbols is small enough that the fixed cost of
+    a numpy call outweighs its work, so one search per 2**17 symbols makes
+    about an eighth of the calls; the buffer changes no symbol and no result.
 
     The symbols are those of numpy's int64 `Generator.integers(0, L)` on the
     block's fresh Philox. Up to L = 2**32 they are computed from the raw
@@ -368,19 +388,24 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     narrow = np.min_scalar_type(L - 1)
     trials, horizon = config.trials, config.k
     per_block = max(1, BLOCK_SYMBOLS // horizon)
+    per_buffer = per_block * max(1, SEARCH_SYMBOLS // (per_block * horizon))
     starts = horizon - n + 1  # columns where an occurrence can start
-    blocks = range(0, trials, per_block) if starts > 0 else ()  # k < n: no trial can hit
+    buffers = range(0, trials, per_buffer) if starts > 0 else ()  # k < n: no trial can hit
+    buffer = np.empty(min(per_buffer, trials) * horizon, dtype=narrow)
     tally = np.zeros(horizon + 1, dtype=np.int64)
-    for block, first in enumerate(blocks):
-        fresh["state"]["counter"][2] = block  # counter block << 128
-        bits.state = fresh
-        rows = min(per_block, trials - first)
-        data = draw(rows * horizon).reshape(rows, horizon).astype(narrow)
-        hit = data[:, :starts] == pattern.symbols[0]
+    for first in buffers:
+        rows = min(per_buffer, trials - first)
+        data = buffer[: rows * horizon]
+        for row in range(0, rows, per_block):
+            fresh["state"]["counter"][2] = (first + row) // per_block  # counter block << 128
+            bits.state = fresh
+            data[row * horizon : (row + per_block) * horizon] = draw(min(per_block, rows - row) * horizon)
+        hit = data == pattern.symbols[0]
         for i in range(1, n):
-            hit &= data[:, i : i + starts] == pattern.symbols[i]
+            hit[:-i] &= data[i:] == pattern.symbols[i]
+        hit = hit.reshape(rows, horizon)[:, :starts]  # cut the windows that run past their row
         at = hit.argmax(axis=1)
-        found = hit[np.arange(len(at)), at]
+        found = hit[np.arange(rows), at]
         waits = np.bincount(at[found] + n)
         tally[: len(waits)] += waits
     waited = np.flatnonzero(tally)

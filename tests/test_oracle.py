@@ -443,9 +443,20 @@ def drawn_pattern(L, seed, k, trial, start, n):
     return ",".join(str(s) for s in block_stream(L, seed, k, trial)[start : start + n])
 
 
+class RecordingReads:
+    """A Philox bit generator that records the size of each random_raw read."""
+
+    def __init__(self, bits):
+        self.bits, self.sizes = bits, []
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self.bits.random_raw(size)
+
+
 LONG_K = 2**14 + 3  # one trial per block
 
-# Monte Carlo searches each block in np.min_scalar_type(L - 1). At each L where
+# Monte Carlo searches its blocks in np.min_scalar_type(L - 1). At each L where
 # that type changes, (L, seed, trial, start, narrower): row `trial` of block 0
 # at k = 16 holds at column `start` a symbol that `narrower`, the type one
 # width narrower (int8 below uint8), cannot hold, so a search one width too
@@ -488,6 +499,12 @@ class TestMonteCarloStream:
             (drawn_pattern(3 * 2**30, 6, 5461, 3, 5000, 3), 3 * 2**30, 6, 4, 5461),  # 16383 draws
             (drawn_pattern(2**31 + 1, 0, 20, 7, 10, 2), 2**31 + 1, 0, 40, 20),
             (drawn_pattern(2**31 + 1, 2, LONG_K, 1, LONG_K - 2, 2), 2**31 + 1, 2, 2, LONG_K),
+            # Search buffers: at k = 100, 8 blocks of 163 trials; at k = 1000, 8 of 16.
+            ("10010", 2, 4, 1305, 100),  # one trial past a buffer
+            (drawn_pattern(2**33, 5, 100, 1304, 40, 2), 2**33, 5, 1305, 100),  # hit in that trial
+            ("0000000000", 2, 6, 128, 1000),  # exactly one buffer
+            # A block larger than a buffer: one block, hence one trial, per search.
+            (drawn_pattern(300, 3, 2**17 + 1, 1, 2**17 - 1, 2), 300, 3, 2, 2**17 + 1),
             *(
                 (drawn_pattern(L, seed, 16, trial, start, 2), L, seed, trial + 1, 16)
                 for L, seed, trial, start, _ in WIDTH_EDGES
@@ -505,6 +522,24 @@ class TestMonteCarloStream:
         assert all(type(x) is float for x in result.p_hat + result.stderr)
         if L > 3:
             assert expected["censored"] < trials  # the drawn pattern is hit
+
+    @pytest.mark.parametrize("text, ends", [("11", (1,)), ("111", (1, 1))])
+    def test_window_spanning_two_trials_is_no_hit(self, monkeypatch, text, ends):
+        # Every row starts and ends with `ends`, so each pair of adjacent rows
+        # holds the pattern across their boundary and no row holds it alone.
+        # 1305 trials at k = 100 span two search buffers of 8 blocks each.
+        k, trials = 100, 1305
+        row = (*ends, *[0] * (k - 2 * len(ends)), *ends)
+
+        def crafted(bits, L, count):
+            return np.tile(np.array(row, dtype=np.uint64), count // k)
+
+        monkeypatch.setattr(oracle, "_raw_symbols", crafted)
+        pattern, config = w(text), McConfig(trials=trials, k=k, seed=0)
+        result = monte_carlo(pattern, config)
+        assert result.censored == trials
+        expected = reference_monte_carlo(pattern, config, stream=lambda L, seed, k, trial: row)
+        assert result.to_json_dict() == expected
 
     @pytest.mark.parametrize("L, seed, trial, start, narrower", WIDTH_EDGES)
     def test_width_edge_patterns_need_their_width(self, L, seed, trial, start, narrower):
@@ -531,6 +566,46 @@ class TestMonteCarloStream:
         expected = np.random.Generator(np.random.Philox(key=0, counter=0)).integers(0, L, size=8)
         symbols = oracle._raw_symbols(np.random.Philox(key=0, counter=0), L, 8)
         assert symbols.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("L", [10**7, 3 * 2**30, 2**31 + 1])
+    def test_raw_symbols_reads_once_per_block(self, L):
+        # The first read holds the expected drops plus three standard
+        # deviations, so about 1 block in 740 needs a second read. A read
+        # sized to the expected drops alone falls short about half the time.
+        blocks, reads = 200, []
+        for block in range(blocks):
+            bits = RecordingReads(np.random.Philox(key=L, counter=block << 128))
+            assert len(oracle._raw_symbols(bits, L, 2**14)) == 2**14
+            reads.append(len(bits.sizes))
+        assert sum(r > 1 for r in reads) <= blocks // 100, reads
+
+    # Blocks of 2**14 symbols, Philox(key=L, counter=block << 128), whose first
+    # read keeps too few symbols, so the second read must continue the stream
+    # exactly. Found by scanning blocks 0 .. 1999.
+    @pytest.mark.parametrize("L, block", [(10**7, 346), (3 * 2**30, 391), (2**31 + 1, 229)])
+    def test_raw_symbols_second_read_continues_the_stream(self, L, block):
+        bits = RecordingReads(np.random.Philox(key=L, counter=block << 128))
+        symbols = oracle._raw_symbols(bits, L, 2**14)
+        expected = np.random.Generator(np.random.Philox(key=L, counter=block << 128)).integers(0, L, size=2**14)
+        assert len(bits.sizes) == 2
+        assert symbols.tolist() == expected.tolist()
+
+    # Traced peaks before the grouped search, with numpy 2.4: 6.1 MiB at
+    # (64, 2**16), most of it the output tuples, and 0.29 MiB at (6000, 100).
+    # The first may not pass 6.9 MiB; the 2**17-symbol search buffer may add
+    # at most 1 MiB to the second.
+    @pytest.mark.parametrize("text, trials, k, bound_mib", [("11", 64, 2**16, 6.9), ("10010", 6000, 100, 1.29)])
+    def test_traced_peak(self, text, trials, k, bound_mib):
+        pattern, config = w(text), McConfig(trials=trials, k=k, seed=1)
+        monte_carlo(pattern, config)  # numpy's one-time set-up is not counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            monte_carlo(pattern, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("L, builds", [(2, False), (2**32, False), (2**32 + 1, True)])
     def test_generator_is_built_above_two_to_the_32_only(self, monkeypatch, L, builds):
