@@ -27,7 +27,6 @@ _EXPORTS = {
     "McConfig": "oracle",
     "McResult": "oracle",
     "OccurrenceCounts": "oracle",
-    "PatternAutomaton": "oracle",
     "automaton_counts": "oracle",
     "automaton_prob_table": "oracle",
     "counterexample_check": "oracle",

@@ -34,37 +34,6 @@ from .patterns import (
 )
 
 
-class PatternAutomaton:
-    """Matched-prefix automaton of a pattern, with the full match absorbing.
-
-    State i < n is the length of the longest prefix of the pattern that is
-    a suffix of the data read so far; state n, once reached, persists, and
-    has no row.
-
-    Only the transitions that do not fall back to state 0 are stored:
-    `rows[i]` maps each such symbol of state i < n to its target, and every
-    other symbol leads to 0. Row i is a copy of row fail[i-1] (the standard
-    failure-function construction) with b[i] -> i+1 set. A string-matching
-    automaton has at most 2n transitions that do not lead to 0 (Simon's
-    bound), so the rows take O(n) time and space whatever the alphabet size.
-    """
-
-    def __init__(self, pattern: Word):
-        if len(pattern) < 1:
-            raise ValueError("pattern must be nonempty")
-        self.pattern = pattern
-        self.n = len(pattern)
-        self.L = pattern.alphabet_size
-        b = pattern.symbols
-        fail = _failure(b)
-        rows: list[dict[int, int]] = []
-        for i, c in enumerate(b):
-            row = dict(rows[fail[i - 1]]) if i else {}
-            row[c] = i + 1
-            rows.append(row)
-        self.rows = rows
-
-
 class OccurrenceCounts(_Value):
     """Exact counts over all L**k words of length k.
 
@@ -76,7 +45,7 @@ class OccurrenceCounts(_Value):
     __slots__ = ("pattern", "k", "contains", "first_at")
 
 
-def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> OccurrenceCounts:
+def enum_counts(pattern: Word, k: int) -> OccurrenceCounts:
     """Brute-force occurrence counts over every word of length k.
 
     Scans all L**k words at once on L**k-bit integers (bit w is word number
@@ -88,13 +57,16 @@ def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> Occ
     `hit` but not yet in `found` first hit at j. A call builds k masks and
     keeps a window of the last n of them, so between operations at most
     n + 2 masks are live: the window, `hit` and `found`. At k = 24, L = 2
-    each is 2 MiB.
+    each is 2 MiB; past that size, DEFAULT_ENUM_BUDGET = 2**24 words, the
+    call raises EnumerationBudgetError.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     L = pattern.alphabet_size
     n = len(pattern)
-    check_enum_budget(L, k, budget, f"enum_counts(len {k}, L={L})")
+    if n < 1:
+        raise ValueError("pattern must be nonempty")
+    check_enum_budget(L, k, DEFAULT_ENUM_BUDGET, f"enum_counts(len {k}, L={L})")
     symbols = pattern.symbols
     first_at = [0] * (k + 1)
     found = 0
@@ -114,6 +86,32 @@ def enum_counts(pattern: Word, k: int, budget: int = DEFAULT_ENUM_BUDGET) -> Occ
     return OccurrenceCounts(pattern, k, found.bit_count(), tuple(first_at))
 
 
+def _automaton_rows(pattern: Word) -> list[dict[int, int]]:
+    """Transition rows of the pattern's matched-prefix automaton.
+
+    State i < n is the length of the longest prefix of the pattern that is
+    a suffix of the data read so far; state n, the full match, absorbs and
+    has no row.
+
+    Only the transitions that do not fall back to state 0 are stored:
+    `rows[i]` maps each such symbol of state i < n to its target, and every
+    other symbol leads to 0. Row i is a copy of row fail[i-1] (the standard
+    failure-function construction) with b[i] -> i+1 set. A string-matching
+    automaton has at most 2n transitions that do not lead to 0 (Simon's
+    bound), so the rows take O(n) time and space whatever the alphabet size.
+    """
+    if len(pattern) < 1:
+        raise ValueError("pattern must be nonempty")
+    b = pattern.symbols
+    fail = _failure(b)
+    rows: list[dict[int, int]] = []
+    for i, c in enumerate(b):
+        row = dict(rows[fail[i - 1]]) if i else {}
+        row[c] = i + 1
+        rows.append(row)
+    return rows
+
+
 def _absorbed_counts(pattern: Word) -> Iterator[int]:
     """Yield how many length-j words contain the pattern, for j = 0, 1, ...
 
@@ -123,19 +121,19 @@ def _absorbed_counts(pattern: Word) -> Iterator[int]:
     state; scatters the count of each stored back-edge's source onto its
     target; sends the L - len(rows[i]) other symbols of each state i to
     state 0, one weighted sum; and keeps all L symbols of the absorbing
-    state. The back-edges are listed once from `PatternAutomaton.rows`, and
-    a string-matching automaton has at most n of them, so a step costs O(n)
+    state. The back-edges are listed once from `_automaton_rows`, and a
+    string-matching automaton has at most n of them, so a step costs O(n)
     for any alphabet size.
     """
-    aut = PatternAutomaton(pattern)
-    L, n = aut.L, aut.n
+    rows = _automaton_rows(pattern)
+    L, n = pattern.alphabet_size, len(rows)
     back_edges = [  # (source, target) of every stored edge other than i -> i+1
         (i, target)
-        for i, row in enumerate(aut.rows)
+        for i, row in enumerate(rows)
         for target in row.values()
         if target != i + 1
     ]
-    to_start = [L - len(row) for row in aut.rows]  # symbols of each state i < n that lead to 0
+    to_start = [L - len(row) for row in rows]  # symbols of each state i < n that lead to 0
     state_counts = [1] + [0] * n
     while True:
         yield state_counts[n]
@@ -216,13 +214,13 @@ def counterexample_check(alphabet_size: int = 2) -> CounterexampleReport:
     sums_equal = tuple(a + d for a, d in zip(h1.bits, h4.bits)) == tuple(
         b + c for b, c in zip(h2.bits, h3.bits)
     )
-    counts = tuple(automaton_counts(w, NON_AFFINE_HORIZON) for w in words)
-    c1, c2, c3, c4 = (c.contains for c in counts)  # all over L**NON_AFFINE_HORIZON
+    counts = tuple(automaton_prob_table(w, NON_AFFINE_HORIZON).C[-1] for w in words)
+    c1, c2, c3, c4 = counts  # all over L**NON_AFFINE_HORIZON
     return CounterexampleReport(
         words,
         indicators,
         NON_AFFINE_HORIZON,
-        tuple(ExactProb(c.contains, NON_AFFINE_HORIZON, alphabet_size) for c in counts),
+        tuple(ExactProb(c, NON_AFFINE_HORIZON, alphabet_size) for c in counts),
         sums_equal,
         c1 + c4 == c2 + c3,
     )
@@ -260,12 +258,12 @@ class McResult:
     p_hat[j] is the fraction of trials whose first occurrence ended at or
     before position j; wait_counts histograms the observed waits; trials
     that never hit the pattern are censored at the horizon and contribute
-    the horizon to mean_wait_censored.
+    the horizon to mean_wait_censored. The JSON names the one stream layout,
+    GENERATOR_NAME.
     """
 
     pattern: Word
     config: McConfig
-    generator: str
     p_hat: tuple[float, ...]
     stderr: tuple[float, ...]
     wait_counts: dict[int, int]
@@ -279,7 +277,7 @@ class McResult:
             "trials": self.config.trials,
             "k": self.config.k,
             "seed": self.config.seed,
-            "generator": self.generator,
+            "generator": GENERATOR_NAME,
             "p_hat": list(self.p_hat),
             "stderr": list(self.stderr),
             "wait_counts": {str(j): c for j, c in sorted(self.wait_counts.items())},
@@ -418,7 +416,6 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     return McResult(
         pattern,
         config,
-        GENERATOR_NAME,
         tuple(p_hat.tolist()),
         tuple(stderr.tolist()),
         wait_counts,

@@ -427,7 +427,7 @@ assert patprob.ProbTable is patprob.numerics.ProbTable is patprob.recursions.Pro
 import importlib, inspect
 
 # Every public name resolves to the object its defining module holds.
-assert len(patprob.__all__) == len(set(patprob.__all__)) == 43
+assert len(patprob.__all__) == len(set(patprob.__all__)) == 42
 defined_by = {"DEFAULT_ENUM_BUDGET": "patprob.patterns", "ROUTE_NAMES": "patprob"}
 for name in patprob.__all__:
     value = getattr(patprob, name)

@@ -13,10 +13,9 @@ import pytest
 from patprob import EnumerationBudgetError, oracle
 from patprob.numerics import ExactProb
 from patprob.oracle import (
-    GENERATOR_NAME,
     McConfig,
     McResult,
-    PatternAutomaton,
+    _automaton_rows,
     automaton_counts,
     counterexample_check,
     enum_counts,
@@ -75,9 +74,10 @@ def _reference_cases():
 ONE_WORD_PER_CLASS_N4 = ("1000", "1001", "1010", "1111")
 
 
-def stored_step(aut, state, symbol):
+def stored_step(rows, state, symbol):
     """The automaton's move as its rows store it, with state n absorbing."""
-    return aut.n if state == aut.n else aut.rows[state].get(symbol, 0)
+    n = len(rows)
+    return n if state == n else rows[state].get(symbol, 0)
 
 
 class TestAutomaton:
@@ -86,37 +86,37 @@ class TestAutomaton:
         words = [Word(tuple(rng.randrange(2) for _ in range(n)), 2) for n in range(2, 9) for _ in range(8)]
         words += [Word(tuple(rng.randrange(3) for _ in range(n)), 3) for n in range(2, 7) for _ in range(6)]
         for word in words:
-            aut = PatternAutomaton(word)
-            for state in range(aut.n + 1):
-                for symbol in range(aut.L):
-                    assert stored_step(aut, state, symbol) == naive_step(word, state, symbol)
+            rows = _automaton_rows(word)
+            for state in range(len(word) + 1):
+                for symbol in range(word.alphabet_size):
+                    assert stored_step(rows, state, symbol) == naive_step(word, state, symbol)
 
     def test_structural_invariants(self):
         for text in ["11011", "10010", "0000", "10"]:
             word = w(text)
-            aut = PatternAutomaton(word)
-            n = aut.n
+            rows = _automaton_rows(word)
+            n = len(word)
             for i in range(n):
-                assert stored_step(aut, i, word.symbols[i]) == i + 1
-            for c in range(aut.L):
-                assert stored_step(aut, n, c) == n
+                assert stored_step(rows, i, word.symbols[i]) == i + 1
+            for c in range(word.alphabet_size):
+                assert stored_step(rows, n, c) == n
             for i in range(n + 1):
-                for c in range(aut.L):
-                    assert stored_step(aut, i, c) <= i + 1
+                for c in range(word.alphabet_size):
+                    assert stored_step(rows, i, c) <= i + 1
 
     @staticmethod
     def _check_sparse_rows(word):
-        aut = PatternAutomaton(word)
-        assert len(aut.rows) == aut.n
-        assert sum(len(row) for row in aut.rows) <= 2 * aut.n  # Simon's bound
-        assert all(target != 0 for row in aut.rows for target in row.values())
+        rows = _automaton_rows(word)
+        assert len(rows) == len(word)
+        assert sum(len(row) for row in rows) <= 2 * len(word)  # Simon's bound
+        assert all(target != 0 for row in rows for target in row.values())
 
     def test_sparse_rows_every_binary_pattern(self):
         for n in range(1, 13):
             for symbols in itertools.product((0, 1), repeat=n):
                 self._check_sparse_rows(Word(symbols, 2))
 
-    @pytest.mark.parametrize("L", [3, 4, 7])
+    @pytest.mark.parametrize("L", [3, 4, 7, 2**33])
     def test_sparse_rows_random_patterns(self, L):
         rng = random.Random(L)
         for _ in range(400):
@@ -148,8 +148,8 @@ class TestCounts:
             assert sum(counts.first_at) == counts.contains
 
     def test_budget_error_names_budget(self):
-        with pytest.raises(EnumerationBudgetError, match="budget of 512"):
-            enum_counts(w("11"), 10, budget=512)
+        with pytest.raises(EnumerationBudgetError, match="budget of 16777216"):
+            enum_counts(w("11"), 25)
 
     def test_huge_k_is_refused_before_the_power(self):
         start = time.perf_counter()
@@ -174,9 +174,9 @@ class TestCounts:
 
     def test_enum_equals_automaton_at_budget_edge(self):
         word = w("1011")
-        assert enum_counts(word, 24, budget=2**24) == automaton_counts(word, 24)
+        assert enum_counts(word, 24) == automaton_counts(word, 24)
         with pytest.raises(EnumerationBudgetError):
-            enum_counts(word, 25, budget=2**24)
+            enum_counts(word, 25)
 
     def test_enum_equals_automaton_binary(self):
         for n in range(2, 5):
@@ -212,8 +212,9 @@ class TestCounts:
             (lambda: automaton_counts(w("01"), -1), "k must be >= 0, got -1"),
             (lambda: monte_carlo(Word((), 2), McConfig(trials=1, k=1, seed=0)),
              "pattern must be nonempty"),
+            (lambda: enum_counts(Word((), 2), 3), "pattern must be nonempty"),
         ],
-        ids=["enum_counts", "automaton_counts", "monte_carlo"],
+        ids=["enum_counts", "automaton_counts", "monte_carlo", "enum_counts_empty"],
     )
     def test_empty_pattern_or_negative_length_is_refused(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -284,9 +285,10 @@ class TestCounterexample:
         assert counts[1] + counts[2] == 1892  # P2 + P3
 
     def test_golden_against_enumeration(self):
-        report = counterexample_check()
-        for word, prob in zip(report.words, report.probabilities):
-            assert ExactProb(enum_counts(word, 12).contains, 12, 2) == prob
+        for L in (2, 3):
+            report = counterexample_check(L)
+            for word, prob in zip(report.words, report.probabilities):
+                assert ExactProb(enum_counts(word, 12).contains, 12, L) == prob
 
 
 class TestMonteCarlo:
@@ -427,7 +429,6 @@ def reference_monte_carlo(pattern, config, stream=block_stream):
     return McResult(
         pattern,
         config,
-        GENERATOR_NAME,
         tuple(p_hat),
         tuple(stderr),
         dict(wait_counts),

@@ -16,7 +16,7 @@ from patprob.numerics import (
     _p_view,
     decimal_string,
 )
-from patprob.oracle import PatternAutomaton, automaton_counts, automaton_prob_table, enum_counts
+from patprob.oracle import _automaton_rows, automaton_counts, automaton_prob_table, enum_counts
 from patprob.patterns import (
     BifixIndicator,
     Word,
@@ -205,7 +205,7 @@ class TestEdgeHorizons:
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError, match="pattern must be nonempty"):
-            PatternAutomaton(Word((), 2))
+            _automaton_rows(Word((), 2))
 
 
 class TestSharedViews:

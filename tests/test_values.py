@@ -241,3 +241,17 @@ def test_only_checked_types_write_a_constructor():
             if not any(isinstance(node, ast.Raise) for node in ast.walk(init))] == []
     assert set(inits) == {"Word", "BifixIndicator", "SWord", "ExactProb", "ChainSpec",
                           "ReachTable", "McConfig"}
+
+
+def test_every_class_is_a_value_or_a_named_exception():
+    # A class is a value type on patterns._Value, one of the two dataclasses,
+    # the comparison enum or the budget error; no helper class holds state
+    # that a function could return.
+    others = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name != "_Value" and not any(
+                isinstance(base, ast.Name) and base.id == "_Value" for base in node.bases
+            ):
+                others.add(node.name)
+    assert others == {"ProbTable", "McResult", "Ordering", "EnumerationBudgetError"}
