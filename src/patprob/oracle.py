@@ -288,8 +288,9 @@ class McResult:
 
 def _raw_symbols(bits, L: int, count: int):
     """`count` symbols uniform on 0 .. L-1, for 2 <= L <= 2**32, from the raw
-    words of the Philox bit generator `bits`: a uint64 array holding the
-    values numpy's `Generator(bits).integers(0, L, size=count)` draws.
+    words of the Philox bit generator `bits`: an unsigned array holding the
+    values numpy's `Generator(bits).integers(0, L, size=count)` draws, uint32
+    where L is a power of two and uint64 otherwise.
 
     That draw is Lemire's multiply-shift on 32-bit half words (Lemire, "Fast
     random integer generation in an interval", ACM TOMACS 29(1), 2019). Each
@@ -297,20 +298,27 @@ def _raw_symbols(bits, L: int, count: int):
     symbol (w*L) >> 32, unless (w*L) mod 2**32 < t = (2**32 - L) mod L: then w
     is dropped, which leaves each symbol exactly uniform.
 
+    Where L = 2**s is a power of two, L divides 2**32, so t = 0 and nothing
+    is dropped, and (w*L) >> 32 is w >> (32 - s): the block is one read of
+    ceil(count / 2) raw words and one uint32 right shift of its first
+    `count` half words, with no 64-bit product.
+
     Exactly t of the 2**32 values of w are dropped, so a half word is dropped
     with probability p = t / 2**32, and reading h half words to keep m more
     symbols drops about h*p, with variance h*p*(1 - p). A read takes
     ceil((m + 3*sqrt(m*p)) / (2*(1 - p))) raw words, so it expects to keep m
     symbols plus a margin of three standard deviations of the number kept,
     sqrt(m*p), and a second read is needed about once in 740 reads (the
-    normal tail beyond three standard deviations). When t = 0 the margin is
-    0 and the read is ceil(count / 2) words. Reads continue the stream until
-    `count` symbols are kept. The drop test needs only (w*L) mod 2**32, a
-    uint32 product, so dropped half words are removed before the 64-bit
-    product, which is taken only of the half words kept and needed.
+    normal tail beyond three standard deviations). Reads continue the stream
+    until `count` symbols are kept. The drop test needs only (w*L) mod
+    2**32, a uint32 product, so dropped half words are removed before the
+    64-bit product, which is taken only of the half words kept and needed.
     """
     import numpy as np
 
+    if L & (L - 1) == 0:  # L = 2**s divides 2**32
+        half = bits.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
+        return half[:count] >> np.uint32(33 - L.bit_length())
     threshold = (2**32 - L) % L
     parts, kept = [], 0
     while kept < count:
@@ -318,10 +326,9 @@ def _raw_symbols(bits, L: int, count: int):
         margin = 3 * sqrt(missing * threshold / 2**32)
         words = ceil((missing + margin) * 2**31 / (2**32 - threshold))
         half = bits.random_raw(words).astype("<u8", copy=False).view("<u4")
-        if threshold:  # then L < 2**32, and uint32 arithmetic wraps to (w*L) mod 2**32
-            dropped = np.multiply(half, np.uint32(L), dtype=np.uint32) < threshold
-            if dropped.any():
-                half = half[~dropped]
+        dropped = np.multiply(half, np.uint32(L), dtype=np.uint32) < threshold  # wraps to (w*L) mod 2**32
+        if dropped.any():
+            half = half[~dropped]
         product = np.multiply(half[:missing], np.uint64(L), dtype=np.uint64)
         product >>= np.uint64(32)
         parts.append(product)
@@ -362,11 +369,13 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     The symbols are those of numpy's int64 `Generator.integers(0, L)` on the
     block's fresh Philox. Up to L = 2**32 they are computed from the raw
     Philox words by `_raw_symbols`, the multiply-shift numpy itself uses
-    there, and no Generator is built; above 2**32 numpy draws whole 64-bit
-    words with a 128-bit product, which numpy has no dtype for, so
-    `integers` draws the block. The stream tests in tests/test_oracle.py
-    (`TestMonteCarloStream`) pin both paths to a fresh Generator per block,
-    and tests/test_cli.py pins the SHA-256 of one `simulate` output.
+    there, and no Generator is built; for a power-of-two L (binary data
+    among them) that multiply-shift is one 32-bit right shift of each half
+    word. Above 2**32 numpy draws whole 64-bit words with a 128-bit product,
+    which numpy has no dtype for, so `integers` draws the block. The stream
+    tests in tests/test_oracle.py (`TestMonteCarloStream`) pin every path to
+    a fresh Generator per block, and tests/test_cli.py pins the SHA-256 of
+    one `simulate` output.
 
     numpy is imported here, so only callers of this function load it.
     """

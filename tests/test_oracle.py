@@ -500,6 +500,8 @@ class TestMonteCarloStream:
             (drawn_pattern(3 * 2**30, 6, 5461, 3, 5000, 3), 3 * 2**30, 6, 4, 5461),  # 16383 draws
             (drawn_pattern(2**31 + 1, 0, 20, 7, 10, 2), 2**31 + 1, 0, 40, 20),
             (drawn_pattern(2**31 + 1, 2, LONG_K, 1, LONG_K - 2, 2), 2**31 + 1, 2, 2, LONG_K),
+            # A power of two: one 32-bit shift per half word, odd draw counts as above.
+            (drawn_pattern(4, 12, 5461, 2, 5000, 9), 4, 12, 4, 5461),
             # Search buffers: at k = 100, 8 blocks of 163 trials; at k = 1000, 8 of 16.
             ("10010", 2, 4, 1305, 100),  # one trial past a buffer
             (drawn_pattern(2**33, 5, 100, 1304, 40, 2), 2**33, 5, 1305, 100),  # hit in that trial
@@ -547,7 +549,9 @@ class TestMonteCarloStream:
         assert block_stream(L, seed, 16, trial)[start] > np.iinfo(narrower).max
 
     @pytest.mark.parametrize("count", [1, 2, 3, 2**14 - 1, 2**14, 2**16 + 3])
-    @pytest.mark.parametrize("L", [2, 3, 256, 257, 10**7, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32])
+    @pytest.mark.parametrize(
+        "L", [2, 3, 4, 256, 257, 2**16, 10**7, 3 * 2**30, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
+    )
     def test_raw_symbols_are_numpy_draws(self, L, count):
         seed, counter = L + count, count << 128
         bits = np.random.Philox(key=seed, counter=counter)
@@ -579,6 +583,16 @@ class TestMonteCarloStream:
             assert len(oracle._raw_symbols(bits, L, 2**14)) == 2**14
             reads.append(len(bits.sizes))
         assert sum(r > 1 for r in reads) <= blocks // 100, reads
+
+    @pytest.mark.parametrize("count", [1, 3, 2**14 - 1, 2**14])
+    @pytest.mark.parametrize("L", [2, 2**32])
+    def test_power_of_two_reads_once_and_shifts(self, L, count):
+        # Nothing is dropped, so one read of ceil(count / 2) words is exact.
+        bits = RecordingReads(np.random.Philox(key=L, counter=count << 128))
+        symbols = oracle._raw_symbols(bits, L, count)
+        assert bits.sizes == [(count + 1) // 2]
+        assert symbols.dtype == np.uint32  # the shift, not the 64-bit product
+        assert len(symbols) == count
 
     # Blocks of 2**14 symbols, Philox(key=L, counter=block << 128), whose first
     # read keeps too few symbols, so the second read must continue the stream
