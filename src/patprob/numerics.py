@@ -8,6 +8,8 @@ exponent of a fixed base makes equality checks exact and cheap and avoids
 gcd churn. `ProbTable.from_counts` cuts a route's stream of counts
 C_k = L**k P_k at a horizon; the table checks them and writes them as JSON,
 CSV or a text table, the one place that decides how a result is written.
+Its `p` and `P` columns are lazy `ProbView` sequences that build an
+`ExactProb` only for the element read and keep nothing.
 
 `ExactProb(num, den_exp, base)` validates its fields. The trusted
 constructor `ExactProb.from_checked(num, den_exp, base)` skips that check
@@ -18,7 +20,8 @@ helper `canonical`, and `decimal_string` is the one rounding rule for
 decimal strings.
 
 From the package this module imports only `patterns._Value`, the base
-that gives `ExactProb` its equality, hash, repr and immutability.
+that gives `ExactProb` and `ProbView` their equality, hash, repr and
+immutability.
 `ProbTable` only reads `h.n` and `h.text()` of its indicator, and its
 annotations stay unevaluated strings, so naming `BifixIndicator` imports
 nothing more.
@@ -27,7 +30,6 @@ nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator
 
@@ -142,23 +144,44 @@ class ExactProb(_Value):
         return cls(int(data["num"]), int(data["den_exp"]), int(data["base"]))
 
 
-# The views of equal counts are equal, so tables with equal (L, C) share
-# them: the routes of one check agree by design and build p and P once. A
-# hit needs exact equality of C, so a route that disagrees gets views of its
-# own. The routes never see this memo; only ProbTable's views use it.
-_VIEW_MEMO_SIZE = 4
+class ProbView(_Value):
+    """Column p or P of the table with counts C over L, as a lazy sequence of
+    `ExactProb`.
 
+    `column` is "p" or "P". Reading element k builds
+    `ExactProb.from_checked(C_k, k, L)` for P, or of `C_k - L C_{k-1}` for p;
+    nothing is kept. A slice and `+` return tuples. Equality and hash are
+    those of (L, C, column), so views of equal counts compare equal without
+    building a value, and a view never equals a tuple.
 
-@lru_cache(maxsize=_VIEW_MEMO_SIZE)
-def _P_view(L: int, C: tuple[int, ...]) -> tuple[ExactProb, ...]:
-    return tuple(ExactProb.from_checked(c, k, L) for k, c in enumerate(C))
+    `ProbTable` checks its counts before it hands out a view: L >= 2 and
+    0 <= L C_{k-1} <= C_k <= L**k make every element valid for the trusted
+    constructor.
+    """
 
+    __slots__ = ("L", "C", "column")
 
-@lru_cache(maxsize=_VIEW_MEMO_SIZE)
-def _p_view(L: int, C: tuple[int, ...]) -> tuple[ExactProb, ...]:
-    return tuple(
-        ExactProb.from_checked(c - L * b, k, L) for k, (b, c) in enumerate(zip((0,) + C, C))
-    )
+    def __len__(self) -> int:
+        return len(self.C)
+
+    def __getitem__(self, key: int | slice) -> ExactProb | tuple[ExactProb, ...]:
+        # range indexing gives tuple semantics: negative keys, IndexError
+        # past the end, and a range of positions for a slice.
+        k = range(len(self.C))[key]
+        if isinstance(k, range):
+            return tuple(map(self._at, k))
+        return self._at(k)
+
+    def __iter__(self) -> Iterator[ExactProb]:
+        return map(self._at, range(len(self.C)))
+
+    def __add__(self, other: Iterable[ExactProb]) -> tuple[ExactProb, ...]:
+        return (*self, *other)
+
+    def _at(self, k: int) -> ExactProb:
+        C, L = self.C, self.L
+        count = C[k] - L * C[k - 1] if self.column == "p" and k else C[k]
+        return ExactProb.from_checked(count, k, L)
 
 
 # A dataclass, unlike the value types, because callers derive altered
@@ -167,10 +190,10 @@ def _p_view(L: int, C: tuple[int, ...]) -> tuple[ExactProb, ...]:
 class ProbTable:
     """Counts C_k = L**k P_k of the length-k words containing the pattern.
 
-    `p` and `P` are the exact probability views, each built once on first use
-    and shared with every table of equal counts. Rows of JSON, CSV and text
-    output are computed from the counts over a running L**k, without the
-    views; `_rows` is the one JSON row layout.
+    `p` and `P` are lazy `ProbView` columns over the counts: an element is
+    built only when read, and views of equal counts are equal. Rows of
+    JSON, CSV and text output are computed from the counts over a running
+    L**k, without the views; `_rows` is the one JSON row layout.
     """
 
     h: BifixIndicator
@@ -208,16 +231,15 @@ class ProbTable:
         """
         return cls(h, L, upto, tuple(c for _, c in zip(range(upto + 1), counts)), method)
 
-    # The checks above make every view field valid: L >= 2, k >= 0, and
-    # 0 <= L C_{k-1} <= C_k, so the views use the trusted constructor.
-    @cached_property
-    def P(self) -> tuple[ExactProb, ...]:
-        return _P_view(self.L, self.C)
+    @property
+    def P(self) -> ProbView:
+        """P_k = C_k / L**k, each built when read."""
+        return ProbView(self.L, self.C, "P")
 
-    @cached_property
-    def p(self) -> tuple[ExactProb, ...]:
-        """p_k = (C_k - L C_{k-1}) / L**k."""
-        return _p_view(self.L, self.C)
+    @property
+    def p(self) -> ProbView:
+        """p_k = (C_k - L C_{k-1}) / L**k, each built when read."""
+        return ProbView(self.L, self.C, "p")
 
     @property
     def n(self) -> int:

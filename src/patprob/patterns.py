@@ -295,14 +295,16 @@ def k0_of_pair(h: BifixIndicator, h_prime: BifixIndicator) -> int:
 
 
 def k0_sharp(h: BifixIndicator, h_prime: BifixIndicator) -> int:
-    """Sharp separation threshold for a strictly ordered indicator pair.
+    """Sharp separation threshold 2n - max{i : h_i = 0 and h'_i = 1} for a
+    strictly ordered indicator pair.
 
-    Equals the chain-comparison threshold of the associated jump-target
-    words: the occurrence probabilities of the two classes agree exactly
-    for k < k0_sharp and separate strictly for every k >= k0_sharp.
-    Equivalently 2n - max{i : h_i = 0 and h'_i = 1}.
+    The occurrence probabilities of the two classes agree exactly for
+    k < k0_sharp and separate strictly for every k >= k0_sharp. It equals
+    `comparison_threshold` of the jump-target words, the k0 that
+    `compare_chains` reports; the two are computed apart, so each checks
+    the other.
     """
-    return comparison_threshold(s_from_h(h), s_from_h(h_prime))
+    return 2 * h.n - max(_strict_positions(h, h_prime))
 
 
 def s_from_h(h: BifixIndicator) -> SWord:

@@ -181,6 +181,18 @@ def test_criterion_2_method_and_oracle_equality():
     assert elapsed < 60
 
 
+def test_criterion_2_views_are_the_counts():
+    # Each route's lazy p and P views read as the per-value ExactProb lists
+    # of its counts, on the criterion-2 patterns and horizons.
+    for word, upto in [(w, 14) for w in binary_patterns()] + [(w, 9) for w in ternary_sample()]:
+        L = word.alphabet_size
+        for name, t in route_tables(bifix_indicator(word), L, upto, word).items():
+            P = [ExactProb.from_checked(c, k, L) for k, c in enumerate(t.C)]
+            p = [ExactProb.from_checked(c - L * b, k, L)
+                 for k, (b, c) in enumerate(zip((0,) + t.C, t.C))]
+            assert tuple(t.P) == tuple(P) and tuple(t.p) == tuple(p), (word.text(), name)
+
+
 def test_criterion_3_class_monotonicity_sharp_threshold():
     started = time.monotonic()
     violations = []

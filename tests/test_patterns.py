@@ -202,10 +202,10 @@ class TestK0:
 
     def test_requires_strict_order(self):
         h = BifixIndicator.parse("10")
-        with pytest.raises(ValueError):
-            k0_of_pair(h, h)
-        with pytest.raises(ValueError):
-            k0_of_pair(BifixIndicator.parse("1000"), BifixIndicator.parse("0100"))
+        for threshold in (k0_of_pair, k0_sharp):
+            for pair in ((h, h), (BifixIndicator.parse("1000"), BifixIndicator.parse("0100"))):
+                with pytest.raises(ValueError, match=r"indicator pair is not strictly ordered"):
+                    threshold(*pair)
 
     def test_sharp_threshold_uses_last_difference(self):
         # The classes 0000 < 1000 differ only in the length-1 border; their
@@ -228,6 +228,15 @@ class TestK0:
             ha, hb = BifixIndicator(bits_a), BifixIndicator(bits_b)
             strict = [i + 1 for i, (x, y) in enumerate(zip(bits_a, bits_b)) if x < y]
             assert k0_sharp(ha, hb) == 2 * ha.n - max(strict)
+            assert k0_sharp(ha, hb) == comparison_threshold(s_from_h(ha), s_from_h(hb))
+
+    def test_sharp_closed_form_equals_jump_word_threshold(self):
+        # Every strictly ordered pair of binary indicators, realizable or not.
+        for n in range(2, 8):
+            indicators = [BifixIndicator(bits) for bits in itertools.product((0, 1), repeat=n - 1)]
+            for ha, hb in itertools.permutations(indicators, 2):
+                if compare_indicators(ha, hb) is Ordering.LESS:
+                    assert k0_sharp(ha, hb) == comparison_threshold(s_from_h(ha), s_from_h(hb))
 
 
 class TestSWords:

@@ -8,14 +8,7 @@ import pytest
 
 from patprob import _ROUTES, ROUTE_NAMES, _route, route_tables
 from patprob.markov import ChainSpec, reach_table
-from patprob.numerics import (
-    _VIEW_MEMO_SIZE,
-    ExactProb,
-    ProbTable,
-    _P_view,
-    _p_view,
-    decimal_string,
-)
+from patprob.numerics import ExactProb, ProbTable, ProbView, decimal_string
 from patprob.oracle import _automaton_rows, automaton_counts, automaton_prob_table, enum_counts
 from patprob.patterns import (
     BifixIndicator,
@@ -155,10 +148,10 @@ class TestTableInvariants:
         with pytest.raises(ValueError, match="upto must be >= 0, got -3"):
             build(*args, -3)
 
-    def test_views_are_built_once(self):
+    def test_views_read_back_the_counts(self):
         t = P_table(H1, 2, 12)
-        assert t.P is t.P
-        assert t.p is t.p
+        assert t.P == t.P and hash(t.P) == hash(t.P)
+        assert t.p == t.p and hash(t.p) == hash(t.p)
         assert t.C == tuple(x.num * 2 ** (k - x.den_exp) for k, x in enumerate(t.P))
         assert t.C[12] == sum(x.num * 2 ** (12 - x.den_exp) for x in t.p)
 
@@ -209,35 +202,67 @@ class TestEdgeHorizons:
 
 
 class TestSharedViews:
-    # Tables with equal counts share their p and P tuples; others do not.
+    # Tables with equal counts have equal p and P views; others do not.
     def test_agreeing_routes_share_views(self):
         word = Word.parse("1101", 2)
         tables = list(route_tables(bifix_indicator(word), 2, 40, word).values())
         first = tables[0]
         for t in tables[1:]:
             assert t.C == first.C and t.method != first.method
-            assert t.p is first.p
-            assert t.P is first.P
+            assert t.p == first.p
+            assert t.P == first.P
 
     def test_different_counts_get_views_of_their_own(self):
         t = P_table(H1, 2, 6)
         same = ProbTable(t.h, t.L, t.upto, t.C, "hand-built")
-        assert same.P is t.P and same.p is t.p
+        assert same.P == t.P and same.p == t.p
         # One more word containing the pattern at k = 6: still a valid table.
         other = ProbTable(t.h, t.L, t.upto, t.C[:-1] + (t.C[-1] + 1,), "hand-built")
-        assert other.P is not t.P and other.p is not t.p
+        assert other.P != t.P and other.p != t.p
         assert other.P[:-1] == t.P[:-1] and other.P[-1] != t.P[-1]
         assert other.p[-1] != t.p[-1]
+        # The column and the alphabet are part of a view's value.
+        assert t.P != t.p
+        assert ProbView(2, t.C, "P") == t.P != ProbView(3, t.C, "P")
 
-    def test_memo_stays_bounded(self):
-        for upto in range(2, 40):
-            t = P_table(H1, 2, upto)
-            assert t.p[-1] == ExactProb(t.C[-1] - 2 * t.C[-2], upto, 2)
-            assert t.P[-1] == ExactProb(t.C[-1], upto, 2)
-        for view in (_p_view, _P_view):
-            info = view.cache_info()
-            assert info.maxsize == _VIEW_MEMO_SIZE
-            assert info.currsize <= info.maxsize
+    def test_a_read_builds_one_value(self, monkeypatch):
+        built = []
+        from_checked = ExactProb.from_checked
+
+        def counted(num, den_exp, base):
+            built.append(den_exp)
+            return from_checked(num, den_exp, base)
+
+        monkeypatch.setattr(ExactProb, "from_checked", staticmethod(counted))
+        t = P_table(BifixIndicator.parse("1"), 2, 4000)
+        assert t.P[-1] == ExactProb(t.C[-1], 4000, 2)
+        assert built == [4000]
+        assert t.p == t.p and t.P != t.p
+        assert built == [4000]  # comparing views builds no value
+
+    def test_reads_behave_like_the_tuple(self):
+        t = P_table(BifixIndicator.parse("10"), 3, 9)
+        L, C = t.L, t.C
+        for view, column in ((t.P, C), (t.p, tuple(c - L * b for b, c in zip((0,) + C, C)))):
+            values = tuple(ExactProb(c, k, L) for k, c in enumerate(column))
+            assert len(view) == len(values) == 10
+            for key in range(-10, 10):
+                assert view[key] == values[key]
+            for key in (10, 11, -11):
+                with pytest.raises(IndexError):
+                    view[key]
+            for key in (slice(None), slice(3, None), slice(None, -1), slice(None, None, 2),
+                        slice(None, None, -1), slice(-3, None), slice(7, 2), slice(20, None)):
+                assert type(view[key]) is tuple and view[key] == values[key]
+            assert tuple(view) == values and list(reversed(view)) == list(values[::-1])
+            assert view + t.P == values + tuple(t.P) and view + () == values
+            assert view[-1] in view and view != values
+
+    def test_reading_views_keeps_no_state(self):
+        t = P_table(H1, 2, 30)
+        fields = dict(vars(t))
+        tuple(t.P), t.p[-1], t.P[3:9]
+        assert vars(t) == fields
 
 
 def _per_value_json_rows(table: ProbTable) -> list[dict]:
