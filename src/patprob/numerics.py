@@ -8,7 +8,7 @@ exponent of a fixed base makes equality checks exact and cheap and avoids
 gcd churn. `ProbTable.from_counts` cuts a route's stream of counts
 C_k = L**k P_k at a horizon; the table checks them and writes them as JSON,
 CSV or a text table, the one place that decides how a result is written.
-Its `p` and `P` columns are lazy `ProbView` sequences that build an
+Its `p` and `P` columns are lazy `_ProbView` sequences that build an
 `ExactProb` only for the element read and keep nothing.
 
 `ExactProb(num, den_exp, base)` validates its fields. The trusted
@@ -20,7 +20,7 @@ helper `canonical`, and `decimal_string` is the one rounding rule for
 decimal strings.
 
 From the package this module imports only `patterns._Value`, the base
-that gives `ExactProb` and `ProbView` their equality, hash, repr and
+that gives `ExactProb` and `_ProbView` their equality, hash, repr and
 immutability.
 `ProbTable` only reads `h.n` and `h.text()` of its indicator, and its
 annotations stay unevaluated strings, so naming `BifixIndicator` imports
@@ -144,7 +144,7 @@ class ExactProb(_Value):
         return cls(int(data["num"]), int(data["den_exp"]), int(data["base"]))
 
 
-class ProbView(_Value):
+class _ProbView(_Value):
     """Column p or P of the table with counts C over L, as a lazy sequence of
     `ExactProb`.
 
@@ -154,9 +154,10 @@ class ProbView(_Value):
     those of (L, C, column), so views of equal counts compare equal without
     building a value, and a view never equals a tuple.
 
-    `ProbTable` checks its counts before it hands out a view: L >= 2 and
-    0 <= L C_{k-1} <= C_k <= L**k make every element valid for the trusted
-    constructor.
+    Private, and field-only: `ProbTable.p` and `.P` are its one constructor,
+    and the table has checked its counts before it hands out a view. L >= 2
+    and 0 <= L C_{k-1} <= C_k <= L**k make every element valid for the
+    trusted constructor; nothing checks a view built elsewhere.
     """
 
     __slots__ = ("L", "C", "column")
@@ -190,7 +191,7 @@ class ProbView(_Value):
 class ProbTable:
     """Counts C_k = L**k P_k of the length-k words containing the pattern.
 
-    `p` and `P` are lazy `ProbView` columns over the counts: an element is
+    `p` and `P` are lazy `_ProbView` columns over the counts: an element is
     built only when read, and views of equal counts are equal. Rows of
     JSON, CSV and text output are computed from the counts over a running
     L**k, without the views; `_rows` is the one JSON row layout.
@@ -232,14 +233,14 @@ class ProbTable:
         return cls(h, L, upto, tuple(c for _, c in zip(range(upto + 1), counts)), method)
 
     @property
-    def P(self) -> ProbView:
+    def P(self) -> _ProbView:
         """P_k = C_k / L**k, each built when read."""
-        return ProbView(self.L, self.C, "P")
+        return _ProbView(self.L, self.C, "P")
 
     @property
-    def p(self) -> ProbView:
+    def p(self) -> _ProbView:
         """p_k = (C_k - L C_{k-1}) / L**k, each built when read."""
-        return ProbView(self.L, self.C, "p")
+        return _ProbView(self.L, self.C, "p")
 
     @property
     def n(self) -> int:

@@ -228,7 +228,6 @@ class TestK0:
             ha, hb = BifixIndicator(bits_a), BifixIndicator(bits_b)
             strict = [i + 1 for i, (x, y) in enumerate(zip(bits_a, bits_b)) if x < y]
             assert k0_sharp(ha, hb) == 2 * ha.n - max(strict)
-            assert k0_sharp(ha, hb) == comparison_threshold(s_from_h(ha), s_from_h(hb))
 
     def test_sharp_closed_form_equals_jump_word_threshold(self):
         # Every strictly ordered pair of binary indicators, realizable or not.

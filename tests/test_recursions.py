@@ -8,7 +8,7 @@ import pytest
 
 from patprob import _ROUTES, ROUTE_NAMES, _route, route_tables
 from patprob.markov import ChainSpec, reach_table
-from patprob.numerics import ExactProb, ProbTable, ProbView, decimal_string
+from patprob.numerics import ExactProb, ProbTable, _ProbView, decimal_string
 from patprob.oracle import _automaton_rows, automaton_counts, automaton_prob_table, enum_counts
 from patprob.patterns import (
     BifixIndicator,
@@ -223,7 +223,7 @@ class TestSharedViews:
         assert other.p[-1] != t.p[-1]
         # The column and the alphabet are part of a view's value.
         assert t.P != t.p
-        assert ProbView(2, t.C, "P") == t.P != ProbView(3, t.C, "P")
+        assert _ProbView(2, t.C, "P") == t.P != _ProbView(3, t.C, "P")
 
     def test_a_read_builds_one_value(self, monkeypatch):
         built = []

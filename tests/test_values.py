@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from patprob.markov import ChainComparison, ChainSpec, LemmaReport, ReachTable
-from patprob.numerics import ExactProb, ProbView
+from patprob.numerics import ExactProb, _ProbView
 from patprob.oracle import CounterexampleReport, McConfig, OccurrenceCounts
 from patprob.patterns import BifixIndicator, CensusClass, SWord, Word
 from patprob.recursions import SeriesResult
@@ -37,8 +37,8 @@ CASES = [
      "Word(symbols=(0, 0), alphabet_size=2), Word(symbols=(1, 1), alphabet_size=2)))"),
     (ExactProb, ("num", "den_exp", "base"), (1, 2, 3), (1, 2, 2),
      "ExactProb(num=1, den_exp=2, base=3)"),
-    (ProbView, ("L", "C", "column"), (2, (0, 0, 1), "P"), (2, (0, 0, 1), "p"),
-     "ProbView(L=2, C=(0, 0, 1), column='P')"),
+    (_ProbView, ("L", "C", "column"), (2, (0, 0, 1), "P"), (2, (0, 0, 1), "p"),
+     "_ProbView(L=2, C=(0, 0, 1), column='P')"),
     (SeriesResult, ("value", "tail_bound", "upto", "converged"),
      (2.5, 0.125, 10, True), (2.5, 0.125, 10, False),
      "SeriesResult(value=2.5, tail_bound=0.125, upto=10, converged=True)"),
@@ -74,7 +74,7 @@ CASES = [
 ]
 IDS = [case[0].__name__ for case in CASES]
 # The types whose fields need no check, so patterns._Value.__init__ stores them.
-FIELD_ONLY = {CensusClass, ProbView, SeriesResult, ChainComparison, LemmaReport, OccurrenceCounts,
+FIELD_ONLY = {CensusClass, _ProbView, SeriesResult, ChainComparison, LemmaReport, OccurrenceCounts,
               CounterexampleReport}
 UNCHECKED = [case for case in CASES if case[0] in FIELD_ONLY]
 

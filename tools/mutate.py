@@ -16,7 +16,6 @@ or the file lists an id that the list below does not have, so the file must
 be kept in step with the list. It exits 2 when the unmutated tree fails.
 
     python3 tools/mutate.py            # every mutant, about 30 s on 2 cores
-    python3 tools/mutate.py view.      # only the mutants whose id starts so
 
 Standard library only; pytest and the package's own dependencies must be
 importable by the interpreter that runs it.
@@ -53,49 +52,49 @@ K0_TESTS = (
 
 # (id, file under src/patprob, function or class name, snippet, replacement, tests)
 MUTANTS = (
-    ("view.prior-count", "numerics.py", "ProbView._at",
+    ("view.prior-count", "numerics.py", "_ProbView._at",
      "L * C[k - 1]", "L * C[k]", VIEW_TESTS),
-    ("view.prior-count-2", "numerics.py", "ProbView._at",
+    ("view.prior-count-2", "numerics.py", "_ProbView._at",
      "L * C[k - 1]", "L * C[k - 2]", VIEW_TESTS),
-    ("view.scale", "numerics.py", "ProbView._at",
+    ("view.scale", "numerics.py", "_ProbView._at",
      "L * C[k - 1]", "(L - 1) * C[k - 1]", VIEW_TESTS),
-    ("view.column-test", "numerics.py", "ProbView._at",
+    ("view.column-test", "numerics.py", "_ProbView._at",
      'self.column == "p"', 'self.column == "P"', VIEW_TESTS),
-    ("view.k-zero", "numerics.py", "ProbView._at",
+    ("view.k-zero", "numerics.py", "_ProbView._at",
      'self.column == "p" and k', 'self.column == "p"', VIEW_TESTS),
-    ("view.den-exp", "numerics.py", "ProbView._at",
+    ("view.den-exp", "numerics.py", "_ProbView._at",
      "from_checked(count, k, L)", "from_checked(count, k + 1, L)", VIEW_TESTS),
-    ("view.raw-key", "numerics.py", "ProbView.__getitem__",
+    ("view.raw-key", "numerics.py", "_ProbView.__getitem__",
      "k = range(len(self.C))[key]", "k = key", VIEW_TESTS),
-    ("view.short-range", "numerics.py", "ProbView.__getitem__",
+    ("view.short-range", "numerics.py", "_ProbView.__getitem__",
      "k = range(len(self.C))[key]", "k = range(len(self.C) - 1)[key]", VIEW_TESTS),
-    ("view.slice-list", "numerics.py", "ProbView.__getitem__",
+    ("view.slice-list", "numerics.py", "_ProbView.__getitem__",
      "return tuple(map(self._at, k))", "return list(map(self._at, k))", VIEW_TESTS),
-    ("view.slice-positions", "numerics.py", "ProbView.__getitem__",
+    ("view.slice-positions", "numerics.py", "_ProbView.__getitem__",
      "return tuple(map(self._at, k))", "return tuple(map(self._at, range(len(k))))",
      VIEW_TESTS),
-    ("view.iter-from-one", "numerics.py", "ProbView.__iter__",
+    ("view.iter-from-one", "numerics.py", "_ProbView.__iter__",
      "range(len(self.C))", "range(1, len(self.C))", VIEW_TESTS),
-    ("view.len", "numerics.py", "ProbView.__len__",
+    ("view.len", "numerics.py", "_ProbView.__len__",
      "len(self.C)", "len(self.C) - 1", VIEW_TESTS),
-    ("view.add-order", "numerics.py", "ProbView.__add__",
+    ("view.add-order", "numerics.py", "_ProbView.__add__",
      "(*self, *other)", "(*other, *self)", VIEW_TESTS),
-    ("view.eq-counts-only", "numerics.py", "ProbView",
+    ("view.eq-counts-only", "numerics.py", "_ProbView",
      '__slots__ = ("L", "C", "column")',
      '__slots__ = ("L", "C", "column")\n'
      "    __eq__ = lambda self, other: self.C == other.C\n"
      "    __hash__ = _Value.__hash__",
      VIEW_TESTS),
-    ("view.eq-by-value", "numerics.py", "ProbView",
+    ("view.eq-by-value", "numerics.py", "_ProbView",
      '__slots__ = ("L", "C", "column")',
      '__slots__ = ("L", "C", "column")\n'
      "    __eq__ = lambda self, other: tuple(self) == tuple(other)\n"
      "    __hash__ = _Value.__hash__",
      VIEW_TESTS),
     ("table.P-column", "numerics.py", "ProbTable.P",
-     'ProbView(self.L, self.C, "P")', 'ProbView(self.L, self.C, "p")', VIEW_TESTS),
+     '_ProbView(self.L, self.C, "P")', '_ProbView(self.L, self.C, "p")', VIEW_TESTS),
     ("table.p-column", "numerics.py", "ProbTable.p",
-     'ProbView(self.L, self.C, "p")', 'ProbView(self.L, self.C, "P")', VIEW_TESTS),
+     '_ProbView(self.L, self.C, "p")', '_ProbView(self.L, self.C, "P")', VIEW_TESTS),
     ("k0_sharp.min", "patterns.py", "k0_sharp",
      "max(_strict_positions", "min(_strict_positions", K0_TESTS),
     ("k0_sharp.minus-one", "patterns.py", "k0_sharp",
@@ -170,14 +169,13 @@ def _copy_tree(into: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
 
 
-def main(prefixes: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not prefixes or m[0].startswith(tuple(prefixes))]
+def main() -> int:
     listed = json.loads((ROOT / "MUTANTS.json").read_text())
     accepted = {entry["id"]: entry["reason"] for entry in listed}
     with tempfile.TemporaryDirectory(prefix="patprob-mutants-") as scratch:
         base = Path(scratch) / "base"
         _copy_tree(base)
-        for tests in dict.fromkeys(m[5] for m in chosen):
+        for tests in dict.fromkeys(m[5] for m in MUTANTS):
             failure = run_tests(base, tests)
             if failure:
                 print(f"the unmutated tree fails {' '.join(tests)}: {failure}")
@@ -185,7 +183,7 @@ def main(prefixes: list[str]) -> int:
         survivors = []
         problems = [f"MUTANTS.json lists {mutant_id}, which is no mutant below"
                     for mutant_id in accepted.keys() - {m[0] for m in MUTANTS}]
-        for mutant_id, module, qualname, snippet, replacement, tests in chosen:
+        for mutant_id, module, qualname, snippet, replacement, tests in MUTANTS:
             tree = Path(scratch) / mutant_id
             shutil.copytree(base, tree)
             path = tree / "src" / "patprob" / module
@@ -202,11 +200,11 @@ def main(prefixes: list[str]) -> int:
                 print(f"survived  {mutant_id}: {reason or 'NOT LISTED in MUTANTS.json'}")
                 if reason is None:
                     problems.append(f"{mutant_id} survived and is not listed in MUTANTS.json")
-    print(f"killed {len(chosen) - len(survivors)} of {len(chosen)} mutants")
+    print(f"killed {len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants")
     for problem in problems:
         print(problem)
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
