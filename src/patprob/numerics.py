@@ -11,17 +11,14 @@ CSV or a text table, the one place that decides how a result is written.
 Its `p` and `P` columns are lazy `_ProbView` sequences that build an
 `ExactProb` only for the element read and keep nothing.
 
-`ExactProb(num, den_exp, base)` validates its fields. The trusted
-constructor `ExactProb.from_checked(num, den_exp, base)` skips that check
-and is only for values already known to satisfy base >= 2, num >= 0,
-den_exp >= 0 and num <= base**den_exp, such as the counts a `ProbTable`
-has validated. Both bring the value into canonical form through the one
-helper `canonical`, and `decimal_string` is the one rounding rule for
+`ExactProb(num, den_exp, base)` is the one constructor of an exact value:
+it validates its fields and brings them into canonical form through the
+one helper `canonical`. `decimal_string` is the one rounding rule for
 decimal strings.
 
 From the package this module imports only `patterns._Value`, the base
 that gives `ExactProb` and `_ProbView` their equality, hash, repr and
-immutability.
+immutability, and `patterns._ascii_ints`, which reads a JSON numerator.
 `ProbTable` only reads `h.n` and `h.text()` of its indicator, and its
 annotations stay unevaluated strings, so naming `BifixIndicator` imports
 nothing more.
@@ -33,7 +30,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator
 
-from .patterns import _Value
+from .patterns import _Value, _ascii_ints
 
 
 def canonical(num: int, den_exp: int, base: int) -> tuple[int, int]:
@@ -101,20 +98,6 @@ class ExactProb(_Value):
         object.__setattr__(self, "den_exp", exp)
         object.__setattr__(self, "base", base)
 
-    @classmethod
-    def from_checked(cls, num: int, den_exp: int, base: int) -> ExactProb:
-        """ExactProb(num, den_exp, base) for fields known to be valid, unchecked.
-
-        The caller guarantees base >= 2, num >= 0, den_exp >= 0 and
-        num <= base**den_exp.
-        """
-        self = object.__new__(cls)
-        num, den_exp = canonical(num, den_exp, base)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den_exp", den_exp)
-        object.__setattr__(self, "base", base)
-        return self
-
     def __lt__(self, other: ExactProb) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -141,7 +124,17 @@ class ExactProb(_Value):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> ExactProb:
-        return cls(int(data["num"]), int(data["den_exp"]), int(data["base"]))
+        """The value of a `to_json_dict` record; `approx` is not read.
+
+        `num` must be a string of ASCII digits, `base` and `den_exp` ints
+        (not bools): `int` would also read "1_0", " 4 " or 2.9.
+        """
+        (num,) = _ascii_ints([data["num"]], "num")
+        den_exp, base = data["den_exp"], data["base"]
+        for name, value in (("den_exp", den_exp), ("base", base)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"malformed {name}: expected an int, got {value!r}")
+        return cls(num, den_exp, base)
 
 
 class _ProbView(_Value):
@@ -149,15 +142,13 @@ class _ProbView(_Value):
     `ExactProb`.
 
     `column` is "p" or "P". Reading element k builds
-    `ExactProb.from_checked(C_k, k, L)` for P, or of `C_k - L C_{k-1}` for p;
-    nothing is kept. A slice and `+` return tuples. Equality and hash are
-    those of (L, C, column), so views of equal counts compare equal without
-    building a value, and a view never equals a tuple.
+    `ExactProb(C_k, k, L)` for P, or of `C_k - L C_{k-1}` for p, which
+    validates it; nothing is kept. A slice and `+` return tuples. Equality
+    and hash are those of (L, C, column), so views of equal counts compare
+    equal without building a value, and a view never equals a tuple.
 
-    Private, and field-only: `ProbTable.p` and `.P` are its one constructor,
-    and the table has checked its counts before it hands out a view. L >= 2
-    and 0 <= L C_{k-1} <= C_k <= L**k make every element valid for the
-    trusted constructor; nothing checks a view built elsewhere.
+    Private, built by `ProbTable.p` and `.P`. A view of counts that are not a
+    table's raises ValueError when the bad element is read.
     """
 
     __slots__ = ("L", "C", "column")
@@ -182,7 +173,7 @@ class _ProbView(_Value):
     def _at(self, k: int) -> ExactProb:
         C, L = self.C, self.L
         count = C[k] - L * C[k - 1] if self.column == "p" and k else C[k]
-        return ExactProb.from_checked(count, k, L)
+        return ExactProb(count, k, L)
 
 
 # A dataclass, unlike the value types, because callers derive altered

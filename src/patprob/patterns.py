@@ -24,14 +24,14 @@ class Ordering(enum.Enum):
 
 
 def _ascii_ints(parts: Iterable[str], what: str) -> tuple[int, ...]:
-    """Each part as an int; every part must be a nonempty run of ASCII digits 0-9.
+    """Each part as an int; every part must be a nonempty str of ASCII digits 0-9.
 
     `int` alone also reads other Unicode digits, signs, underscores and
     surrounding spaces, and `str.isdigit` accepts other Unicode digits.
     """
     values = []
     for part in parts:
-        if not (part.isascii() and part.isdigit()):
+        if not (isinstance(part, str) and part.isascii() and part.isdigit()):
             raise ValueError(f"malformed {what}: expected ASCII digits 0-9, got {part!r}")
         values.append(int(part))
     return tuple(values)

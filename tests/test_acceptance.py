@@ -187,9 +187,8 @@ def test_criterion_2_views_are_the_counts():
     for word, upto in [(w, 14) for w in binary_patterns()] + [(w, 9) for w in ternary_sample()]:
         L = word.alphabet_size
         for name, t in route_tables(bifix_indicator(word), L, upto, word).items():
-            P = [ExactProb.from_checked(c, k, L) for k, c in enumerate(t.C)]
-            p = [ExactProb.from_checked(c - L * b, k, L)
-                 for k, (b, c) in enumerate(zip((0,) + t.C, t.C))]
+            P = [ExactProb(c, k, L) for k, c in enumerate(t.C)]
+            p = [ExactProb(c - L * b, k, L) for k, (b, c) in enumerate(zip((0,) + t.C, t.C))]
             assert tuple(t.P) == tuple(P) and tuple(t.p) == tuple(p), (word.text(), name)
 
 

@@ -89,22 +89,13 @@ class TestCanonicalForm:
         num = unit * base**power  # at least `power` factors of base
         assert canonical(num, exp, base) == divide_out(num, exp, base)
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        base=st.sampled_from(BASES),
-        unit=st.integers(0, 10**12),
-        power=st.integers(0, 120),
-        extra=st.integers(0, 160),
-    )
-    def test_trusted_constructor_equals_public_one(self, base, unit, power, extra):
-        # A probability: den_exp covers the factors of base, and num is
-        # clamped to base**den_exp, where canonical form strips to 1.
-        exp = power + extra
-        num = min(unit * base**power, base**exp)
-        trusted, checked = ExactProb.from_checked(num, exp, base), ExactProb(num, exp, base)
-        fields = (checked.num, checked.den_exp, checked.base)
-        assert (trusted.num, trusted.den_exp, trusted.base) == fields
-        assert trusted == checked and hash(trusted) == hash(checked)
+    def test_small_fields_match_division_reference(self):
+        # Every num < 70 and den_exp < 8: each branch of canonical on fixed
+        # input, such as the one factor of 2 in num = 2 (mod 4).
+        for base in self.BASES:
+            for num in range(70):
+                for exp in range(8):
+                    assert canonical(num, exp, base) == divide_out(num, exp, base)
 
     def test_partial_factor_of_a_power_of_two_base_stays(self):
         # 2 * 8**3 has 10 trailing zeros: three whole factors of 8, one bit left.
@@ -162,6 +153,28 @@ class TestRendering:
     def test_json_numerator_is_a_string(self):
         big = ExactProb(3**60, 96, 2)  # 3**60 < 2**96
         assert isinstance(big.to_json_dict()["num"], str)
+        assert ExactProb.from_json_dict(big.to_json_dict()) == big
+
+    # int() would read each of these: 2.9 as 2, "١_0" as 10, 2.5 as 2, " 4 " as 4.
+    @pytest.mark.parametrize(
+        "record,field",
+        [
+            pytest.param({"num": "1", "base": 2, "den_exp": 2.9}, "den_exp", id="float-den_exp"),
+            pytest.param({"num": "١_0", "base": 2.5, "den_exp": " 4 "}, "num", id="arabic-num"),
+            pytest.param({"num": "10", "base": 2.5, "den_exp": 4}, "base", id="float-base"),
+            pytest.param({"num": "10", "base": 2, "den_exp": " 4 "}, "den_exp", id="str-den_exp"),
+            pytest.param({"num": "1_0", "base": 2, "den_exp": 4}, "num", id="underscore-num"),
+            pytest.param({"num": " 10", "base": 2, "den_exp": 4}, "num", id="space-num"),
+            pytest.param({"num": "-1", "base": 2, "den_exp": 4}, "num", id="signed-num"),
+            pytest.param({"num": "", "base": 2, "den_exp": 4}, "num", id="empty-num"),
+            pytest.param({"num": 10, "base": 2, "den_exp": 4}, "num", id="int-num"),
+            pytest.param({"num": "1", "base": True, "den_exp": 0}, "base", id="bool-base"),
+            pytest.param({"num": "1", "base": 2, "den_exp": True}, "den_exp", id="bool-den_exp"),
+        ],
+    )
+    def test_json_malformed_field_rejected(self, record, field):
+        with pytest.raises(ValueError, match=f"^malformed {field}: "):
+            ExactProb.from_json_dict(record)
 
 
 def test_values_match_fraction_on_float_conversion():

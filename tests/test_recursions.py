@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from patprob import _ROUTES, ROUTE_NAMES, _route, route_tables
+from patprob import _ROUTES, ROUTE_NAMES, _route, numerics, route_tables
 from patprob.markov import ChainSpec, reach_table
 from patprob.numerics import ExactProb, ProbTable, _ProbView, decimal_string
 from patprob.oracle import _automaton_rows, automaton_counts, automaton_prob_table, enum_counts
@@ -226,19 +226,27 @@ class TestSharedViews:
         assert _ProbView(2, t.C, "P") == t.P != _ProbView(3, t.C, "P")
 
     def test_a_read_builds_one_value(self, monkeypatch):
+        # Every ExactProb brings its fields into canonical form once.
         built = []
-        from_checked = ExactProb.from_checked
+        canonical = numerics.canonical
 
         def counted(num, den_exp, base):
             built.append(den_exp)
-            return from_checked(num, den_exp, base)
+            return canonical(num, den_exp, base)
 
-        monkeypatch.setattr(ExactProb, "from_checked", staticmethod(counted))
+        monkeypatch.setattr(numerics, "canonical", counted)
         t = P_table(BifixIndicator.parse("1"), 2, 4000)
-        assert t.P[-1] == ExactProb(t.C[-1], 4000, 2)
+        value = t.P[-1]
         assert built == [4000]
         assert t.p == t.p and t.P != t.p
         assert built == [4000]  # comparing views builds no value
+        assert value == ExactProb(t.C[-1], 4000, 2)
+
+    def test_a_read_of_a_bad_view_raises(self):
+        view = _ProbView(2, (0, 5), "P")  # C_1 = 5 > 2**1: no table has these counts
+        assert view[0] == ExactProb(0, 0, 2)
+        with pytest.raises(ValueError, match="probability must be <= 1"):
+            view[1]
 
     def test_reads_behave_like_the_tuple(self):
         t = P_table(BifixIndicator.parse("10"), 3, 9)

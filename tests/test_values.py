@@ -229,10 +229,14 @@ def test_only_value_base_writes_value_methods():
 
 def test_only_checked_types_write_a_constructor():
     # A constructor that only stores its fields is patterns._Value's job: every
-    # __init__ of a value type checks its input and can raise.
-    inits = {}
+    # __init__ of a value type checks its input and can raise, and no module
+    # makes an instance past its __init__ with object.__new__.
+    inits, new_calls = {}, []
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                new_calls.append((path.stem, node.lineno))
             if isinstance(node, ast.ClassDef) and any(
                 isinstance(base, ast.Name) and base.id == "_Value" for base in node.bases
             ):
@@ -243,6 +247,7 @@ def test_only_checked_types_write_a_constructor():
             if not any(isinstance(node, ast.Raise) for node in ast.walk(init))] == []
     assert set(inits) == {"Word", "BifixIndicator", "SWord", "ExactProb", "ChainSpec",
                           "ReachTable", "McConfig"}
+    assert new_calls == []
 
 
 def test_every_class_is_a_value_or_a_named_exception():
