@@ -44,12 +44,12 @@ class ReachTable(_Value):
     P[k][i] / L**k.
     """
 
-    __slots__ = ("spec", "upto", "P")
+    __slots__ = ("spec", "P")
 
-    def __init__(self, spec: ChainSpec, upto: int, P: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, spec: ChainSpec, P: tuple[tuple[int, ...], ...]) -> None:
         n, L = spec.n, spec.L
-        if len(P) != upto + 1 or any(len(row) != n + 1 for row in P):
-            raise ValueError("reach table must be (upto+1) x (n+1)")
+        if not P or any(len(row) != n + 1 for row in P):
+            raise ValueError("reach table needs >= 1 row of n+1 counts")
         if P[0] != tuple([0] * n + [1]):
             raise ValueError("row k=0 must be the unit vector at the absorbing state")
         power = 1  # L**k
@@ -60,7 +60,6 @@ class ReachTable(_Value):
                 raise ValueError("reach probabilities must stay within [0, 1]")
             power *= L
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "upto", upto)
         object.__setattr__(self, "P", P)
 
 
@@ -98,7 +97,7 @@ def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
     As a transcription guard, the start-state column is cross-checked at
     every k against forward evolution of the start state's word counts.
     """
-    table = ReachTable(spec, upto, tuple(_reach_rows(spec, upto)))
+    table = ReachTable(spec, tuple(_reach_rows(spec, upto)))
     for _ in _start_counts(spec, table.P):
         pass
     return table
@@ -146,11 +145,15 @@ class ChainComparison(_Value):
     """Per-k comparison of two chains' absorption probabilities.
 
     relations[k] is "=", ">" or "<" for P_k(0) vs P'_k(0). The expected
-    pattern is equality for k < k0 and ">" from k0 on; ks that deviate are
-    listed in violations (none occur for valid strictly ordered pairs).
+    pattern is equality for k < k0 and ">" from k0 on; `violations` lists
+    the ks that deviate (none do for valid strictly ordered pairs).
     """
 
-    __slots__ = ("s", "s_prime", "L", "upto", "k0", "relations", "violations")
+    __slots__ = ("s", "s_prime", "L", "k0", "relations")
+
+    @property
+    def violations(self) -> tuple[int, ...]:
+        return tuple(k for k, rel in enumerate(self.relations) if rel != ("=" if k < self.k0 else ">"))
 
     @property
     def conforms(self) -> bool:
@@ -179,15 +182,9 @@ def compare_chains(s: SWord, s_prime: SWord, L: int, upto: int) -> ChainComparis
     spec, spec_prime = ChainSpec(s, L), ChainSpec(s_prime, L)
     counts = _start_counts(spec, _reach_rows(spec, upto))
     counts_prime = _start_counts(spec_prime, _reach_rows(spec_prime, upto))
-    relations = []
-    violations = []
-    for k, (a, b) in enumerate(zip(counts, counts_prime)):  # counts over the same L**k
-        rel = "=" if a == b else (">" if a > b else "<")
-        relations.append(rel)
-        expected = "=" if k < k0 else ">"
-        if rel != expected:
-            violations.append(k)
-    return ChainComparison(s, s_prime, L, upto, k0, tuple(relations), tuple(violations))
+    # Both columns count words over the same L**k.
+    relations = tuple(">" if a > b else "=" if a == b else "<" for a, b in zip(counts, counts_prime))
+    return ChainComparison(s, s_prime, L, k0, relations)
 
 
 class LemmaReport(_Value):

@@ -85,6 +85,10 @@ class ExactProb(_Value):
     __slots__ = ("num", "den_exp", "base")
 
     def __init__(self, num: int, den_exp: int, base: int) -> None:
+        # A bool or float field would equal the int, yet write a record from_json_dict refuses.
+        for name, value in (("num", num), ("den_exp", den_exp), ("base", base)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"malformed {name}: expected an int, got {value!r}")
         if base < 2:
             raise ValueError(f"base must be >= 2, got {base}")
         if num < 0:
@@ -126,15 +130,11 @@ class ExactProb(_Value):
     def from_json_dict(cls, data: dict) -> ExactProb:
         """The value of a `to_json_dict` record; `approx` is not read.
 
-        `num` must be a string of ASCII digits, `base` and `den_exp` ints
-        (not bools): `int` would also read "1_0", " 4 " or 2.9.
+        `num` must be a string of ASCII digits (`int` would also read "1_0"
+        or " 4 "); the constructor requires the other fields to be ints.
         """
         (num,) = _ascii_ints([data["num"]], "num")
-        den_exp, base = data["den_exp"], data["base"]
-        for name, value in (("den_exp", den_exp), ("base", base)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"malformed {name}: expected an int, got {value!r}")
-        return cls(num, den_exp, base)
+        return cls(num, data["den_exp"], data["base"])
 
 
 class _ProbView(_Value):

@@ -356,9 +356,9 @@ def check_enum_budget(L: int, k: int, budget: int, what: str) -> None:
 
 
 class CensusClass(_Value):
-    """One bifix class: exact population plus a capped list of representatives."""
+    """One bifix class, keyed by its indicator in `census`: population and capped representatives."""
 
-    __slots__ = ("indicator", "count", "representatives")
+    __slots__ = ("count", "representatives")
 
 
 def _symbol_mask(k: int, L: int, i: int) -> int:
@@ -414,6 +414,8 @@ def census(
         raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
     if max_representatives < 0:
         raise ValueError(f"max_representatives must be >= 0, got {max_representatives}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     check_enum_budget(alphabet_size, n, budget, f"census(n={n}, L={alphabet_size})")
     L = alphabet_size
     over_budget = (
@@ -449,8 +451,7 @@ def census(
             size = part.bit_count()
             if (kept := kept + min(max_representatives, size) * n) > budget:
                 raise EnumerationBudgetError(f"{over_budget}{kept}")
-            h = BifixIndicator(bits)
-            classes[h] = CensusClass(h, size, _lowest_words(part, n, L, max_representatives))
+            classes[BifixIndicator(bits)] = CensusClass(size, _lowest_words(part, n, L, max_representatives))
             continue
         inside = part & borders[n - 2 - len(bits)]
         part ^= inside

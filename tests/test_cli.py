@@ -236,6 +236,22 @@ class TestCompare:
         assert code == 2
         assert "equal" in err
 
+    def test_nonconforming_comparison_exits_1(self, capsys, monkeypatch):
+        # No valid pair breaks the pattern (that is the theorem), so the
+        # comparison is replaced by one that reverses at k = 4 >= k0 = 3.
+        from patprob import markov
+
+        def reversed_at_4(s, s_prime, L, upto):
+            relations = ("=",) * 3 + (">", "<") + (">",) * (upto - 4)
+            return markov.ChainComparison(s, s_prime, L, 3, relations)
+
+        monkeypatch.setattr(markov, "compare_chains", reversed_at_4)
+        code, env, _ = run_json(capsys, "compare", "--s", "0,1", "--s2", "0,0", "--K", "6")
+        assert code == 1
+        assert env["result"]["conforms"] is False
+        assert env["result"]["violations"] == [4]
+        assert env["result"]["relations"] == ["=", "=", "=", ">", "<", ">", ">"]
+
     def test_mixed_inputs_rejected(self, capsys):
         assert run(capsys, "compare", "--h", "10", "--s2", "0,0")[0] == 2
         assert run(capsys, "compare")[0] == 2

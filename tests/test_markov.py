@@ -7,6 +7,7 @@ import pytest
 
 from patprob import markov
 from patprob.markov import (
+    ChainComparison,
     ChainSpec,
     ReachTable,
     _start_counts,
@@ -125,7 +126,7 @@ class TestReachTableInvariants:
         return sp, [list(row) for row in reach_table(sp, upto).P]
 
     def build(self, sp, rows):
-        return ReachTable(sp, len(rows) - 1, tuple(tuple(row) for row in rows))
+        return ReachTable(sp, tuple(tuple(row) for row in rows))
 
     def test_counts_are_words_over_L_to_the_k(self):
         sp, rows = self.rows(L=3)
@@ -153,17 +154,15 @@ class TestReachTableInvariants:
         with pytest.raises(ValueError, match=r"within \[0, 1\]"):
             self.build(sp, rows)
 
-    @pytest.mark.parametrize("defect", ["row missing", "row short", "row long"])
+    @pytest.mark.parametrize("defect", ["no rows", "row short", "row long"])
     def test_wrong_shape(self, defect):
         sp, rows = self.rows()
-        if defect == "row missing":
-            rows.pop()
-            upto = len(rows)  # one more row than the table holds
+        if defect == "no rows":
+            rows = []
         else:
             rows[3] = rows[3][:-1] if defect == "row short" else rows[3] + [0]
-            upto = len(rows) - 1
-        with pytest.raises(ValueError, match=r"reach table must be \(upto\+1\) x \(n\+1\)"):
-            ReachTable(sp, upto, tuple(tuple(row) for row in rows))
+        with pytest.raises(ValueError, match=r"^reach table needs >= 1 row of n\+1 counts$"):
+            self.build(sp, rows)
 
     def test_forward_cross_check_catches_in_range_corruption(self):
         sp, rows = self.rows(upto=10)
@@ -311,6 +310,16 @@ class TestCompareChains:
         assert report.violations == (3, 4)
         assert not report.conforms
 
+    def test_violations_are_derived_from_relations(self):
+        # k0 = 3: "=" below it and ">" from it on; every other k is listed.
+        def build(relations):
+            return ChainComparison(SWord((0, 1)), SWord((0, 0)), 2, 3, relations)
+
+        assert build(("=", "=", "=", ">", ">")).violations == ()
+        assert build(("=", "=", "=", ">", ">")).conforms
+        assert build(("=", ">", "=", "=", "<", ">")).violations == (1, 3, 4)
+        assert not build(("=", ">", "=", "=", "<", ">")).conforms
+
     def test_json_shape(self):
         report = compare_chains(SWord((0, 1)), SWord((0, 0)), 2, 4)
         d = report.to_json_dict()
@@ -387,7 +396,7 @@ class TestLemmaSuite:
         sp = spec((0, 1, 0), 3)
         rows = [list(row) for row in reach_table(sp, 6).P]
         rows[k][i] = value
-        table = ReachTable(sp, 6, tuple(tuple(row) for row in rows))
+        table = ReachTable(sp, tuple(tuple(row) for row in rows))
 
         def fake(spec_, upto):
             assert (spec_, upto) == (sp, 6)

@@ -49,7 +49,7 @@ def census_reference(n, L, max_representatives):
         if len(kept) < max_representatives:
             kept.append(word)
     return {
-        h: CensusClass(h, counts[h], tuple(reps[h]))
+        h: CensusClass(counts[h], tuple(reps[h]))
         for h in sorted(counts, key=lambda ind: ind.bits)
     }
 
@@ -252,8 +252,8 @@ class TestSWords:
 
     def test_s_from_h_always_valid(self):
         for n in range(2, 8):
-            for cls in census(n, 2).values():
-                s = s_from_h(cls.indicator)
+            for h in census(n, 2):
+                s = s_from_h(h)
                 assert all(0 <= t <= i for i, t in enumerate(s.targets))
 
     def test_sword_invariant(self):
@@ -334,6 +334,10 @@ class TestCensus:
         with pytest.raises(EnumerationBudgetError, match="budget of 100"):
             census(12, 2, budget=100)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="^budget must be >= 0, got -1$"):
+            census(3, 2, budget=-1)
+
     def test_representative_symbols_are_budgeted(self):
         # 2^20 representatives of 20 symbols each peaked at 263 MiB; the lower
         # bound min(max_representatives, L**n) * n refuses them before any mask.
@@ -403,7 +407,7 @@ class TestCensus:
         # The last cap exceeds every class, so each class keeps all its words.
         for reps in (0, 1, 4, 7, L**n):
             expected = {
-                h: CensusClass(h, cls.count, cls.representatives[:reps]) for h, cls in every.items()
+                h: CensusClass(cls.count, cls.representatives[:reps]) for h, cls in every.items()
             }
             got = census(n, L, max_representatives=reps)
             assert list(got) == list(expected)  # same keys in the same order

@@ -30,10 +30,9 @@ CASES = [
      "BifixIndicator(bits=(1, 0))"),
     (SWord, ("targets",), ((0, 1),), ((0, 0),),
      "SWord(targets=(0, 1))"),
-    (CensusClass, ("indicator", "count", "representatives"),
-     (BifixIndicator((1,)), 2, (Word((0, 0), 2), Word((1, 1), 2))),
-     (BifixIndicator((1,)), 3, (Word((0, 0), 2), Word((1, 1), 2))),
-     "CensusClass(indicator=BifixIndicator(bits=(1,)), count=2, representatives=("
+    (CensusClass, ("count", "representatives"),
+     (2, (Word((0, 0), 2), Word((1, 1), 2))), (3, (Word((0, 0), 2), Word((1, 1), 2))),
+     "CensusClass(count=2, representatives=("
      "Word(symbols=(0, 0), alphabet_size=2), Word(symbols=(1, 1), alphabet_size=2)))"),
     (ExactProb, ("num", "den_exp", "base"), (1, 2, 3), (1, 2, 2),
      "ExactProb(num=1, den_exp=2, base=3)"),
@@ -44,13 +43,13 @@ CASES = [
      "SeriesResult(value=2.5, tail_bound=0.125, upto=10, converged=True)"),
     (ChainSpec, ("s", "L"), (S01, 2), (S01, 3),
      "ChainSpec(s=SWord(targets=(0, 1)), L=2)"),
-    (ReachTable, ("spec", "upto", "P"), (SPEC, 1, ((0, 1), (1, 2))), (SPEC, 0, ((0, 1),)),
-     "ReachTable(spec=ChainSpec(s=SWord(targets=(0,)), L=2), upto=1, P=((0, 1), (1, 2)))"),
-    (ChainComparison, ("s", "s_prime", "L", "upto", "k0", "relations", "violations"),
-     (S01, SWord((0, 0)), 2, 3, 3, ("=", "=", "=", ">"), ()),
-     (S01, SWord((0, 0)), 2, 3, 3, ("=", "=", ">", ">"), (2,)),
-     "ChainComparison(s=SWord(targets=(0, 1)), s_prime=SWord(targets=(0, 0)), L=2, upto=3, "
-     "k0=3, relations=('=', '=', '=', '>'), violations=())"),
+    (ReachTable, ("spec", "P"), (SPEC, ((0, 1), (1, 2))), (SPEC, ((0, 1),)),
+     "ReachTable(spec=ChainSpec(s=SWord(targets=(0,)), L=2), P=((0, 1), (1, 2)))"),
+    (ChainComparison, ("s", "s_prime", "L", "k0", "relations"),
+     (S01, SWord((0, 0)), 2, 3, ("=", "=", "=", ">")),
+     (S01, SWord((0, 0)), 2, 3, ("=", "=", ">", ">")),
+     "ChainComparison(s=SWord(targets=(0, 1)), s_prime=SWord(targets=(0, 0)), L=2, "
+     "k0=3, relations=('=', '=', '=', '>'))"),
     (LemmaReport,
      ("spec", "upto", "monotone_k_violations", "zero_pattern_violations", "monotone_i_violations"),
      (SPEC, 1, (), (), ()), (SPEC, 1, (), ((0, 0),), ()),
@@ -172,17 +171,20 @@ def test_exact_prob_orders_only_against_exact_prob(other):
         (lambda: BifixIndicator((0, 2)), "indicator bits must be 0 or 1, got 2"),
         (lambda: SWord(()), "jump-target word must be nonempty"),
         (lambda: SWord((0, 2)), "target s_1=2 violates 0 <= s_1 <= 1"),
+        (lambda: ExactProb(True, 1, 2), "malformed num: expected an int, got True"),
+        (lambda: ExactProb(1, 1.0, 2), "malformed den_exp: expected an int, got 1.0"),
+        (lambda: ExactProb(1, 1, 2.0), "malformed base: expected an int, got 2.0"),
         (lambda: ExactProb(1, 1, 1), "base must be >= 2, got 1"),
         (lambda: ExactProb(-1, 1, 2), "numerator must be nonnegative, got -1"),
         (lambda: ExactProb(1, -1, 2), "denominator exponent must be nonnegative, got -1"),
         (lambda: ExactProb(6, 2, 2), "probability must be <= 1, got num > 2**2"),
         (lambda: ChainSpec(S01, 1), "alphabet size must be >= 2, got 1"),
-        (lambda: ReachTable(SPEC, 1, ((0, 1),)), "reach table must be (upto+1) x (n+1)"),
-        (lambda: ReachTable(SPEC, 0, ((1, 1),)),
+        (lambda: ReachTable(SPEC, ()), "reach table needs >= 1 row of n+1 counts"),
+        (lambda: ReachTable(SPEC, ((1, 1),)),
          "row k=0 must be the unit vector at the absorbing state"),
-        (lambda: ReachTable(SPEC, 1, ((0, 1), (1, 1))),
+        (lambda: ReachTable(SPEC, ((0, 1), (1, 1))),
          "absorbing state must have probability 1 at every k"),
-        (lambda: ReachTable(SPEC, 1, ((0, 1), (3, 2))),
+        (lambda: ReachTable(SPEC, ((0, 1), (3, 2))),
          "reach probabilities must stay within [0, 1]"),
         (lambda: McConfig(0, 10, 1), "trials must be >= 1, got 0"),
         (lambda: McConfig(1, 0, 1), "horizon k must be >= 1, got 0"),

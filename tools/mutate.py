@@ -15,7 +15,7 @@ when a mutant survives that the file does not list, a listed one is killed,
 or the file lists an id that the list below does not have, so the file must
 be kept in step with the list. It exits 2 when the unmutated tree fails.
 
-    python3 tools/mutate.py            # every mutant, about 70 s on 2 cores
+    python3 tools/mutate.py            # every mutant, about 100 s on 2 cores
 
 Standard library only; pytest and the package's own dependencies must be
 importable by the interpreter that runs it.
@@ -53,6 +53,12 @@ FIELD_TESTS = ("tests/test_values.py::test_validation_messages",)
 CANONICAL_TESTS = (
     "tests/test_numerics.py::TestCanonicalForm::test_small_fields_match_division_reference",
 )
+VIOLATION_TESTS = (
+    "tests/test_markov.py::TestCompareChains::test_violations_are_derived_from_relations",
+)
+RELATION_TESTS = ("tests/test_markov.py::TestCompareChains::test_small_pair",)
+CENSUS_BUDGET_TESTS = ("tests/test_patterns.py::TestCensus::test_negative_budget_rejected",)
+EXACT_FIELDS = '(("num", num), ("den_exp", den_exp), ("base", base))'
 
 # (id, file under src/patprob, function or class name, snippet, replacement, tests)
 MUTANTS = (
@@ -107,6 +113,25 @@ MUTANTS = (
      "if den_exp < 0:", "if den_exp < -1:", FIELD_TESTS),
     ("exact.at-most-one", "numerics.py", "ExactProb.__init__",
      "canon_num > base**exp", "canon_num > base ** (exp + 1)", FIELD_TESTS),
+    ("exact.bool-accepted", "numerics.py", "ExactProb.__init__",
+     "not isinstance(value, int) or isinstance(value, bool)", "not isinstance(value, int)",
+     FIELD_TESTS),
+    ("exact.num-unchecked", "numerics.py", "ExactProb.__init__",
+     EXACT_FIELDS, '(("den_exp", den_exp), ("base", base))', FIELD_TESTS),
+    ("exact.den-exp-unchecked", "numerics.py", "ExactProb.__init__",
+     EXACT_FIELDS, '(("num", num), ("base", base))', FIELD_TESTS),
+    ("exact.base-unchecked", "numerics.py", "ExactProb.__init__",
+     EXACT_FIELDS, '(("num", num), ("den_exp", den_exp))', FIELD_TESTS),
+    ("reach.empty-rows", "markov.py", "ReachTable.__init__",
+     "if not P or any(", "if any(", FIELD_TESTS),
+    ("comparison.k0-equal", "markov.py", "ChainComparison.violations",
+     "k < self.k0", "k <= self.k0", VIOLATION_TESTS),
+    ("comparison.expected-less", "markov.py", "ChainComparison.violations",
+     '">"', '"<"', VIOLATION_TESTS),
+    ("compare_chains.ties-greater", "markov.py", "compare_chains",
+     "a > b", "a >= b", RELATION_TESTS),
+    ("census.negative-budget", "patterns.py", "census",
+     "if budget < 0:", "if budget < -1:", CENSUS_BUDGET_TESTS),
     ("canonical.odd-test", "numerics.py", "canonical",
      "if num & 1:", "if num & 2:", CANONICAL_TESTS),
     ("canonical.shift-width", "numerics.py", "canonical",
