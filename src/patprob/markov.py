@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .patterns import BifixIndicator, SWord, _Value, comparison_threshold, s_from_h
+from .patterns import BifixIndicator, SWord, _Value, _check_int, comparison_threshold, s_from_h
 
 
 class ChainSpec(_Value):
@@ -24,6 +24,7 @@ class ChainSpec(_Value):
     __slots__ = ("s", "L")
 
     def __init__(self, s: SWord, L: int) -> None:
+        _check_int(L, "L")
         if L < 2:
             raise ValueError(f"alphabet size must be >= 2, got {L}")
         object.__setattr__(self, "s", s)

@@ -18,7 +18,8 @@ decimal strings.
 
 From the package this module imports only `patterns._Value`, the base
 that gives `ExactProb` and `_ProbView` their equality, hash, repr and
-immutability, and `patterns._ascii_ints`, which reads a JSON numerator.
+immutability, `patterns._ascii_ints`, which reads a JSON numerator, and
+`patterns._check_int`, the one rule that a field is an int and not a bool.
 `ProbTable` only reads `h.n` and `h.text()` of its indicator, and its
 annotations stay unevaluated strings, so naming `BifixIndicator` imports
 nothing more.
@@ -27,10 +28,11 @@ nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator
 
-from .patterns import _Value, _ascii_ints
+from .patterns import _Value, _ascii_ints, _check_int
 
 
 def canonical(num: int, den_exp: int, base: int) -> tuple[int, int]:
@@ -87,8 +89,7 @@ class ExactProb(_Value):
     def __init__(self, num: int, den_exp: int, base: int) -> None:
         # A bool or float field would equal the int, yet write a record from_json_dict refuses.
         for name, value in (("num", num), ("den_exp", den_exp), ("base", base)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"malformed {name}: expected an int, got {value!r}")
+            _check_int(value, name)
         if base < 2:
             raise ValueError(f"base must be >= 2, got {base}")
         if num < 0:
@@ -180,7 +181,8 @@ class _ProbView(_Value):
 # tables with dataclasses.replace.
 @dataclass(frozen=True)
 class ProbTable:
-    """Counts C_k = L**k P_k of the length-k words containing the pattern.
+    """Counts C_k = L**k P_k of the length-k words containing the pattern,
+    for k = 0 .. upto = len(C) - 1.
 
     `p` and `P` are lazy `_ProbView` columns over the counts: an element is
     built only when read, and views of equal counts are equal. Rows of
@@ -190,20 +192,20 @@ class ProbTable:
 
     h: BifixIndicator
     L: int
-    upto: int
     C: tuple[int, ...]
     method: str
 
     def __post_init__(self) -> None:
         n, L = self.h.n, self.L
+        _check_int(L, "L")
         if L < 2:
             raise ValueError(f"alphabet size must be >= 2, got {L}")
-        if self.upto < 0:
-            raise ValueError(f"upto must be >= 0, got {self.upto}")
-        if len(self.C) != self.upto + 1:
-            raise ValueError("table counts must cover k = 0..upto")
+        if not self.C:
+            raise ValueError("table needs at least one count, C_0")
         prev = 0
         for k, count in enumerate(self.C):
+            if count.__class__ is not int:
+                _check_int(count, "C")
             if k < n and count:
                 raise ValueError(f"p_{k} and P_{k} must be 0 below the pattern length")
             # The first-occurrence count a_k = C_k - L C_{k-1} cannot be negative.
@@ -213,15 +215,22 @@ class ProbTable:
         if prev > L**self.upto:
             raise ValueError("P exceeded 1")
 
+    @property
+    def upto(self) -> int:
+        """The horizon: the table holds C_0 .. C_upto."""
+        return len(self.C) - 1
+
     @classmethod
     def from_counts(
         cls, h: BifixIndicator, L: int, upto: int, counts: Iterable[int], method: str
     ) -> ProbTable:
         """The table of C_0 .. C_upto, the first upto + 1 counts of a stream.
 
-        zip, not islice: a negative upto pulls no count; __post_init__ refuses it.
+        A negative upto is refused before any count is pulled.
         """
-        return cls(h, L, upto, tuple(c for _, c in zip(range(upto + 1), counts)), method)
+        if upto < 0:
+            raise ValueError(f"upto must be >= 0, got {upto}")
+        return cls(h, L, tuple(islice(counts, upto + 1)), method)
 
     @property
     def P(self) -> _ProbView:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from math import ceil, sqrt
-from operator import mul
+from operator import add, mul
 from typing import Iterator
 
 from .numerics import ExactProb, ProbTable
@@ -26,6 +26,7 @@ from .patterns import (
     DEFAULT_ENUM_BUDGET,
     BifixIndicator,
     Word,
+    _check_int,
     _failure,
     _symbol_mask,
     _Value,
@@ -35,14 +36,22 @@ from .patterns import (
 
 
 class OccurrenceCounts(_Value):
-    """Exact counts over all L**k words of length k.
+    """Exact counts over all L**k words of length k = len(first_at) - 1.
 
-    contains: words with at least one occurrence of the pattern.
     first_at: index j holds the number of words whose first occurrence
     ends exactly at position j (entry 0 is unused and zero).
+    contains: words with at least one occurrence, the sum of first_at.
     """
 
-    __slots__ = ("pattern", "k", "contains", "first_at")
+    __slots__ = ("pattern", "first_at")
+
+    @property
+    def k(self) -> int:
+        return len(self.first_at) - 1
+
+    @property
+    def contains(self) -> int:
+        return sum(self.first_at)
 
 
 def enum_counts(pattern: Word, k: int) -> OccurrenceCounts:
@@ -83,7 +92,7 @@ def enum_counts(pattern: Word, k: int) -> OccurrenceCounts:
         found |= hit
         del hit  # not live while the next mask is built
         first_at[j] = found.bit_count() - before
-    return OccurrenceCounts(pattern, k, found.bit_count(), tuple(first_at))
+    return OccurrenceCounts(pattern, tuple(first_at))
 
 
 def _automaton_rows(pattern: Word) -> list[dict[int, int]]:
@@ -147,7 +156,9 @@ def _absorbed_counts(pattern: Word) -> Iterator[int]:
 def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
     """Occurrence counts via dynamic programming over automaton states.
 
-    Must agree with enum_counts wherever both run.
+    Must agree with enum_counts wherever both run. The first arrivals
+    a_j = A_j - L A_{j-1} at step j, each followed by any k - j symbols,
+    telescope to the absorbed count A_k.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -157,7 +168,7 @@ def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
     for j in range(1, k + 1):
         fresh = absorbed[j] - L * absorbed[j - 1]  # first arrivals at step j
         first_at[j] = fresh * L ** (k - j)
-    return OccurrenceCounts(pattern, k, absorbed[k], tuple(first_at))
+    return OccurrenceCounts(pattern, tuple(first_at))
 
 
 def automaton_prob_table(pattern: Word, upto: int) -> ProbTable:
@@ -179,16 +190,32 @@ NON_AFFINE_HORIZON = 12
 
 
 class CounterexampleReport(_Value):
-    """Evidence that occurrence probability is not affine in the indicator."""
+    """Evidence that occurrence probability is not affine in the indicator.
 
-    __slots__ = (
-        "words",
-        "indicators",
-        "horizon",
-        "probabilities",
-        "indicator_sums_equal",
-        "probability_sums_equal",
-    )
+    counts[i] is the number of length-`horizon` words that contain words[i];
+    the indicators, the probabilities and both sum verdicts follow from the
+    words and the counts.
+    """
+
+    __slots__ = ("words", "horizon", "counts")
+
+    @property
+    def indicators(self) -> tuple[BifixIndicator, ...]:
+        return tuple(bifix_indicator(w) for w in self.words)
+
+    @property
+    def probabilities(self) -> tuple[ExactProb, ...]:
+        return tuple(ExactProb(c, self.horizon, w.alphabet_size) for w, c in zip(self.words, self.counts))
+
+    @property
+    def indicator_sums_equal(self) -> bool:
+        h1, h2, h3, h4 = self.indicators
+        return tuple(map(add, h1.bits, h4.bits)) == tuple(map(add, h2.bits, h3.bits))
+
+    @property
+    def probability_sums_equal(self) -> bool:
+        c1, c2, c3, c4 = self.counts  # all over L**horizon
+        return c1 + c4 == c2 + c3
 
     @property
     def ok(self) -> bool:
@@ -209,21 +236,8 @@ class CounterexampleReport(_Value):
 def counterexample_check(alphabet_size: int = 2) -> CounterexampleReport:
     """Check the four-word witness: h1+h4 = h2+h3 yet P1+P4 != P2+P3 at k=12."""
     words = tuple(Word(symbols, alphabet_size) for symbols in NON_AFFINE_WORDS)
-    indicators = tuple(bifix_indicator(w) for w in words)
-    h1, h2, h3, h4 = indicators
-    sums_equal = tuple(a + d for a, d in zip(h1.bits, h4.bits)) == tuple(
-        b + c for b, c in zip(h2.bits, h3.bits)
-    )
     counts = tuple(automaton_prob_table(w, NON_AFFINE_HORIZON).C[-1] for w in words)
-    c1, c2, c3, c4 = counts  # all over L**NON_AFFINE_HORIZON
-    return CounterexampleReport(
-        words,
-        indicators,
-        NON_AFFINE_HORIZON,
-        tuple(ExactProb(c, NON_AFFINE_HORIZON, alphabet_size) for c in counts),
-        sums_equal,
-        c1 + c4 == c2 + c3,
-    )
+    return CounterexampleReport(words, NON_AFFINE_HORIZON, counts)
 
 
 GENERATOR_NAME = "numpy-philox4x64/block2^14"
@@ -238,6 +252,8 @@ class McConfig(_Value):
     __slots__ = ("trials", "k", "seed")
 
     def __init__(self, trials: int, k: int, seed: int) -> None:
+        for name, value in (("trials", trials), ("k", k), ("seed", seed)):
+            _check_int(value, name)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         if k < 1:

@@ -37,6 +37,16 @@ def _ascii_ints(parts: Iterable[str], what: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _check_int(value: object, field: str) -> None:
+    """Refuse a field value that is not an int, or is a bool.
+
+    A bool or a float can equal an int and pass every range check, yet it
+    writes as "True" or "2.5", and float arithmetic is not exact.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"malformed {field}: expected an int, got {value!r}")
+
+
 class _Value:
     """Base of the immutable value types: a fixed tuple of fields in `__slots__`.
 
@@ -109,9 +119,12 @@ class Word(_Value):
     __slots__ = ("symbols", "alphabet_size")
 
     def __init__(self, symbols: tuple[int, ...], alphabet_size: int) -> None:
+        _check_int(alphabet_size, "alphabet_size")
         if alphabet_size < 2:
             raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
         for sym in symbols:
+            if sym.__class__ is not int:  # a call per symbol would double the cost of a Word
+                _check_int(sym, "symbols")
             if not 0 <= sym < alphabet_size:
                 raise ValueError(f"symbol {sym} out of range for alphabet size {alphabet_size}")
         object.__setattr__(self, "symbols", symbols)
@@ -147,6 +160,8 @@ class BifixIndicator(_Value):
         if len(bits) < 1:
             raise ValueError("indicator needs at least one bit (pattern length >= 2)")
         for bit in bits:
+            if bit.__class__ is not int:
+                _check_int(bit, "bits")
             if bit not in (0, 1):
                 raise ValueError(f"indicator bits must be 0 or 1, got {bit}")
         object.__setattr__(self, "bits", bits)
@@ -176,6 +191,8 @@ class SWord(_Value):
         if not targets:
             raise ValueError("jump-target word must be nonempty")
         for i, target in enumerate(targets):
+            if target.__class__ is not int:
+                _check_int(target, "targets")
             if not 0 <= target <= i:
                 raise ValueError(f"target s_{i}={target} violates 0 <= s_{i} <= {i}")
         object.__setattr__(self, "targets", targets)

@@ -156,7 +156,7 @@ class TestProb:
         def one_count_off(h, L, upto):
             table = real(h, L, upto)
             C = table.C[:-1] + (table.C[-1] + 1,)
-            return ProbTable(table.h, table.L, table.upto, C, table.method)
+            return ProbTable(table.h, table.L, C, table.method)
 
         monkeypatch.setattr(recursions, "p_table_long", one_count_off)
         code, env, err = run_json(capsys, "prob", "--h", "1", "--K", "6", "--check-all")
@@ -350,13 +350,15 @@ class TestTopLevel:
     def test_failed_property_check_exits_1(self, capsys, monkeypatch):
         # Force a non-reproducing report to exercise the verified-failure path.
         import patprob.oracle as oracle_module
+        from patprob.oracle import CounterexampleReport
 
         real = oracle_module.counterexample_check
 
         def broken(L=2):
+            # Counts with c1 + c4 == c2 + c3: the probability sums agree.
             report = real(L)
-            object.__setattr__(report, "probability_sums_equal", True)
-            return report
+            c1, c2, c3, _ = report.counts
+            return CounterexampleReport(report.words, report.horizon, (c1, c2, c3, c2 + c3 - c1))
 
         monkeypatch.setattr(oracle_module, "counterexample_check", broken)
         code, out, _ = run(capsys, "counterexample")

@@ -372,6 +372,9 @@ class TestLemmaSuite:
     def test_requires_enough_horizon(self):
         with pytest.raises(ValueError):
             check_lemmas(spec((0, 1, 2)), 2)
+        # upto = n is enough: row n is the first where the start state can absorb.
+        report = check_lemmas(spec((0, 1, 2)), 3)
+        assert report.passed and report.upto == 3
 
     # Each law broken by one planted cell of the true s = 0,1,0, L = 3 table,
     # whose rows 1..6 are (0,0,1,3) (0,1,3,9) (1,4,9,27) (6,14,29,81)
@@ -390,6 +393,8 @@ class TestLemmaSuite:
         # R_1(2) = 0 although k + i = n, so R_1(1) = R_1(2) = 0 at k + i + 1 = n:
         # the one strict violation below k = n - 1.
         ((1, 2, 0), ([], [(1, 2)], [(1, 1)])),
+        # 3 * R_5(1) = 147 > R_6(1) = 146: between the last two rows.
+        ((6, 1, 146), ([(5, 1)], [], [])),
     ]
 
     def planted(self, monkeypatch, k, i, value):

@@ -17,6 +17,7 @@ from patprob.oracle import (
     McResult,
     _automaton_rows,
     automaton_counts,
+    automaton_prob_table,
     counterexample_check,
     enum_counts,
     monte_carlo,
@@ -143,9 +144,12 @@ class TestCounts:
             assert automaton_counts(w(text), len(text)).contains == 1
 
     def test_first_at_sums_to_contains(self):
+        # contains is the sum of first_at; the automaton's first arrivals
+        # telescope to the count its table absorbs at k.
         for text, k in [("11", 8), ("100", 9)]:
             counts = automaton_counts(w(text), k)
-            assert sum(counts.first_at) == counts.contains
+            assert counts.k == k
+            assert counts.contains == automaton_prob_table(w(text), k).C[k]
 
     def test_budget_error_names_budget(self):
         with pytest.raises(EnumerationBudgetError, match="budget of 16777216"):

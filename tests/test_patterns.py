@@ -83,6 +83,14 @@ class TestWord:
         with pytest.raises(ValueError):
             Word.parse("1011", 12)
 
+    def test_digit_form_up_to_ten_symbols(self):
+        # Ten symbols are the digits 0-9; from eleven on, one needs two digits.
+        assert Word.parse("0919", 10).symbols == (0, 9, 1, 9)
+        assert Word((0, 9, 1, 9), 10).text() == "0919"
+        with pytest.raises(ValueError, match="^alphabet size 11 needs comma-separated symbols$"):
+            Word.parse("0919", 11)
+        assert Word((0, 9, 1, 9), 11).text() == "0,9,1,9"
+
     def test_symbol_out_of_range(self):
         with pytest.raises(ValueError):
             Word.parse("012", 2)
@@ -337,6 +345,16 @@ class TestCensus:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="^budget must be >= 0, got -1$"):
             census(3, 2, budget=-1)
+
+    def test_zero_budget_refuses_every_census(self):
+        with pytest.raises(EnumerationBudgetError, match=r"2\^3 words, exceeding the budget of 0$"):
+            census(3, 2, budget=0)
+
+    def test_budget_counts_words_not_symbols(self):
+        # 3**16 words exceed 2**24, though 16 is below the bit-length shortcut's 25.
+        with pytest.raises(EnumerationBudgetError, match=r"3\^16 words, exceeding the budget of 16777216$"):
+            patterns.check_enum_budget(3, 16, 2**24, "probe")
+        patterns.check_enum_budget(3, 15, 2**24, "probe")  # 3**15 = 14348907 words
 
     def test_representative_symbols_are_budgeted(self):
         # 2^20 representatives of 20 symbols each peaked at 263 MiB; the lower

@@ -113,31 +113,35 @@ class TestTableInvariants:
 
     def test_nonzero_below_pattern_length_rejected(self):
         with pytest.raises(ValueError, match="below the pattern length"):
-            ProbTable(H1, 2, 4, (0, 1, 3, 7, 15), "P-recursion")
+            ProbTable(H1, 2, (0, 1, 3, 7, 15), "P-recursion")
 
     def test_P_above_one_rejected(self):
         # C_3 = 9 > 2**3: more length-3 words than there are
         with pytest.raises(ValueError, match="P exceeded 1"):
-            ProbTable(H1, 2, 3, (0, 0, 1, 9), "P-recursion")
+            ProbTable(H1, 2, (0, 0, 1, 9), "P-recursion")
 
     def test_from_counts_rejects_decreasing_counts(self):
         # C_3 < 2 C_2 would make the first-occurrence count a_3 negative
         with pytest.raises(ValueError, match="below L"):
-            ProbTable(H1, 2, 3, (0, 0, 1, 1), "P-recursion")
+            ProbTable(H1, 2, (0, 0, 1, 1), "P-recursion")
 
     def test_counts_must_cover_the_horizon(self):
-        with pytest.raises(ValueError, match="cover k = 0..upto"):
-            ProbTable(H1, 2, 4, (0, 0, 1, 3), "P-recursion")
+        # The horizon is len(C) - 1, so a table needs C_0 at least.
+        with pytest.raises(ValueError, match="table needs at least one count, C_0"):
+            ProbTable(H1, 2, (), "P-recursion")
+        assert ProbTable(H1, 2, (0, 0, 1, 3), "P-recursion").upto == 3
 
     @pytest.mark.parametrize("L,C", [(1, (0, 0, 1)), (0, (0, 0, 0)), (-2, (0, 0, 0))])
     def test_alphabet_below_two_rejected(self, L, C):
         # With L = 1, (0, 0, 1) passes every count check: only the L check rejects it.
         with pytest.raises(ValueError, match=f"alphabet size must be >= 2, got {L}"):
-            ProbTable(H1, L, 2, C, "P-recursion")
+            ProbTable(H1, L, C, "P-recursion")
 
     def test_negative_horizon_rejected(self):
+        counts = iter((0, 0, 1))
         with pytest.raises(ValueError, match="upto must be >= 0, got -1"):
-            ProbTable(H1, 2, -1, (), "P-recursion")
+            ProbTable.from_counts(H1, 2, -1, counts, "P-recursion")
+        assert next(counts) == 0  # refused before a count is pulled
 
     @pytest.mark.parametrize("route", [*ROUTE_NAMES, "automaton"], ids=builder_id)
     def test_routes_leave_the_horizon_check_to_the_table(self, route):
@@ -214,10 +218,10 @@ class TestSharedViews:
 
     def test_different_counts_get_views_of_their_own(self):
         t = P_table(H1, 2, 6)
-        same = ProbTable(t.h, t.L, t.upto, t.C, "hand-built")
+        same = ProbTable(t.h, t.L, t.C, "hand-built")
         assert same.P == t.P and same.p == t.p
         # One more word containing the pattern at k = 6: still a valid table.
-        other = ProbTable(t.h, t.L, t.upto, t.C[:-1] + (t.C[-1] + 1,), "hand-built")
+        other = ProbTable(t.h, t.L, t.C[:-1] + (t.C[-1] + 1,), "hand-built")
         assert other.P != t.P and other.p != t.p
         assert other.P[:-1] == t.P[:-1] and other.P[-1] != t.P[-1]
         assert other.p[-1] != t.p[-1]

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 from patprob.markov import ChainComparison, ChainSpec, LemmaReport, ReachTable
-from patprob.numerics import ExactProb, _ProbView
+from patprob.numerics import ExactProb, ProbTable, _ProbView
 from patprob.oracle import CounterexampleReport, McConfig, OccurrenceCounts
 from patprob.patterns import BifixIndicator, CensusClass, SWord, Word
-from patprob.recursions import SeriesResult
+from patprob.recursions import P_table, SeriesResult
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "patprob"
 
@@ -55,19 +55,13 @@ CASES = [
      (SPEC, 1, (), (), ()), (SPEC, 1, (), ((0, 0),), ()),
      "LemmaReport(spec=ChainSpec(s=SWord(targets=(0,)), L=2), upto=1, monotone_k_violations=(), "
      "zero_pattern_violations=(), monotone_i_violations=())"),
-    (OccurrenceCounts, ("pattern", "k", "contains", "first_at"),
-     (Word((1, 1), 2), 2, 1, (0, 0, 1)), (Word((1, 1), 2), 2, 2, (0, 0, 1)),
-     "OccurrenceCounts(pattern=Word(symbols=(1, 1), alphabet_size=2), k=2, contains=1, "
-     "first_at=(0, 0, 1))"),
-    (CounterexampleReport,
-     ("words", "indicators", "horizon", "probabilities", "indicator_sums_equal",
-      "probability_sums_equal"),
-     ((Word((1, 0), 2),), (BifixIndicator((0,)),), 12, (ExactProb(1, 1, 2),), True, False),
-     ((Word((1, 0), 2),), (BifixIndicator((0,)),), 12, (ExactProb(1, 1, 2),), True, True),
-     "CounterexampleReport(words=(Word(symbols=(1, 0), alphabet_size=2),), "
-     "indicators=(BifixIndicator(bits=(0,)),), horizon=12, "
-     "probabilities=(ExactProb(num=1, den_exp=1, base=2),), indicator_sums_equal=True, "
-     "probability_sums_equal=False)"),
+    (OccurrenceCounts, ("pattern", "first_at"),
+     (Word((1, 1), 2), (0, 0, 1)), (Word((1, 1), 2), (0, 0, 2)),
+     "OccurrenceCounts(pattern=Word(symbols=(1, 1), alphabet_size=2), first_at=(0, 0, 1))"),
+    (CounterexampleReport, ("words", "horizon", "counts"),
+     ((Word((1, 0), 2),), 12, (2048,)), ((Word((1, 0), 2),), 12, (2047,)),
+     "CounterexampleReport(words=(Word(symbols=(1, 0), alphabet_size=2),), horizon=12, "
+     "counts=(2048,))"),
     (McConfig, ("trials", "k", "seed"), (100, 10, 7), (100, 10, 8),
      "McConfig(trials=100, k=10, seed=7)"),
 ]
@@ -167,10 +161,18 @@ def test_exact_prob_orders_only_against_exact_prob(other):
     [
         (lambda: Word((0, 1), 1), "alphabet size must be >= 2, got 1"),
         (lambda: Word((0, 2), 2), "symbol 2 out of range for alphabet size 2"),
+        (lambda: Word((True, False, True), 2), "malformed symbols: expected an int, got True"),
+        (lambda: Word((0, 1.0), 2), "malformed symbols: expected an int, got 1.0"),
+        (lambda: Word((0, 1), 2.5), "malformed alphabet_size: expected an int, got 2.5"),
+        (lambda: Word((0, 1), True), "malformed alphabet_size: expected an int, got True"),
         (lambda: BifixIndicator(()), "indicator needs at least one bit (pattern length >= 2)"),
         (lambda: BifixIndicator((0, 2)), "indicator bits must be 0 or 1, got 2"),
+        (lambda: BifixIndicator((True, False)), "malformed bits: expected an int, got True"),
+        (lambda: BifixIndicator((0, 1.0)), "malformed bits: expected an int, got 1.0"),
         (lambda: SWord(()), "jump-target word must be nonempty"),
         (lambda: SWord((0, 2)), "target s_1=2 violates 0 <= s_1 <= 1"),
+        (lambda: SWord((False, True)), "malformed targets: expected an int, got False"),
+        (lambda: SWord((0, 1.0)), "malformed targets: expected an int, got 1.0"),
         (lambda: ExactProb(True, 1, 2), "malformed num: expected an int, got True"),
         (lambda: ExactProb(1, 1.0, 2), "malformed den_exp: expected an int, got 1.0"),
         (lambda: ExactProb(1, 1, 2.0), "malformed base: expected an int, got 2.0"),
@@ -179,6 +181,13 @@ def test_exact_prob_orders_only_against_exact_prob(other):
         (lambda: ExactProb(1, -1, 2), "denominator exponent must be nonnegative, got -1"),
         (lambda: ExactProb(6, 2, 2), "probability must be <= 1, got num > 2**2"),
         (lambda: ChainSpec(S01, 1), "alphabet size must be >= 2, got 1"),
+        (lambda: ChainSpec(S01, 2.5), "malformed L: expected an int, got 2.5"),
+        (lambda: ChainSpec(S01, True), "malformed L: expected an int, got True"),
+        (lambda: P_table(BifixIndicator.parse("10"), 2.5, 5), "malformed L: expected an int, got 2.5"),
+        (lambda: ProbTable(BifixIndicator((0,)), True, (0,), "P"),
+         "malformed L: expected an int, got True"),
+        (lambda: ProbTable(BifixIndicator((0,)), 2, (0, 0, 1.0), "P"),
+         "malformed C: expected an int, got 1.0"),
         (lambda: ReachTable(SPEC, ()), "reach table needs >= 1 row of n+1 counts"),
         (lambda: ReachTable(SPEC, ((1, 1),)),
          "row k=0 must be the unit vector at the absorbing state"),
@@ -190,6 +199,9 @@ def test_exact_prob_orders_only_against_exact_prob(other):
         (lambda: McConfig(1, 0, 1), "horizon k must be >= 1, got 0"),
         (lambda: McConfig(1, 10, 2**128),
          f"seed must be in [0, 2**128), the Philox key range, got {2**128}"),
+        (lambda: McConfig(True, 5, 1), "malformed trials: expected an int, got True"),
+        (lambda: McConfig(10, 5.0, 1), "malformed k: expected an int, got 5.0"),
+        (lambda: McConfig(10, 5, 1.5), "malformed seed: expected an int, got 1.5"),
     ],
 )
 def test_validation_messages(build, message):

@@ -2,7 +2,8 @@
 
 Each mutant below replaces one snippet inside one named function or class of
 `src/patprob` and names the tests that should fail for it. The script copies
-`src/`, `tests/` and `pyproject.toml` into a temporary directory per mutant,
+`src/`, `tests/`, `pyproject.toml` and `bench/golden.json` (which
+`tests/test_cli.py` reads at import) into a temporary directory per mutant,
 applies the edit there (the working tree is never touched), and runs pytest on
 the mutant's tests under a timeout and an address-space cap. A mutant is
 killed when its tests fail, time out or exceed the cap; otherwise it
@@ -15,7 +16,7 @@ when a mutant survives that the file does not list, a listed one is killed,
 or the file lists an id that the list below does not have, so the file must
 be kept in step with the list. It exits 2 when the unmutated tree fails.
 
-    python3 tools/mutate.py            # every mutant, about 100 s on 2 cores
+    python3 tools/mutate.py            # every mutant, about 130 s on 2 cores
 
 Standard library only; pytest and the package's own dependencies must be
 importable by the interpreter that runs it.
@@ -58,6 +59,18 @@ VIOLATION_TESTS = (
 )
 RELATION_TESTS = ("tests/test_markov.py::TestCompareChains::test_small_pair",)
 CENSUS_BUDGET_TESTS = ("tests/test_patterns.py::TestCensus::test_negative_budget_rejected",)
+ZERO_BUDGET_TESTS = ("tests/test_patterns.py::TestCensus::test_zero_budget_refuses_every_census",)
+WORD_BUDGET_TESTS = ("tests/test_patterns.py::TestCensus::test_budget_counts_words_not_symbols",)
+DIGIT_FORM_TESTS = ("tests/test_patterns.py::TestWord::test_digit_form_up_to_ten_symbols",)
+LEMMA_TESTS = ("tests/test_markov.py::TestLemmaSuite",)
+COUNTS_TESTS = ("tests/test_oracle.py::TestCounts",)
+TABLE_TESTS = ("tests/test_recursions.py",)
+COUNTEREXAMPLE_TESTS = (
+    "tests/test_oracle.py::TestCounterexample",
+    "tests/test_cli.py::TestTopLevel::test_failed_property_check_exits_1",
+    "tests/test_cli.py::TestByteIdentity::test_stdout_digest",
+)
+DIGEST_TESTS = ("tests/test_cli.py::TestByteIdentity::test_stdout_digest",)
 EXACT_FIELDS = '(("num", num), ("den_exp", den_exp), ("base", base))'
 
 # (id, file under src/patprob, function or class name, snippet, replacement, tests)
@@ -113,9 +126,11 @@ MUTANTS = (
      "if den_exp < 0:", "if den_exp < -1:", FIELD_TESTS),
     ("exact.at-most-one", "numerics.py", "ExactProb.__init__",
      "canon_num > base**exp", "canon_num > base ** (exp + 1)", FIELD_TESTS),
-    ("exact.bool-accepted", "numerics.py", "ExactProb.__init__",
+    ("int-rule.bool-accepted", "patterns.py", "_check_int",
      "not isinstance(value, int) or isinstance(value, bool)", "not isinstance(value, int)",
      FIELD_TESTS),
+    ("word.symbols-unchecked", "patterns.py", "Word.__init__",
+     '_check_int(sym, "symbols")', "pass", FIELD_TESTS),
     ("exact.num-unchecked", "numerics.py", "ExactProb.__init__",
      EXACT_FIELDS, '(("den_exp", den_exp), ("base", base))', FIELD_TESTS),
     ("exact.den-exp-unchecked", "numerics.py", "ExactProb.__init__",
@@ -132,6 +147,36 @@ MUTANTS = (
      "a > b", "a >= b", RELATION_TESTS),
     ("census.negative-budget", "patterns.py", "census",
      "if budget < 0:", "if budget < -1:", CENSUS_BUDGET_TESTS),
+    ("census.zero-budget-negative", "patterns.py", "census",
+     "if budget < 0:", "if budget <= 0:", ZERO_BUDGET_TESTS),
+    ("census.budget-below-one", "patterns.py", "census",
+     "if budget < 0:", "if budget < 1:", ZERO_BUDGET_TESTS),
+    ("enum-budget.product", "patterns.py", "check_enum_budget",
+     "L**k > budget", "L * k > budget", WORD_BUDGET_TESTS),
+    ("word.parse-ten-needs-commas", "patterns.py", "Word.parse",
+     "alphabet_size > 10", "alphabet_size >= 10", DIGIT_FORM_TESTS),
+    ("word.parse-eleven-digits", "patterns.py", "Word.parse",
+     "alphabet_size > 10", "alphabet_size > 11", DIGIT_FORM_TESTS),
+    ("word.text-ten-commas", "patterns.py", "Word.text",
+     "self.alphabet_size <= 10", "self.alphabet_size < 10", DIGIT_FORM_TESTS),
+    ("word.text-eleven-digits", "patterns.py", "Word.text",
+     "self.alphabet_size <= 10", "self.alphabet_size <= 11", DIGIT_FORM_TESTS),
+    ("lemmas.horizon-equal-n", "markov.py", "check_lemmas",
+     "if upto < n:", "if upto <= n:", LEMMA_TESTS),
+    ("lemmas.last-row-unchecked", "markov.py", "check_lemmas",
+     "k + 1 <= upto", "k + 1 < upto", LEMMA_TESTS),
+    ("lemmas.row-skipped", "markov.py", "check_lemmas",
+     "k + 1 <= upto", "k + 2 <= upto", LEMMA_TESTS),
+    ("counts.k-length", "oracle.py", "OccurrenceCounts.k",
+     "len(self.first_at) - 1", "len(self.first_at)", COUNTS_TESTS),
+    ("counterexample.sum-pairs", "oracle.py", "CounterexampleReport.probability_sums_equal",
+     "c1 + c4 == c2 + c3", "c1 + c3 == c2 + c4", COUNTEREXAMPLE_TESTS),
+    ("counterexample.sum-negated", "oracle.py", "CounterexampleReport.probability_sums_equal",
+     "c1 + c4 == c2 + c3", "c1 + c4 != c2 + c3", DIGEST_TESTS),
+    ("table.upto-length", "numerics.py", "ProbTable.upto",
+     "len(self.C) - 1", "len(self.C)", TABLE_TESTS),
+    ("table.negative-upto", "numerics.py", "ProbTable.from_counts",
+     "if upto < 0:", "if upto < -1:", TABLE_TESTS),
     ("canonical.odd-test", "numerics.py", "canonical",
      "if num & 1:", "if num & 2:", CANONICAL_TESTS),
     ("canonical.shift-width", "numerics.py", "canonical",
@@ -223,6 +268,8 @@ def _copy_tree(into: Path) -> None:
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, into / name, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+    (into / "bench").mkdir()
+    shutil.copy2(ROOT / "bench" / "golden.json", into / "bench" / "golden.json")
 
 
 def main() -> int:
