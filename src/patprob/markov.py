@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .patterns import BifixIndicator, SWord, _Value, _check_int, comparison_threshold, s_from_h
+from .patterns import BifixIndicator, SWord, _Value, _at_least, _check_int, comparison_threshold, s_from_h
 
 
 class ChainSpec(_Value):
@@ -24,9 +24,7 @@ class ChainSpec(_Value):
     __slots__ = ("s", "L")
 
     def __init__(self, s: SWord, L: int) -> None:
-        _check_int(L, "L")
-        if L < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {L}")
+        _at_least(L, 2, "L", "alphabet size")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "L", L)
 
@@ -55,6 +53,9 @@ class ReachTable(_Value):
             raise ValueError("row k=0 must be the unit vector at the absorbing state")
         power = 1  # L**k
         for row in P:
+            for count in row:
+                if count.__class__ is not int:  # a call per count would cost the reach DP
+                    _check_int(count, "P")
             if row[n] != power:
                 raise ValueError("absorbing state must have probability 1 at every k")
             if min(row) < 0 or max(row) > power:
@@ -73,8 +74,7 @@ def _reach_rows(spec: ChainSpec, upto: int) -> Iterator[tuple[int, ...]]:
     generator holds only its current row, so a caller that keeps one
     column holds one column.
     """
-    if upto < 0:
-        raise ValueError(f"upto must be >= 0, got {upto}")
+    _at_least(upto, 0, "upto")
     n, L = spec.n, spec.L
     targets = spec.s.targets
     # Given one index, itemgetter returns a bare value; a slice keeps a tuple.

@@ -19,7 +19,8 @@ decimal strings.
 From the package this module imports only `patterns._Value`, the base
 that gives `ExactProb` and `_ProbView` their equality, hash, repr and
 immutability, `patterns._ascii_ints`, which reads a JSON numerator, and
-`patterns._check_int`, the one rule that a field is an int and not a bool.
+`patterns._check_int` and `patterns._at_least`, the one rule that a field
+is an int and not a bool and the one bound rule built on it.
 `ProbTable` only reads `h.n` and `h.text()` of its indicator, and its
 annotations stay unevaluated strings, so naming `BifixIndicator` imports
 nothing more.
@@ -32,7 +33,7 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator
 
-from .patterns import _Value, _ascii_ints, _check_int
+from .patterns import _Value, _ascii_ints, _at_least, _check_int
 
 
 def canonical(num: int, den_exp: int, base: int) -> tuple[int, int]:
@@ -88,14 +89,9 @@ class ExactProb(_Value):
 
     def __init__(self, num: int, den_exp: int, base: int) -> None:
         # A bool or float field would equal the int, yet write a record from_json_dict refuses.
-        for name, value in (("num", num), ("den_exp", den_exp), ("base", base)):
-            _check_int(value, name)
-        if base < 2:
-            raise ValueError(f"base must be >= 2, got {base}")
-        if num < 0:
-            raise ValueError(f"numerator must be nonnegative, got {num}")
-        if den_exp < 0:
-            raise ValueError(f"denominator exponent must be nonnegative, got {den_exp}")
+        _at_least(num, 0, "num")
+        _at_least(den_exp, 0, "den_exp")
+        _at_least(base, 2, "base")
         canon_num, exp = canonical(num, den_exp, base)
         if canon_num > base**exp:
             raise ValueError(f"probability must be <= 1, got num > {base}**{den_exp}")
@@ -197,9 +193,7 @@ class ProbTable:
 
     def __post_init__(self) -> None:
         n, L = self.h.n, self.L
-        _check_int(L, "L")
-        if L < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {L}")
+        _at_least(L, 2, "L", "alphabet size")
         if not self.C:
             raise ValueError("table needs at least one count, C_0")
         prev = 0
@@ -228,8 +222,7 @@ class ProbTable:
 
         A negative upto is refused before any count is pulled.
         """
-        if upto < 0:
-            raise ValueError(f"upto must be >= 0, got {upto}")
+        _at_least(upto, 0, "upto")
         return cls(h, L, tuple(islice(counts, upto + 1)), method)
 
     @property
@@ -309,8 +302,7 @@ class ProbTable:
 
     def decimal_rows(self, digits: int) -> list[tuple[int, str, str]]:
         """(k, p_k, P_k) with both values rounded to `digits` fractional digits."""
-        if digits < 1:
-            raise ValueError(f"digits must be >= 1, got {digits}")
+        _at_least(digits, 1, "digits")
         return [
             (k, decimal_string(a, power, digits), decimal_string(c, power, digits))
             for k, (a, c, power) in enumerate(self._counts())

@@ -26,6 +26,7 @@ from .patterns import (
     DEFAULT_ENUM_BUDGET,
     BifixIndicator,
     Word,
+    _at_least,
     _check_int,
     _failure,
     _symbol_mask,
@@ -69,12 +70,9 @@ def enum_counts(pattern: Word, k: int) -> OccurrenceCounts:
     each is 2 MiB; past that size, DEFAULT_ENUM_BUDGET = 2**24 words, the
     call raises EnumerationBudgetError.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _at_least(k, 0, "k")
     L = pattern.alphabet_size
     n = len(pattern)
-    if n < 1:
-        raise ValueError("pattern must be nonempty")
     check_enum_budget(L, k, DEFAULT_ENUM_BUDGET, f"enum_counts(len {k}, L={L})")
     symbols = pattern.symbols
     first_at = [0] * (k + 1)
@@ -109,8 +107,6 @@ def _automaton_rows(pattern: Word) -> list[dict[int, int]]:
     automaton has at most 2n transitions that do not lead to 0 (Simon's
     bound), so the rows take O(n) time and space whatever the alphabet size.
     """
-    if len(pattern) < 1:
-        raise ValueError("pattern must be nonempty")
     b = pattern.symbols
     fail = _failure(b)
     rows: list[dict[int, int]] = []
@@ -160,8 +156,7 @@ def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
     a_j = A_j - L A_{j-1} at step j, each followed by any k - j symbols,
     telescope to the absorbed count A_k.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _at_least(k, 0, "k")
     L = pattern.alphabet_size
     absorbed = tuple(islice(_absorbed_counts(pattern), k + 1))
     first_at = [0] * (k + 1)
@@ -252,12 +247,9 @@ class McConfig(_Value):
     __slots__ = ("trials", "k", "seed")
 
     def __init__(self, trials: int, k: int, seed: int) -> None:
-        for name, value in (("trials", trials), ("k", k), ("seed", seed)):
-            _check_int(value, name)
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        if k < 1:
-            raise ValueError(f"horizon k must be >= 1, got {k}")
+        _at_least(trials, 1, "trials")
+        _at_least(k, 1, "k")
+        _check_int(seed, "seed")
         if not 0 <= seed < 2**128:
             raise ValueError(f"seed must be in [0, 2**128), the Philox key range, got {seed}")
         object.__setattr__(self, "trials", trials)
@@ -396,8 +388,6 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     numpy is imported here, so only callers of this function load it.
     """
     L, n = pattern.alphabet_size, len(pattern)
-    if n < 1:
-        raise ValueError("pattern must be nonempty")
     if L > 2**63:
         raise ValueError(f"Monte Carlo draws int64 symbols, so alphabet size L must be <= 2**63, got {L}")
     import numpy as np

@@ -47,6 +47,22 @@ def _check_int(value: object, field: str) -> None:
         raise ValueError(f"malformed {field}: expected an int, got {value!r}")
 
 
+def _at_least(value: object, least: int, field: str, described: str | None = None) -> None:
+    """Refuse a value that `_check_int` refuses or that is below `least`.
+
+    The one bound rule: every integer field or argument with a lower bound,
+    such as an alphabet size (>= 2) or a horizon (>= 0), is checked by one
+    call, and the ValueError names it. A value that is not an int is named
+    by `field`, the argument as the signature spells it ("malformed L: ..."),
+    and a value below the bound by `described` when given ("alphabet size
+    must be >= 2, ...").
+    """
+    if value.__class__ is not int:  # the call costs more than the test
+        _check_int(value, field)
+    if value < least:
+        raise ValueError(f"{described or field} must be >= {least}, got {value}")
+
+
 class _Value:
     """Base of the immutable value types: a fixed tuple of fields in `__slots__`.
 
@@ -114,14 +130,14 @@ class _Value:
 
 
 class Word(_Value):
-    """A finite word over the alphabet {0, ..., alphabet_size - 1}."""
+    """A nonempty finite word over the alphabet {0, ..., alphabet_size - 1}."""
 
     __slots__ = ("symbols", "alphabet_size")
 
     def __init__(self, symbols: tuple[int, ...], alphabet_size: int) -> None:
-        _check_int(alphabet_size, "alphabet_size")
-        if alphabet_size < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
+        _at_least(alphabet_size, 2, "alphabet_size", "alphabet size")
+        if not symbols:
+            raise ValueError("word must be nonempty")
         for sym in symbols:
             if sym.__class__ is not int:  # a call per symbol would double the cost of a Word
                 _check_int(sym, "symbols")
@@ -350,6 +366,7 @@ def comparison_threshold(s: SWord, s_prime: SWord) -> int:
 
 def expected_wait_closed(h: BifixIndicator, L: int) -> int:
     """Expected first-occurrence position: L**n + sum_i h_i * L**i, exactly."""
+    _at_least(L, 2, "L", "alphabet size")
     return L**h.n + sum(L**i for i in range(1, h.n) if h.bits[i - 1] == 1)
 
 
@@ -425,14 +442,10 @@ def census(
     n per word: their running sum before a class's words are built, and
     min(max_representatives, L**n) * n, a lower bound, before any mask.
     """
-    if n < 2:
-        raise ValueError(f"census needs pattern length >= 2, got {n}")
-    if alphabet_size < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
-    if max_representatives < 0:
-        raise ValueError(f"max_representatives must be >= 0, got {max_representatives}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    _at_least(n, 2, "n", "pattern length")
+    _at_least(alphabet_size, 2, "alphabet_size", "alphabet size")
+    _at_least(max_representatives, 0, "max_representatives")
+    _at_least(budget, 0, "budget")
     check_enum_budget(alphabet_size, n, budget, f"census(n={n}, L={alphabet_size})")
     L = alphabet_size
     over_budget = (

@@ -27,7 +27,7 @@ from typing import Iterator
 from .numerics import ProbTable
 # expected_wait_closed, the closed form that the series approximates, lives in
 # patterns so that `bifix` loads no recursion; bench/workloads.py reads it here.
-from .patterns import BifixIndicator, _Value, expected_wait_closed  # noqa: F401
+from .patterns import BifixIndicator, _Value, _at_least, expected_wait_closed  # noqa: F401
 
 
 def _borders(h: BifixIndicator, L: int) -> list[int]:
@@ -36,8 +36,7 @@ def _borders(h: BifixIndicator, L: int) -> list[int]:
     Every recursion calls this before its first step, so it also rejects an
     alphabet size below 2 before any work is done.
     """
-    if L < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {L}")
+    _at_least(L, 2, "L", "alphabet size")
     return [i for i in range(1, h.n) if h.bits[i - 1] == 1]
 
 
@@ -152,6 +151,8 @@ def expected_wait_series(
     """
     if not 0 < tol < float("inf"):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    _at_least(L, 2, "L", "alphabet size")  # here, not first in _borders: a float L**n can overflow
+    _at_least(k_max, 0, "k_max")
     tol_num, tol_den = tol.as_integer_ratio()
     weight = h.n * L**h.n
     stop = weight * tol_den  # converged once q * stop < tol_num * L**K

@@ -215,8 +215,8 @@ class TestCounts:
             (lambda: enum_counts(w("01"), -1), "k must be >= 0, got -1"),
             (lambda: automaton_counts(w("01"), -1), "k must be >= 0, got -1"),
             (lambda: monte_carlo(Word((), 2), McConfig(trials=1, k=1, seed=0)),
-             "pattern must be nonempty"),
-            (lambda: enum_counts(Word((), 2), 3), "pattern must be nonempty"),
+             "word must be nonempty"),
+            (lambda: enum_counts(Word((), 2), 3), "word must be nonempty"),
         ],
         ids=["enum_counts", "automaton_counts", "monte_carlo", "enum_counts_empty"],
     )

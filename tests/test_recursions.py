@@ -201,7 +201,7 @@ class TestEdgeHorizons:
                 assert automaton_counts(word, k) == enum_counts(word, k)
 
     def test_empty_pattern_rejected(self):
-        with pytest.raises(ValueError, match="pattern must be nonempty"):
+        with pytest.raises(ValueError, match="word must be nonempty"):
             _automaton_rows(Word((), 2))
 
 

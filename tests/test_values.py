@@ -11,11 +11,26 @@ from pathlib import Path
 
 import pytest
 
-from patprob.markov import ChainComparison, ChainSpec, LemmaReport, ReachTable
+from patprob import ROUTE_NAMES, _route
+from patprob.markov import (
+    ChainComparison,
+    ChainSpec,
+    LemmaReport,
+    ReachTable,
+    compare_chains,
+    reach_table,
+)
 from patprob.numerics import ExactProb, ProbTable, _ProbView
-from patprob.oracle import CounterexampleReport, McConfig, OccurrenceCounts
-from patprob.patterns import BifixIndicator, CensusClass, SWord, Word
-from patprob.recursions import P_table, SeriesResult
+from patprob.oracle import (
+    CounterexampleReport,
+    McConfig,
+    OccurrenceCounts,
+    automaton_counts,
+    automaton_prob_table,
+    enum_counts,
+)
+from patprob.patterns import BifixIndicator, CensusClass, SWord, Word, census, expected_wait_closed
+from patprob.recursions import P_table, SeriesResult, expected_wait_series
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "patprob"
 
@@ -160,6 +175,7 @@ def test_exact_prob_orders_only_against_exact_prob(other):
     "build, message",
     [
         (lambda: Word((0, 1), 1), "alphabet size must be >= 2, got 1"),
+        (lambda: Word((), 2), "word must be nonempty"),
         (lambda: Word((0, 2), 2), "symbol 2 out of range for alphabet size 2"),
         (lambda: Word((True, False, True), 2), "malformed symbols: expected an int, got True"),
         (lambda: Word((0, 1.0), 2), "malformed symbols: expected an int, got 1.0"),
@@ -177,8 +193,8 @@ def test_exact_prob_orders_only_against_exact_prob(other):
         (lambda: ExactProb(1, 1.0, 2), "malformed den_exp: expected an int, got 1.0"),
         (lambda: ExactProb(1, 1, 2.0), "malformed base: expected an int, got 2.0"),
         (lambda: ExactProb(1, 1, 1), "base must be >= 2, got 1"),
-        (lambda: ExactProb(-1, 1, 2), "numerator must be nonnegative, got -1"),
-        (lambda: ExactProb(1, -1, 2), "denominator exponent must be nonnegative, got -1"),
+        (lambda: ExactProb(-1, 1, 2), "num must be >= 0, got -1"),
+        (lambda: ExactProb(1, -1, 2), "den_exp must be >= 0, got -1"),
         (lambda: ExactProb(6, 2, 2), "probability must be <= 1, got num > 2**2"),
         (lambda: ChainSpec(S01, 1), "alphabet size must be >= 2, got 1"),
         (lambda: ChainSpec(S01, 2.5), "malformed L: expected an int, got 2.5"),
@@ -195,8 +211,9 @@ def test_exact_prob_orders_only_against_exact_prob(other):
          "absorbing state must have probability 1 at every k"),
         (lambda: ReachTable(SPEC, ((0, 1), (3, 2))),
          "reach probabilities must stay within [0, 1]"),
+        (lambda: ReachTable(SPEC, ((0.0, 1), (1.0, 2))), "malformed P: expected an int, got 0.0"),
         (lambda: McConfig(0, 10, 1), "trials must be >= 1, got 0"),
-        (lambda: McConfig(1, 0, 1), "horizon k must be >= 1, got 0"),
+        (lambda: McConfig(1, 0, 1), "k must be >= 1, got 0"),
         (lambda: McConfig(1, 10, 2**128),
          f"seed must be in [0, 2**128), the Philox key range, got {2**128}"),
         (lambda: McConfig(True, 5, 1), "malformed trials: expected an int, got True"),
@@ -208,6 +225,62 @@ def test_validation_messages(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+H10 = BifixIndicator((1, 0))
+W01 = Word((0, 1), 2)
+
+# (call that passes x as the checked argument, the name a value that is not an int
+# is refused under, the name a value below the bound is refused under, least value)
+BOUNDS = {
+    "Word.alphabet_size": (lambda x: Word((0, 1), x), "alphabet_size", "alphabet size", 2),
+    "ChainSpec.L": (lambda x: ChainSpec(S01, x), "L", "alphabet size", 2),
+    "ProbTable.L": (lambda x: ProbTable(H10, x, (0,), "P"), "L", "alphabet size", 2),
+    "ProbTable.from_counts.upto": (lambda x: ProbTable.from_counts(H10, 2, x, iter(()), "P"),
+                                   "upto", "upto", 0),
+    "ProbTable.decimal_rows.digits": (lambda x: P_table(H10, 2, 4).decimal_rows(x), "digits", "digits", 1),
+    "ExactProb.num": (lambda x: ExactProb(x, 1, 2), "num", "num", 0),
+    "ExactProb.den_exp": (lambda x: ExactProb(1, x, 2), "den_exp", "den_exp", 0),
+    "ExactProb.base": (lambda x: ExactProb(1, 1, x), "base", "base", 2),
+    "McConfig.trials": (lambda x: McConfig(x, 10, 1), "trials", "trials", 1),
+    "McConfig.k": (lambda x: McConfig(10, x, 1), "k", "k", 1),
+    "census.n": (lambda x: census(x, 2), "n", "pattern length", 2),
+    "census.alphabet_size": (lambda x: census(3, x), "alphabet_size", "alphabet size", 2),
+    "census.max_representatives": (lambda x: census(3, 2, max_representatives=x),
+                                   "max_representatives", "max_representatives", 0),
+    "census.budget": (lambda x: census(3, 2, budget=x), "budget", "budget", 0),
+    "expected_wait_closed.L": (lambda x: expected_wait_closed(H10, x), "L", "alphabet size", 2),
+    "expected_wait_series.L": (lambda x: expected_wait_series(H10, x, 1e-9), "L", "alphabet size", 2),
+    # 2.0**1101 overflows a float before the series starts.
+    "expected_wait_series.L-n1101": (
+        lambda x: expected_wait_series(BifixIndicator((0,) * 1100), x, 1e-9), "L", "alphabet size", 2),
+    "expected_wait_series.k_max": (lambda x: expected_wait_series(H10, 2, 1e-9, x), "k_max", "k_max", 0),
+    **{f"{name}.L": (lambda x, name=name: _route(name)(H10, x, 5), "L", "alphabet size", 2)
+       for name in ROUTE_NAMES},
+    **{f"{name}.upto": (lambda x, name=name: _route(name)(H10, 2, x), "upto", "upto", 0)
+       for name in ROUTE_NAMES},
+    "automaton_prob_table.upto": (lambda x: automaton_prob_table(W01, x), "upto", "upto", 0),
+    "reach_table.upto": (lambda x: reach_table(SPEC, x), "upto", "upto", 0),
+    "compare_chains.L": (lambda x: compare_chains(S01, SWord((0, 0)), x, 5), "L", "alphabet size", 2),
+    "compare_chains.upto": (lambda x: compare_chains(S01, SWord((0, 0)), 2, x), "upto", "upto", 0),
+    "enum_counts.k": (lambda x: enum_counts(W01, x), "k", "k", 0),
+    "automaton_counts.k": (lambda x: automaton_counts(W01, x), "k", "k", 0),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "fraction", "below"])
+@pytest.mark.parametrize("call, field, described, least", BOUNDS.values(), ids=BOUNDS)
+def test_bound_rule_names_the_argument(call, field, described, least, kind):
+    # A bool, or a float the range check passes, is refused by patterns._at_least
+    # like a value below the bound: P_table(h, 2, True) built a two-row table,
+    # census(3, 2.0) failed inside the computation with TypeError.
+    value = {"bool": True, "float": float(least), "fraction": least + 0.5, "below": least - 1}[kind]
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    if kind == "below":
+        assert str(exc.value) == f"{described} must be >= {least}, got {value}"
+    else:
+        assert str(exc.value) == f"malformed {field}: expected an int, got {value!r}"
 
 
 def test_only_replaced_types_are_dataclasses():
@@ -241,10 +314,23 @@ def test_only_value_base_writes_value_methods():
     assert {method for _, _, method in writers} == value_methods
 
 
+def _checks(init: ast.FunctionDef) -> bool:
+    """Whether a function raises or calls one of the int rules."""
+    return any(
+        isinstance(node, ast.Raise)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("_check_int", "_at_least")
+        for node in ast.walk(init)
+    )
+
+
 def test_only_checked_types_write_a_constructor():
     # A constructor that only stores its fields is patterns._Value's job: every
-    # __init__ of a value type checks its input and can raise, and no module
-    # makes an instance past its __init__ with object.__new__.
+    # __init__ of a value type checks its input and can raise, directly or
+    # through an int rule, and no module makes an instance past its __init__
+    # with object.__new__.
+    stores_only = ast.parse("def __init__(self, L):\n    object.__setattr__(self, 'L', L)\n")
+    assert not _checks(stores_only.body[0])
     inits, new_calls = {}, []
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -257,8 +343,7 @@ def test_only_checked_types_write_a_constructor():
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and item.name == "__init__":
                         inits[node.name] = item
-    assert [name for name, init in inits.items()
-            if not any(isinstance(node, ast.Raise) for node in ast.walk(init))] == []
+    assert [name for name, init in inits.items() if not _checks(init)] == []
     assert set(inits) == {"Word", "BifixIndicator", "SWord", "ExactProb", "ChainSpec",
                           "ReachTable", "McConfig"}
     assert new_calls == []

@@ -14,9 +14,12 @@ Survivors that are accepted, each with a one-line reason ("equivalent: ..."),
 are listed in `MUTANTS.json` at the root of the repository. The script exits 1
 when a mutant survives that the file does not list, a listed one is killed,
 or the file lists an id that the list below does not have, so the file must
-be kept in step with the list. It exits 2 when the unmutated tree fails.
+be kept in step with the list. It exits 2, before any test runs, when a
+mutant's snippet does not occur exactly once in its function or its source
+does not compile (a module that cannot be imported fails every test, so a
+typo would pass as a kill), and when the unmutated tree fails.
 
-    python3 tools/mutate.py            # every mutant, about 130 s on 2 cores
+    python3 tools/mutate.py            # every mutant, about 2 minutes on 2 cores
 
 Standard library only; pytest and the package's own dependencies must be
 importable by the interpreter that runs it.
@@ -51,6 +54,7 @@ K0_TESTS = (
     "tests/test_acceptance.py::test_criterion_3_class_monotonicity_sharp_threshold",
 )
 FIELD_TESTS = ("tests/test_values.py::test_validation_messages",)
+BOUND_TESTS = ("tests/test_values.py::test_bound_rule_names_the_argument",)
 CANONICAL_TESTS = (
     "tests/test_numerics.py::TestCanonicalForm::test_small_fields_match_division_reference",
 )
@@ -71,7 +75,6 @@ COUNTEREXAMPLE_TESTS = (
     "tests/test_cli.py::TestByteIdentity::test_stdout_digest",
 )
 DIGEST_TESTS = ("tests/test_cli.py::TestByteIdentity::test_stdout_digest",)
-EXACT_FIELDS = '(("num", num), ("den_exp", den_exp), ("base", base))'
 
 # (id, file under src/patprob, function or class name, snippet, replacement, tests)
 MUTANTS = (
@@ -119,26 +122,32 @@ MUTANTS = (
     ("table.p-column", "numerics.py", "ProbTable.p",
      '_ProbView(self.L, self.C, "p")', '_ProbView(self.L, self.C, "P")', VIEW_TESTS),
     ("exact.base-bound", "numerics.py", "ExactProb.__init__",
-     "if base < 2:", "if base < 1:", FIELD_TESTS),
+     '_at_least(base, 2, "base")', '_at_least(base, 1, "base")', FIELD_TESTS),
     ("exact.num-bound", "numerics.py", "ExactProb.__init__",
-     "if num < 0:", "if num < -1:", FIELD_TESTS),
+     '_at_least(num, 0, "num")', '_at_least(num, -1, "num")', FIELD_TESTS),
     ("exact.den-exp-bound", "numerics.py", "ExactProb.__init__",
-     "if den_exp < 0:", "if den_exp < -1:", FIELD_TESTS),
+     '_at_least(den_exp, 0, "den_exp")', '_at_least(den_exp, -1, "den_exp")', FIELD_TESTS),
     ("exact.at-most-one", "numerics.py", "ExactProb.__init__",
      "canon_num > base**exp", "canon_num > base ** (exp + 1)", FIELD_TESTS),
     ("int-rule.bool-accepted", "patterns.py", "_check_int",
      "not isinstance(value, int) or isinstance(value, bool)", "not isinstance(value, int)",
      FIELD_TESTS),
+    ("bound-rule.inclusive", "patterns.py", "_at_least",
+     "value < least", "value <= least", BOUND_TESTS),
+    ("bound-rule.type-unchecked", "patterns.py", "_at_least",
+     "_check_int(value, field)", "pass", BOUND_TESTS),
     ("word.symbols-unchecked", "patterns.py", "Word.__init__",
      '_check_int(sym, "symbols")', "pass", FIELD_TESTS),
     ("exact.num-unchecked", "numerics.py", "ExactProb.__init__",
-     EXACT_FIELDS, '(("den_exp", den_exp), ("base", base))', FIELD_TESTS),
+     '_at_least(num, 0, "num")', '_at_least(int(num), 0, "num")', FIELD_TESTS),
     ("exact.den-exp-unchecked", "numerics.py", "ExactProb.__init__",
-     EXACT_FIELDS, '(("num", num), ("base", base))', FIELD_TESTS),
+     '_at_least(den_exp, 0, "den_exp")', '_at_least(int(den_exp), 0, "den_exp")', FIELD_TESTS),
     ("exact.base-unchecked", "numerics.py", "ExactProb.__init__",
-     EXACT_FIELDS, '(("num", num), ("den_exp", den_exp))', FIELD_TESTS),
+     '_at_least(base, 2, "base")', '_at_least(int(base), 2, "base")', FIELD_TESTS),
     ("reach.empty-rows", "markov.py", "ReachTable.__init__",
      "if not P or any(", "if any(", FIELD_TESTS),
+    ("reach.count-unchecked", "markov.py", "ReachTable.__init__",
+     '_check_int(count, "P")', "pass", FIELD_TESTS),
     ("comparison.k0-equal", "markov.py", "ChainComparison.violations",
      "k < self.k0", "k <= self.k0", VIOLATION_TESTS),
     ("comparison.expected-less", "markov.py", "ChainComparison.violations",
@@ -146,11 +155,11 @@ MUTANTS = (
     ("compare_chains.ties-greater", "markov.py", "compare_chains",
      "a > b", "a >= b", RELATION_TESTS),
     ("census.negative-budget", "patterns.py", "census",
-     "if budget < 0:", "if budget < -1:", CENSUS_BUDGET_TESTS),
+     '_at_least(budget, 0, "budget")', '_at_least(budget, -1, "budget")', CENSUS_BUDGET_TESTS),
     ("census.zero-budget-negative", "patterns.py", "census",
-     "if budget < 0:", "if budget <= 0:", ZERO_BUDGET_TESTS),
+     '_at_least(budget, 0, "budget")', '_at_least(budget, 1, "budget")', ZERO_BUDGET_TESTS),
     ("census.budget-below-one", "patterns.py", "census",
-     "if budget < 0:", "if budget < 1:", ZERO_BUDGET_TESTS),
+     '_at_least(budget, 0, "budget")', '_at_least(budget - 1, 0, "budget")', ZERO_BUDGET_TESTS),
     ("enum-budget.product", "patterns.py", "check_enum_budget",
      "L**k > budget", "L * k > budget", WORD_BUDGET_TESTS),
     ("word.parse-ten-needs-commas", "patterns.py", "Word.parse",
@@ -176,7 +185,7 @@ MUTANTS = (
     ("table.upto-length", "numerics.py", "ProbTable.upto",
      "len(self.C) - 1", "len(self.C)", TABLE_TESTS),
     ("table.negative-upto", "numerics.py", "ProbTable.from_counts",
-     "if upto < 0:", "if upto < -1:", TABLE_TESTS),
+     '_at_least(upto, 0, "upto")', '_at_least(upto, -1, "upto")', TABLE_TESTS),
     ("canonical.odd-test", "numerics.py", "canonical",
      "if num & 1:", "if num & 2:", CANONICAL_TESTS),
     ("canonical.shift-width", "numerics.py", "canonical",
@@ -230,12 +239,18 @@ def _segment(source: str, qualname: str) -> tuple[int, int]:
 
 
 def mutate(source: str, qualname: str, snippet: str, replacement: str) -> str:
-    """source with the one occurrence of snippet inside qualname replaced."""
+    """source with the one occurrence of snippet inside qualname replaced.
+
+    Raises LookupError unless the snippet occurs exactly once there, and
+    SyntaxError when the result does not compile.
+    """
     start, end = _segment(source, qualname)
     part = source[start:end]
     if part.count(snippet) != 1:
         raise LookupError(f"{snippet!r} occurs {part.count(snippet)} times in {qualname}")
-    return source[:start] + part.replace(snippet, replacement) + source[end:]
+    mutated = source[:start] + part.replace(snippet, replacement) + source[end:]
+    compile(mutated, qualname, "exec")
+    return mutated
 
 
 def _cap_memory() -> None:
@@ -275,6 +290,14 @@ def _copy_tree(into: Path) -> None:
 def main() -> int:
     listed = json.loads((ROOT / "MUTANTS.json").read_text())
     accepted = {entry["id"]: entry["reason"] for entry in listed}
+    sources = {}
+    for mutant_id, module, qualname, snippet, replacement, _ in MUTANTS:
+        try:
+            source = (ROOT / "src" / "patprob" / module).read_text()
+            sources[mutant_id] = mutate(source, qualname, snippet, replacement)
+        except (LookupError, SyntaxError) as exc:
+            print(f"mutant {mutant_id} is malformed: {exc}")
+            return 2
     with tempfile.TemporaryDirectory(prefix="patprob-mutants-") as scratch:
         base = Path(scratch) / "base"
         _copy_tree(base)
@@ -286,11 +309,10 @@ def main() -> int:
         survivors = []
         problems = [f"MUTANTS.json lists {mutant_id}, which is no mutant below"
                     for mutant_id in accepted.keys() - {m[0] for m in MUTANTS}]
-        for mutant_id, module, qualname, snippet, replacement, tests in MUTANTS:
+        for mutant_id, module, _, _, _, tests in MUTANTS:
             tree = Path(scratch) / mutant_id
             shutil.copytree(base, tree)
-            path = tree / "src" / "patprob" / module
-            path.write_text(mutate(path.read_text(), qualname, snippet, replacement))
+            (tree / "src" / "patprob" / module).write_text(sources[mutant_id])
             failure = run_tests(tree, tests)
             shutil.rmtree(tree)
             if failure:
