@@ -91,11 +91,17 @@ def route_tables(
     """Every applicable route's table, keyed by route name.
 
     The automaton route runs only when `word` is given, since it needs the
-    concrete pattern and not just its class.
+    concrete pattern and not just its class; a word of another class or
+    alphabet is refused before any route runs.
     """
-    tables = {name: _route(name)(h, L, upto) for name in ROUTE_NAMES}
     if word is not None:
         from .oracle import automaton_prob_table
+        from .patterns import bifix_indicator
 
+        if word.alphabet_size != L or bifix_indicator(word) != h:
+            raise ValueError(f"word {word.text()} over L = {word.alphabet_size} "
+                             f"is not of class {h.text()} over L = {L}")
+    tables = {name: _route(name)(h, L, upto) for name in ROUTE_NAMES}
+    if word is not None:
         tables["automaton"] = automaton_prob_table(word, upto)
     return tables

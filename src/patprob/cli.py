@@ -18,13 +18,14 @@ On disagreement it names the routes that differ from the first in sorted
 order on stderr and exits 1.
 
 Importing this module loads no other patprob module. Each subcommand
-imports what it calls when it runs, after its cheap argument checks, and
-`prob` writes its table rows with `ProbTable.json_text`.
+imports what it calls when it runs, and checks its options before it loads
+a route module; `prob` writes its table rows with `ProbTable.json_text`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,19 +48,6 @@ def _int_option(text: str) -> int:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value if digits == text else -value
-
-
-def _enum_budget() -> int:
-    from .patterns import DEFAULT_ENUM_BUDGET, _ascii_ints
-
-    raw = os.environ.get("PATPROB_ENUM_BUDGET")
-    if raw is None:
-        return DEFAULT_ENUM_BUDGET
-    digits = raw.removeprefix("-")
-    (budget,) = _ascii_ints([digits], "PATPROB_ENUM_BUDGET")
-    if digits != raw:
-        raise ValueError(f"PATPROB_ENUM_BUDGET must be >= 0, got {raw}")
-    return budget
 
 
 def _write(text: str) -> None:
@@ -125,8 +113,9 @@ def _parse_indicator(text: str) -> BifixIndicator:
 
 
 def cmd_prob(args) -> int:
-    if args.digits < 1:
-        raise ValueError(f"--digits must be >= 1, got {args.digits}")
+    from .patterns import Word, _at_least, bifix_indicator
+
+    _at_least(args.digits, 1, "--digits")
     # Python 3.10.0-3.10.6 have no limit on integer strings.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if args.format != "json" and limit and args.digits > limit:
@@ -136,8 +125,6 @@ def cmd_prob(args) -> int:
         )
     if (args.h is None) == (args.word is None):
         raise ValueError("give exactly one of --h or --word")
-    from .patterns import Word, bifix_indicator
-
     word = None
     if args.word is not None:
         word = Word.parse(args.word, args.L)
@@ -194,16 +181,9 @@ def cmd_prob(args) -> int:
 
 
 def _oriented_swords(args) -> tuple[SWord, SWord, dict]:
-    """Resolve --h/--h2 or --s/--s2 into a strictly ordered pair s > s'."""
-    from .patterns import (
-        Ordering,
-        SWord,
-        compare_indicators,
-        compare_swords,
-        k0_of_pair,
-        k0_sharp,
-        s_from_h,
-    )
+    """Resolve --h/--h2 or --s/--s2 into a strictly ordered pair s > s'. The
+    lower indicator has the greater jump-target word, so it is put first."""
+    from .patterns import Ordering, SWord, compare_indicators, compare_swords, k0_of_pair, k0_sharp, s_from_h
 
     by_h = args.h is not None or args.h2 is not None
     by_s = args.s is not None or args.s2 is not None
@@ -212,29 +192,23 @@ def _oriented_swords(args) -> tuple[SWord, SWord, dict]:
     if by_h:
         if args.h is None or args.h2 is None:
             raise ValueError("need both --h and --h2")
-        h_a = _parse_indicator(args.h)
-        h_b = _parse_indicator(args.h2)
-        order = compare_indicators(h_a, h_b)
-        if order is Ordering.INCOMPARABLE:
-            raise ValueError("indicators are incomparable: neither h <= h2 nor h2 <= h")
-        if order is Ordering.EQUAL:
-            raise ValueError("indicators are equal; nothing to compare")
-        low, high = (h_a, h_b) if order is Ordering.LESS else (h_b, h_a)
-        params = {"h": h_a.text(), "h2": h_b.text(), "oriented": [low.text(), high.text()]}
-        params["k0_indicator_formula"] = k0_of_pair(low, high)
-        params["k0_sharp"] = k0_sharp(low, high)
-        return s_from_h(low), s_from_h(high), params
-    if args.s is None or args.s2 is None:
-        raise ValueError("need both --s and --s2")
-    s_a = SWord.parse(args.s)
-    s_b = SWord.parse(args.s2)
-    order = compare_swords(s_a, s_b)
+        a, b = _parse_indicator(args.h), _parse_indicator(args.h2)
+        order, first, what = compare_indicators(a, b), Ordering.LESS, "indicators"
+    else:
+        if args.s is None or args.s2 is None:
+            raise ValueError("need both --s and --s2")
+        a, b = SWord.parse(args.s), SWord.parse(args.s2)
+        order, first, what = compare_swords(a, b), Ordering.GREATER, "jump-target words"
     if order is Ordering.INCOMPARABLE:
-        raise ValueError("jump-target words are incomparable")
+        raise ValueError(f"{what} are incomparable")
     if order is Ordering.EQUAL:
-        raise ValueError("jump-target words are equal; nothing to compare")
-    big, small = (s_a, s_b) if order is Ordering.GREATER else (s_b, s_a)
-    return big, small, {"s": s_a.text(), "s2": s_b.text()}
+        raise ValueError(f"{what} are equal; nothing to compare")
+    x, y = (a, b) if order is first else (b, a)
+    if not by_h:
+        return x, y, {"s": a.text(), "s2": b.text()}
+    params = {"h": a.text(), "h2": b.text(), "oriented": [x.text(), y.text()],
+              "k0_indicator_formula": k0_of_pair(x, y), "k0_sharp": k0_sharp(x, y)}
+    return s_from_h(x), s_from_h(y), params
 
 
 def cmd_compare(args) -> int:
@@ -249,9 +223,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .patterns import census
+    from .patterns import DEFAULT_ENUM_BUDGET, _ascii_ints, census
 
-    classes = census(args.n, args.L, budget=_enum_budget(), max_representatives=args.max_reps)
+    raw = os.environ.get("PATPROB_ENUM_BUDGET")  # ASCII digits: a sign is malformed
+    budget = DEFAULT_ENUM_BUDGET if raw is None else _ascii_ints([raw], "PATPROB_ENUM_BUDGET")[0]
+    classes = census(args.n, args.L, budget=budget, max_representatives=args.max_reps)
     _emit(
         "census",
         {"n": args.n, "L": args.L, "max_representatives": args.max_reps},
@@ -282,8 +258,6 @@ def cmd_simulate(args) -> int:
     from .patterns import Word
 
     word = Word.parse(args.word, args.L)
-    if len(word) < 2:
-        raise ValueError(f"patterns must have length >= 2, got {len(word)}")
     seed = DEFAULT_MC_SEED if args.seed is None else args.seed
     result = monte_carlo(word, McConfig(trials=args.trials, k=args.k, seed=seed))
     _emit(
@@ -311,16 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact pattern-occurrence probabilities in random words",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every subcommand takes the alphabet size; argparse lists it first.
+    alphabet = argparse.ArgumentParser(add_help=False)
+    alphabet.add_argument("--L", type=_int_option, default=2, help="alphabet size (default 2)")
+    add = functools.partial(sub.add_parser, parents=[alphabet])
 
-    p = sub.add_parser("bifix", help="bifix indicator, jump targets and expected wait")
+    p = add("bifix", help="bifix indicator, jump targets and expected wait")
     p.add_argument("--word", required=True, help="the pattern")
-    p.add_argument("--L", type=_int_option, default=2, help="alphabet size (default 2)")
     p.set_defaults(func=cmd_bifix)
 
-    p = sub.add_parser("prob", help="table of p_k and P_k by a chosen method")
+    p = add("prob", help="table of p_k and P_k by a chosen method")
     p.add_argument("--h", help="bifix indicator bits, e.g. 1000")
     p.add_argument("--word", help="pattern; implies its indicator")
-    p.add_argument("--L", type=_int_option, default=2)
     p.add_argument("--K", type=_int_option, help="table horizon (default 3n)")
     p.add_argument("--method", choices=[*ROUTE_NAMES, "automaton"], default="short")
     p.add_argument("--check-all", action="store_true",
@@ -330,37 +306,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=_int_option, default=12, help="decimal digits for csv/table")
     p.set_defaults(func=cmd_prob)
 
-    p = sub.add_parser("compare", help="compare two classes or two jump-target words")
+    p = add("compare", help="compare two classes or two jump-target words")
     p.add_argument("--h")
     p.add_argument("--h2")
     p.add_argument("--s")
     p.add_argument("--s2")
-    p.add_argument("--L", type=_int_option, default=2)
     p.add_argument("--K", type=_int_option, help="comparison horizon (default 3n)")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("census", help="partition all length-n words by bifix class")
+    p = add("census", help="partition all length-n words by bifix class")
     p.add_argument("--n", type=_int_option, required=True)
-    p.add_argument("--L", type=_int_option, default=2)
     p.add_argument("--max-reps", type=_int_option, default=4)
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("counterexample",
-                       help="verify that occurrence probability is not affine in the indicator")
-    p.add_argument("--L", type=_int_option, default=2)
+    p = add("counterexample", help="verify that occurrence probability is not affine in the indicator")
     p.set_defaults(func=cmd_counterexample)
 
-    p = sub.add_parser("simulate", help="seeded Monte Carlo first-occurrence simulation")
+    p = add("simulate", help="seeded Monte Carlo first-occurrence simulation")
     p.add_argument("--word", required=True)
-    p.add_argument("--L", type=_int_option, default=2)
     p.add_argument("--trials", type=_int_option, default=10_000)
     p.add_argument("--k", type=_int_option, default=20)
     p.add_argument("--seed", type=_int_option)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("lemmas", help="check the reach-probability laws of a chain")
+    p = add("lemmas", help="check the reach-probability laws of a chain")
     p.add_argument("--s", required=True, help="jump targets, e.g. 0,1,1")
-    p.add_argument("--L", type=_int_option, default=2)
     p.add_argument("--K", type=_int_option, help="horizon (default 3n, must be >= n)")
     p.set_defaults(func=cmd_lemmas)
 

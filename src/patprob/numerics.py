@@ -314,8 +314,10 @@ class ProbTable:
         return "\n".join(lines) + "\n"
 
     def to_text(self, digits: int) -> str:
-        """A header line, then k, p_k and P_k in right-aligned columns."""
-        lines = [f"h={self.h.text()}  L={self.L}  method={self.method}"]
-        lines.append(f"{'k':>4} {'p_k':>14} {'P_k':>14}")
-        lines += [f"{k:>4} {p:>14} {P:>14}" for k, p, P in self.decimal_rows(digits)]
+        """A header line, then k, p_k and P_k in right-aligned columns that fit them."""
+        rows = self.decimal_rows(digits)
+        wk, wv = max(4, len(str(self.upto))), max(14, digits + 2)
+        lines = [f"h={self.h.text()}  L={self.L}  method={self.method}",
+                 f"{'k':>{wk}} {'p_k':>{wv}} {'P_k':>{wv}}"]
+        lines += [f"{k:>{wk}} {p:>{wv}} {P:>{wv}}" for k, p, P in rows]
         return "\n".join(lines) + "\n"

@@ -388,6 +388,7 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     numpy is imported here, so only callers of this function load it.
     """
     L, n = pattern.alphabet_size, len(pattern)
+    _at_least(n, 2, "pattern length")
     if L > 2**63:
         raise ValueError(f"Monte Carlo draws int64 symbols, so alphabet size L must be <= 2**63, got {L}")
     import numpy as np

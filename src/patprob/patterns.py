@@ -153,8 +153,6 @@ class Word(_Value):
     def parse(cls, text: str, alphabet_size: int) -> Word:
         """Parse "10011" (alphabets up to 10) or "0,1,12,3" (larger alphabets)."""
         text = text.strip()
-        if not text:
-            raise ValueError("empty word")
         if "," in text:
             return cls(_ascii_ints(text.split(","), f"word {text!r}"), alphabet_size)
         if alphabet_size > 10:
@@ -173,8 +171,7 @@ class BifixIndicator(_Value):
     __slots__ = ("bits",)
 
     def __init__(self, bits: tuple[int, ...]) -> None:
-        if len(bits) < 1:
-            raise ValueError("indicator needs at least one bit (pattern length >= 2)")
+        _at_least(len(bits) + 1, 2, "pattern length")
         for bit in bits:
             if bit.__class__ is not int:
                 _check_int(bit, "bits")
@@ -247,11 +244,10 @@ def bifix_indicator(word: Word) -> BifixIndicator:
     """Bifix indicator of a pattern, computed from its border chain.
 
     Runs in O(n) via the failure function; the quadratic prefix/suffix
-    comparison serves as the test oracle.
+    comparison serves as the test oracle. A length-1 word has no bit, so
+    `BifixIndicator` refuses it.
     """
     n = len(word)
-    if n < 2:
-        raise ValueError(f"patterns must have length >= 2, got {n}")
     fail = _failure(word.symbols)
     bits = [0] * (n - 1)
     length = fail[n - 1]

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -74,6 +76,25 @@ class TestThreeWayEquality:
             for h in census(n, L):
                 counts = {name: t.C for name, t in route_tables(h, L, 3 * n).items()}
                 assert len(set(counts.values())) == 1, (h.text(), counts)
+
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            (Word((1, 1), 2), "word 11 over L = 2 is not of class 0 over L = 3"),
+            (Word((1, 1), 3), "word 11 over L = 3 is not of class 0 over L = 3"),
+            (Word((0, 1), 2), "word 01 over L = 2 is not of class 0 over L = 3"),
+            (Word((1,), 3), "pattern length must be >= 2, got 1"),
+        ],
+    )
+    def test_word_of_another_class_or_alphabet_is_refused(self, monkeypatch, word, message):
+        # Its automaton table would read as a disagreement between the routes,
+        # so it is refused before any of them runs.
+        for name in ROUTE_NAMES:
+            module = importlib.import_module(_route(name).__module__)
+            monkeypatch.setattr(module, _ROUTES[name], lambda *args: pytest.fail("a route ran"))
+        with pytest.raises(ValueError) as exc:
+            route_tables(H0, 3, 5, word)
+        assert str(exc.value) == message
 
     def test_methods_tagged(self):
         h = H1
@@ -346,6 +367,16 @@ class TestOutputFromCounts:
             assert table.to_csv(digits) == "k,p,P\n" + csv_rows
             text = table.to_text(digits).splitlines()
             assert text[2:] == [f"{k:>4} {p:>14} {P:>14}" for k, p, P in expected]
+
+    @pytest.mark.parametrize("upto, digits", [(3, 20), (10_000, 1)])
+    def test_text_columns_fit_their_content(self, upto, digits):
+        # Values of 22 characters, or a 5-digit k, widen their column: every
+        # value ends where its header does.
+        header, *rows = P_table(H1, 2, upto).to_text(digits).splitlines()[1:]
+        ends = [m.end() for m in re.finditer(r"\S+", header)]
+        assert len(rows) == upto + 1
+        for row in rows:
+            assert [m.end() for m in re.finditer(r"\S+", row)] == ends, row
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_json_text_is_json_dumps_of_the_dict(self, depth):

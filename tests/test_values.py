@@ -28,8 +28,17 @@ from patprob.oracle import (
     automaton_counts,
     automaton_prob_table,
     enum_counts,
+    monte_carlo,
 )
-from patprob.patterns import BifixIndicator, CensusClass, SWord, Word, census, expected_wait_closed
+from patprob.patterns import (
+    BifixIndicator,
+    CensusClass,
+    SWord,
+    Word,
+    bifix_indicator,
+    census,
+    expected_wait_closed,
+)
 from patprob.recursions import P_table, SeriesResult, expected_wait_series
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "patprob"
@@ -181,7 +190,9 @@ def test_exact_prob_orders_only_against_exact_prob(other):
         (lambda: Word((0, 1.0), 2), "malformed symbols: expected an int, got 1.0"),
         (lambda: Word((0, 1), 2.5), "malformed alphabet_size: expected an int, got 2.5"),
         (lambda: Word((0, 1), True), "malformed alphabet_size: expected an int, got True"),
-        (lambda: BifixIndicator(()), "indicator needs at least one bit (pattern length >= 2)"),
+        (lambda: BifixIndicator(()), "pattern length must be >= 2, got 1"),
+        (lambda: bifix_indicator(Word((1,), 2)), "pattern length must be >= 2, got 1"),
+        (lambda: monte_carlo(Word((1,), 2), McConfig(1, 1, 0)), "pattern length must be >= 2, got 1"),
         (lambda: BifixIndicator((0, 2)), "indicator bits must be 0 or 1, got 2"),
         (lambda: BifixIndicator((True, False)), "malformed bits: expected an int, got True"),
         (lambda: BifixIndicator((0, 1.0)), "malformed bits: expected an int, got 1.0"),

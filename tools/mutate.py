@@ -75,6 +75,14 @@ COUNTEREXAMPLE_TESTS = (
     "tests/test_cli.py::TestByteIdentity::test_stdout_digest",
 )
 DIGEST_TESTS = ("tests/test_cli.py::TestByteIdentity::test_stdout_digest",)
+ORIENT_TESTS = ("tests/test_cli.py::TestCompare::test_order_is_auto_oriented",)
+SWORD_PAIR_TESTS = ("tests/test_cli.py::TestCompare::test_sword_pair",)
+ROUTE_WORD_TESTS = (
+    "tests/test_recursions.py::TestThreeWayEquality::test_word_of_another_class_or_alphabet_is_refused",
+)
+TEXT_WIDTH_TESTS = (
+    "tests/test_recursions.py::TestOutputFromCounts::test_text_columns_fit_their_content",
+)
 
 # (id, file under src/patprob, function or class name, snippet, replacement, tests)
 MUTANTS = (
@@ -136,6 +144,19 @@ MUTANTS = (
      "value < least", "value <= least", BOUND_TESTS),
     ("bound-rule.type-unchecked", "patterns.py", "_at_least",
      "_check_int(value, field)", "pass", BOUND_TESTS),
+    ("pattern-length.indicator-bound", "patterns.py", "BifixIndicator.__init__",
+     '_at_least(len(bits) + 1, 2, "pattern length")', '_at_least(len(bits) + 1, 1, "pattern length")',
+     FIELD_TESTS),
+    ("pattern-length.monte-carlo-bound", "oracle.py", "monte_carlo",
+     '_at_least(n, 2, "pattern length")', '_at_least(n, 1, "pattern length")', FIELD_TESTS),
+    ("compare.h-side-greater-first", "cli.py", "_oriented_swords",
+     "Ordering.LESS", "Ordering.GREATER", ORIENT_TESTS),
+    ("compare.orientation-inverted", "cli.py", "_oriented_swords",
+     "order is first", "order is not first", SWORD_PAIR_TESTS),
+    ("routes.word-alphabet-unchecked", "__init__.py", "route_tables",
+     "word.alphabet_size != L or ", "", ROUTE_WORD_TESTS),
+    ("table.text-value-width", "numerics.py", "ProbTable.to_text",
+     "max(14, digits + 2)", "14", TEXT_WIDTH_TESTS),
     ("word.symbols-unchecked", "patterns.py", "Word.__init__",
      '_check_int(sym, "symbols")', "pass", FIELD_TESTS),
     ("exact.num-unchecked", "numerics.py", "ExactProb.__init__",
