@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .patterns import BifixIndicator, SWord, _Value, _at_least, _check_int, comparison_threshold, s_from_h
+from .patterns import BifixIndicator, SWord, _Value, _at_least, _within, comparison_threshold, s_from_h
 
 
 class ChainSpec(_Value):
@@ -47,20 +47,18 @@ class ReachTable(_Value):
 
     def __init__(self, spec: ChainSpec, P: tuple[tuple[int, ...], ...]) -> None:
         n, L = spec.n, spec.L
+        if not isinstance(P, tuple):
+            raise ValueError(f"malformed P: expected a tuple, got {P!r}")
         if not P or any(len(row) != n + 1 for row in P):
             raise ValueError("reach table needs >= 1 row of n+1 counts")
-        if P[0] != tuple([0] * n + [1]):
-            raise ValueError("row k=0 must be the unit vector at the absorbing state")
         power = 1  # L**k
         for row in P:
-            for count in row:
-                if count.__class__ is not int:  # a call per count would cost the reach DP
-                    _check_int(count, "P")
+            _within(row, 0, power, "P")
             if row[n] != power:
                 raise ValueError("absorbing state must have probability 1 at every k")
-            if min(row) < 0 or max(row) > power:
-                raise ValueError("reach probabilities must stay within [0, 1]")
             power *= L
+        if P[0] != (0,) * n + (1,):
+            raise ValueError("row k=0 must be the unit vector at the absorbing state")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "P", P)
 

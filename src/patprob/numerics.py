@@ -19,8 +19,8 @@ decimal strings.
 From the package this module imports only `patterns._Value`, the base
 that gives `ExactProb` and `_ProbView` their equality, hash, repr and
 immutability, `patterns._ascii_ints`, which reads a JSON numerator, and
-`patterns._check_int` and `patterns._at_least`, the one rule that a field
-is an int and not a bool and the one bound rule built on it.
+`patterns._at_least` and `patterns._within`, the one bound rule for an int
+field and for a tuple of ints.
 `ProbTable` only reads `h.n` and `h.text()` of its indicator, and its
 annotations stay unevaluated strings, so naming `BifixIndicator` imports
 nothing more.
@@ -33,7 +33,7 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator
 
-from .patterns import _Value, _ascii_ints, _at_least, _check_int
+from .patterns import _Value, _ascii_ints, _at_least, _within
 
 
 def canonical(num: int, den_exp: int, base: int) -> tuple[int, int]:
@@ -128,8 +128,14 @@ class ExactProb(_Value):
         """The value of a `to_json_dict` record; `approx` is not read.
 
         `num` must be a string of ASCII digits (`int` would also read "1_0"
-        or " 4 "); the constructor requires the other fields to be ints.
+        or " 4 "); the constructor requires the other fields to be ints. A
+        record that is not a dict, or lacks a field, is refused by name.
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"malformed record: expected a dict, got {data!r}")
+        for field in ("num", "den_exp", "base"):
+            if field not in data:
+                raise ValueError(f"malformed {field}: missing from the record")
         (num,) = _ascii_ints([data["num"]], "num")
         return cls(num, data["den_exp"], data["base"])
 
@@ -194,12 +200,11 @@ class ProbTable:
     def __post_init__(self) -> None:
         n, L = self.h.n, self.L
         _at_least(L, 2, "L", "alphabet size")
+        _within(self.C, 0, None, "C")
         if not self.C:
             raise ValueError("table needs at least one count, C_0")
         prev = 0
         for k, count in enumerate(self.C):
-            if count.__class__ is not int:
-                _check_int(count, "C")
             if k < n and count:
                 raise ValueError(f"p_{k} and P_{k} must be 0 below the pattern length")
             # The first-occurrence count a_k = C_k - L C_{k-1} cannot be negative.

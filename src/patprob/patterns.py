@@ -63,6 +63,20 @@ def _at_least(value: object, least: int, field: str, described: str | None = Non
         raise ValueError(f"{described or field} must be >= {least}, got {value}")
 
 
+def _within(values: object, least: int, most: int | None, field: str) -> None:
+    """`_at_least` for each element of a tuple, which must also not exceed `most`
+    unless it is None; a list is refused, as it is neither hashable nor equal to its tuple."""
+    if not isinstance(values, tuple):
+        raise ValueError(f"malformed {field}: expected a tuple, got {values!r}")
+    for value in values:
+        if value.__class__ is not int:  # a call per element would double the cost of a Word
+            _check_int(value, field)
+        if value < least:
+            raise ValueError(f"{field} must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise ValueError(f"{field} must be <= {most}, got {value}")
+
+
 class _Value:
     """Base of the immutable value types: a fixed tuple of fields in `__slots__`.
 
@@ -136,13 +150,9 @@ class Word(_Value):
 
     def __init__(self, symbols: tuple[int, ...], alphabet_size: int) -> None:
         _at_least(alphabet_size, 2, "alphabet_size", "alphabet size")
+        _within(symbols, 0, alphabet_size - 1, "symbols")
         if not symbols:
             raise ValueError("word must be nonempty")
-        for sym in symbols:
-            if sym.__class__ is not int:  # a call per symbol would double the cost of a Word
-                _check_int(sym, "symbols")
-            if not 0 <= sym < alphabet_size:
-                raise ValueError(f"symbol {sym} out of range for alphabet size {alphabet_size}")
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "alphabet_size", alphabet_size)
 
@@ -155,7 +165,7 @@ class Word(_Value):
         text = text.strip()
         if "," in text:
             return cls(_ascii_ints(text.split(","), f"word {text!r}"), alphabet_size)
-        if alphabet_size > 10:
+        if alphabet_size > 10 and text:
             raise ValueError(f"alphabet size {alphabet_size} needs comma-separated symbols")
         return cls(_ascii_ints(text, f"word {text!r}"), alphabet_size)
 
@@ -171,12 +181,8 @@ class BifixIndicator(_Value):
     __slots__ = ("bits",)
 
     def __init__(self, bits: tuple[int, ...]) -> None:
+        _within(bits, 0, 1, "bits")
         _at_least(len(bits) + 1, 2, "pattern length")
-        for bit in bits:
-            if bit.__class__ is not int:
-                _check_int(bit, "bits")
-            if bit not in (0, 1):
-                raise ValueError(f"indicator bits must be 0 or 1, got {bit}")
         object.__setattr__(self, "bits", bits)
 
     @property
@@ -186,10 +192,7 @@ class BifixIndicator(_Value):
 
     @classmethod
     def parse(cls, text: str) -> BifixIndicator:
-        text = text.strip()
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"malformed indicator {text!r}: expected a binary string")
-        return cls(tuple(int(ch) for ch in text))
+        return cls(_ascii_ints(text.strip(), f"indicator {text!r}"))
 
     def text(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -201,12 +204,11 @@ class SWord(_Value):
     __slots__ = ("targets",)
 
     def __init__(self, targets: tuple[int, ...]) -> None:
+        _within(targets, 0, None, "targets")
         if not targets:
             raise ValueError("jump-target word must be nonempty")
         for i, target in enumerate(targets):
-            if target.__class__ is not int:
-                _check_int(target, "targets")
-            if not 0 <= target <= i:
+            if target > i:
                 raise ValueError(f"target s_{i}={target} violates 0 <= s_{i} <= {i}")
         object.__setattr__(self, "targets", targets)
 

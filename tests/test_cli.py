@@ -624,6 +624,18 @@ class TestErrorBoundary:
         # The library states the rule once, and every subcommand reaches it.
         assert run(capsys, *argv.split()) == (2, "", "error: pattern length must be >= 2, got 1\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("prob", "--h", "012"), "bits must be <= 1, got 2"),
+            (("prob", "--h", ""), "pattern length must be >= 2, got 1"),
+            (("bifix", "--word", "012"), "symbols must be <= 1, got 2"),
+        ],
+    )
+    def test_sequence_text_reaches_the_constructor(self, capsys, argv, message):
+        # Indicator and word text are read as digits and checked by the value type alone.
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("detail", ["Unable to allocate 763. MiB", ""])
     def test_out_of_memory_exits_2_with_one_error_line(self, capsys, monkeypatch, detail):
         # numpy raises a MemoryError subclass with a message; Python's own has none.

@@ -151,7 +151,8 @@ class TestReachTableInvariants:
     def test_entry_outside_unit_interval(self, count):
         sp, rows = self.rows()
         rows[4][1] = count  # row k=4 counts words out of 2**4
-        with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+        bound = ">= 0" if count < 0 else "<= 16"
+        with pytest.raises(ValueError, match=f"^P must be {bound}, got {count}$"):
             self.build(sp, rows)
 
     @pytest.mark.parametrize("defect", ["no rows", "row short", "row long"])

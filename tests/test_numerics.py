@@ -170,6 +170,12 @@ class TestRendering:
             pytest.param({"num": 10, "base": 2, "den_exp": 4}, "num", id="int-num"),
             pytest.param({"num": "1", "base": True, "den_exp": 0}, "base", id="bool-base"),
             pytest.param({"num": "1", "base": 2, "den_exp": True}, "den_exp", id="bool-den_exp"),
+            # Not a record to_json_dict writes: KeyError or TypeError escaped before.
+            pytest.param({}, "num", id="missing-num"),
+            pytest.param({"num": "1"}, "den_exp", id="missing-den_exp"),
+            pytest.param({"num": "1", "den_exp": 0}, "base", id="missing-base"),
+            pytest.param(None, "record", id="none-record"),
+            pytest.param([1], "record", id="list-record"),
         ],
     )
     def test_json_malformed_field_rejected(self, record, field):

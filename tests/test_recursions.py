@@ -96,6 +96,12 @@ class TestThreeWayEquality:
             route_tables(H0, 3, 5, word)
         assert str(exc.value) == message
 
+    def test_indicator_of_a_list_is_refused(self):
+        # BifixIndicator([0, 1]) was built, and the word of its class was refused
+        # as "word 010 over L = 2 is not of class 01": a list is not equal to its tuple.
+        with pytest.raises(ValueError, match=r"^malformed bits: expected a tuple, got \[0, 1\]$"):
+            route_tables(BifixIndicator([0, 1]), 2, 9, Word((0, 1, 0), 2))
+
     def test_methods_tagged(self):
         h = H1
         assert p_table_long(h, 2, 4).method == "long-recursion"

@@ -180,56 +180,118 @@ def test_exact_prob_orders_only_against_exact_prob(other):
                 compare(a, b)
 
 
+# Every row is named. A row older than the names keeps the id pytest derived from
+# its first message ("<lambda>-" and that message, with pytest's suffix for a
+# repeat), so a row whose message is retargeted keeps its name; newer rows are
+# named for the value they refuse.
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Word((0, 1), 1), "alphabet size must be >= 2, got 1"),
-        (lambda: Word((), 2), "word must be nonempty"),
-        (lambda: Word((0, 2), 2), "symbol 2 out of range for alphabet size 2"),
-        (lambda: Word((True, False, True), 2), "malformed symbols: expected an int, got True"),
-        (lambda: Word((0, 1.0), 2), "malformed symbols: expected an int, got 1.0"),
-        (lambda: Word((0, 1), 2.5), "malformed alphabet_size: expected an int, got 2.5"),
-        (lambda: Word((0, 1), True), "malformed alphabet_size: expected an int, got True"),
-        (lambda: BifixIndicator(()), "pattern length must be >= 2, got 1"),
-        (lambda: bifix_indicator(Word((1,), 2)), "pattern length must be >= 2, got 1"),
-        (lambda: monte_carlo(Word((1,), 2), McConfig(1, 1, 0)), "pattern length must be >= 2, got 1"),
-        (lambda: BifixIndicator((0, 2)), "indicator bits must be 0 or 1, got 2"),
-        (lambda: BifixIndicator((True, False)), "malformed bits: expected an int, got True"),
-        (lambda: BifixIndicator((0, 1.0)), "malformed bits: expected an int, got 1.0"),
-        (lambda: SWord(()), "jump-target word must be nonempty"),
-        (lambda: SWord((0, 2)), "target s_1=2 violates 0 <= s_1 <= 1"),
-        (lambda: SWord((False, True)), "malformed targets: expected an int, got False"),
-        (lambda: SWord((0, 1.0)), "malformed targets: expected an int, got 1.0"),
-        (lambda: ExactProb(True, 1, 2), "malformed num: expected an int, got True"),
-        (lambda: ExactProb(1, 1.0, 2), "malformed den_exp: expected an int, got 1.0"),
-        (lambda: ExactProb(1, 1, 2.0), "malformed base: expected an int, got 2.0"),
-        (lambda: ExactProb(1, 1, 1), "base must be >= 2, got 1"),
-        (lambda: ExactProb(-1, 1, 2), "num must be >= 0, got -1"),
-        (lambda: ExactProb(1, -1, 2), "den_exp must be >= 0, got -1"),
-        (lambda: ExactProb(6, 2, 2), "probability must be <= 1, got num > 2**2"),
-        (lambda: ChainSpec(S01, 1), "alphabet size must be >= 2, got 1"),
-        (lambda: ChainSpec(S01, 2.5), "malformed L: expected an int, got 2.5"),
-        (lambda: ChainSpec(S01, True), "malformed L: expected an int, got True"),
-        (lambda: P_table(BifixIndicator.parse("10"), 2.5, 5), "malformed L: expected an int, got 2.5"),
-        (lambda: ProbTable(BifixIndicator((0,)), True, (0,), "P"),
-         "malformed L: expected an int, got True"),
-        (lambda: ProbTable(BifixIndicator((0,)), 2, (0, 0, 1.0), "P"),
-         "malformed C: expected an int, got 1.0"),
-        (lambda: ReachTable(SPEC, ()), "reach table needs >= 1 row of n+1 counts"),
-        (lambda: ReachTable(SPEC, ((1, 1),)),
-         "row k=0 must be the unit vector at the absorbing state"),
-        (lambda: ReachTable(SPEC, ((0, 1), (1, 1))),
-         "absorbing state must have probability 1 at every k"),
-        (lambda: ReachTable(SPEC, ((0, 1), (3, 2))),
-         "reach probabilities must stay within [0, 1]"),
-        (lambda: ReachTable(SPEC, ((0.0, 1), (1.0, 2))), "malformed P: expected an int, got 0.0"),
-        (lambda: McConfig(0, 10, 1), "trials must be >= 1, got 0"),
-        (lambda: McConfig(1, 0, 1), "k must be >= 1, got 0"),
-        (lambda: McConfig(1, 10, 2**128),
-         f"seed must be in [0, 2**128), the Philox key range, got {2**128}"),
-        (lambda: McConfig(True, 5, 1), "malformed trials: expected an int, got True"),
-        (lambda: McConfig(10, 5.0, 1), "malformed k: expected an int, got 5.0"),
-        (lambda: McConfig(10, 5, 1.5), "malformed seed: expected an int, got 1.5"),
+        pytest.param(lambda: Word((0, 1), 1), "alphabet size must be >= 2, got 1",
+                     id="<lambda>-alphabet size must be >= 2, got 1_0"),
+        pytest.param(lambda: Word((), 2), "word must be nonempty",
+                     id="<lambda>-word must be nonempty"),
+        pytest.param(lambda: Word((0, 2), 2), "symbols must be <= 1, got 2",
+                     id="<lambda>-symbol 2 out of range for alphabet size 2"),
+        pytest.param(lambda: Word((0, -1), 2), "symbols must be >= 0, got -1", id="Word-symbol-below"),
+        pytest.param(lambda: Word([0, 1], 2), "malformed symbols: expected a tuple, got [0, 1]",
+                     id="Word-list"),
+        pytest.param(lambda: Word((True, False, True), 2), "malformed symbols: expected an int, got True",
+                     id="<lambda>-malformed symbols: expected an int, got True"),
+        pytest.param(lambda: Word((0, 1.0), 2), "malformed symbols: expected an int, got 1.0",
+                     id="<lambda>-malformed symbols: expected an int, got 1.0"),
+        pytest.param(lambda: Word((0, 1), 2.5), "malformed alphabet_size: expected an int, got 2.5",
+                     id="<lambda>-malformed alphabet_size: expected an int, got 2.5"),
+        pytest.param(lambda: Word((0, 1), True), "malformed alphabet_size: expected an int, got True",
+                     id="<lambda>-malformed alphabet_size: expected an int, got True"),
+        pytest.param(lambda: BifixIndicator(()), "pattern length must be >= 2, got 1",
+                     id="<lambda>-pattern length must be >= 2, got 1_0"),
+        pytest.param(lambda: bifix_indicator(Word((1,), 2)), "pattern length must be >= 2, got 1",
+                     id="<lambda>-pattern length must be >= 2, got 1_1"),
+        pytest.param(lambda: monte_carlo(Word((1,), 2), McConfig(1, 1, 0)),
+                     "pattern length must be >= 2, got 1", id="<lambda>-pattern length must be >= 2, got 1_2"),
+        pytest.param(lambda: BifixIndicator((0, 2)), "bits must be <= 1, got 2",
+                     id="<lambda>-indicator bits must be 0 or 1, got 2"),
+        pytest.param(lambda: BifixIndicator((0, -1)), "bits must be >= 0, got -1",
+                     id="BifixIndicator-bit-below"),
+        pytest.param(lambda: BifixIndicator([0, 1]), "malformed bits: expected a tuple, got [0, 1]",
+                     id="BifixIndicator-list"),
+        pytest.param(lambda: BifixIndicator((True, False)), "malformed bits: expected an int, got True",
+                     id="<lambda>-malformed bits: expected an int, got True"),
+        pytest.param(lambda: BifixIndicator((0, 1.0)), "malformed bits: expected an int, got 1.0",
+                     id="<lambda>-malformed bits: expected an int, got 1.0"),
+        pytest.param(lambda: SWord(()), "jump-target word must be nonempty",
+                     id="<lambda>-jump-target word must be nonempty"),
+        pytest.param(lambda: SWord((0, 2)), "target s_1=2 violates 0 <= s_1 <= 1",
+                     id="<lambda>-target s_1=2 violates 0 <= s_1 <= 1"),
+        pytest.param(lambda: SWord((0, -1)), "targets must be >= 0, got -1", id="SWord-target-below"),
+        pytest.param(lambda: SWord([0, 1]), "malformed targets: expected a tuple, got [0, 1]",
+                     id="SWord-list"),
+        pytest.param(lambda: SWord((False, True)), "malformed targets: expected an int, got False",
+                     id="<lambda>-malformed targets: expected an int, got False"),
+        pytest.param(lambda: SWord((0, 1.0)), "malformed targets: expected an int, got 1.0",
+                     id="<lambda>-malformed targets: expected an int, got 1.0"),
+        pytest.param(lambda: ExactProb(True, 1, 2), "malformed num: expected an int, got True",
+                     id="<lambda>-malformed num: expected an int, got True"),
+        pytest.param(lambda: ExactProb(1, 1.0, 2), "malformed den_exp: expected an int, got 1.0",
+                     id="<lambda>-malformed den_exp: expected an int, got 1.0"),
+        pytest.param(lambda: ExactProb(1, 1, 2.0), "malformed base: expected an int, got 2.0",
+                     id="<lambda>-malformed base: expected an int, got 2.0"),
+        pytest.param(lambda: ExactProb(1, 1, 1), "base must be >= 2, got 1",
+                     id="<lambda>-base must be >= 2, got 1"),
+        pytest.param(lambda: ExactProb(-1, 1, 2), "num must be >= 0, got -1",
+                     id="<lambda>-num must be >= 0, got -1"),
+        pytest.param(lambda: ExactProb(1, -1, 2), "den_exp must be >= 0, got -1",
+                     id="<lambda>-den_exp must be >= 0, got -1"),
+        pytest.param(lambda: ExactProb(6, 2, 2), "probability must be <= 1, got num > 2**2",
+                     id="<lambda>-probability must be <= 1, got num > 2**2"),
+        pytest.param(lambda: ChainSpec(S01, 1), "alphabet size must be >= 2, got 1",
+                     id="<lambda>-alphabet size must be >= 2, got 1_1"),
+        pytest.param(lambda: ChainSpec(S01, 2.5), "malformed L: expected an int, got 2.5",
+                     id="<lambda>-malformed L: expected an int, got 2.5_0"),
+        pytest.param(lambda: ChainSpec(S01, True), "malformed L: expected an int, got True",
+                     id="<lambda>-malformed L: expected an int, got True0"),
+        pytest.param(lambda: P_table(BifixIndicator.parse("10"), 2.5, 5),
+                     "malformed L: expected an int, got 2.5", id="<lambda>-malformed L: expected an int, got 2.5_1"),
+        pytest.param(lambda: ProbTable(BifixIndicator((0,)), True, (0,), "P"),
+                     "malformed L: expected an int, got True", id="<lambda>-malformed L: expected an int, got True1"),
+        pytest.param(lambda: ProbTable(BifixIndicator((0,)), 2, (0, 0, 1.0), "P"),
+                     "malformed C: expected an int, got 1.0", id="<lambda>-malformed C: expected an int, got 1.0"),
+        pytest.param(lambda: ProbTable(BifixIndicator((0,)), 2, (0, -1), "P"), "C must be >= 0, got -1",
+                     id="ProbTable-count-below"),
+        pytest.param(lambda: ProbTable(BifixIndicator((0,)), 2, [0, 0, 1], "P"),
+                     "malformed C: expected a tuple, got [0, 0, 1]", id="ProbTable-list"),
+        pytest.param(lambda: ReachTable(SPEC, ()), "reach table needs >= 1 row of n+1 counts",
+                     id="<lambda>-reach table needs >= 1 row of n+1 counts"),
+        pytest.param(lambda: ReachTable(SPEC, ((1, 1),)), "row k=0 must be the unit vector at the absorbing state",
+                     id="<lambda>-row k=0 must be the unit vector at the absorbing state"),
+        pytest.param(lambda: ReachTable(SPEC, ((0, 1), (1, 1))), "absorbing state must have probability 1 at every k",
+                     id="<lambda>-absorbing state must have probability 1 at every k"),
+        pytest.param(lambda: ReachTable(SPEC, ((0, 1), (3, 2))), "P must be <= 2, got 3",
+                     id="<lambda>-reach probabilities must stay within [0, 1]"),
+        pytest.param(lambda: ReachTable(SPEC, ((0, 1), (-1, 2))), "P must be >= 0, got -1",
+                     id="ReachTable-count-below"),
+        pytest.param(lambda: ReachTable(SPEC, [(0, 1), (1, 2)]),
+                     "malformed P: expected a tuple, got [(0, 1), (1, 2)]", id="ReachTable-list"),
+        pytest.param(lambda: ReachTable(SPEC, ((0, 1), [1, 2])), "malformed P: expected a tuple, got [1, 2]",
+                     id="ReachTable-list-row"),
+        # Every row passes the tuple test before row 0 is compared with the unit vector.
+        pytest.param(lambda: ReachTable(SPEC, ([0, 1], (1, 2))), "malformed P: expected a tuple, got [0, 1]",
+                     id="ReachTable-list-row-0"),
+        pytest.param(lambda: ReachTable(SPEC, ((0.0, 1), (1.0, 2))), "malformed P: expected an int, got 0.0",
+                     id="<lambda>-malformed P: expected an int, got 0.0"),
+        pytest.param(lambda: McConfig(0, 10, 1), "trials must be >= 1, got 0",
+                     id="<lambda>-trials must be >= 1, got 0"),
+        pytest.param(lambda: McConfig(1, 0, 1), "k must be >= 1, got 0", id="<lambda>-k must be >= 1, got 0"),
+        pytest.param(lambda: McConfig(1, 10, 2**128),
+                     f"seed must be in [0, 2**128), the Philox key range, got {2**128}",
+                     id=f"<lambda>-seed must be in [0, 2**128), the Philox key range, got {2**128}"),
+        pytest.param(lambda: McConfig(True, 5, 1), "malformed trials: expected an int, got True",
+                     id="<lambda>-malformed trials: expected an int, got True"),
+        pytest.param(lambda: McConfig(10, 5.0, 1), "malformed k: expected an int, got 5.0",
+                     id="<lambda>-malformed k: expected an int, got 5.0"),
+        pytest.param(lambda: McConfig(10, 5, 1.5), "malformed seed: expected an int, got 1.5",
+                     id="<lambda>-malformed seed: expected an int, got 1.5"),
     ],
 )
 def test_validation_messages(build, message):
@@ -326,11 +388,11 @@ def test_only_value_base_writes_value_methods():
 
 
 def _checks(init: ast.FunctionDef) -> bool:
-    """Whether a function raises or calls one of the int rules."""
+    """Whether a function raises or calls one of the int rules or the sequence rule."""
     return any(
         isinstance(node, ast.Raise)
         or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id in ("_check_int", "_at_least")
+        and node.func.id in ("_check_int", "_at_least", "_within")
         for node in ast.walk(init)
     )
 

@@ -55,6 +55,7 @@ K0_TESTS = (
 )
 FIELD_TESTS = ("tests/test_values.py::test_validation_messages",)
 BOUND_TESTS = ("tests/test_values.py::test_bound_rule_names_the_argument",)
+JSON_TESTS = ("tests/test_numerics.py::TestRendering::test_json_malformed_field_rejected",)
 CANONICAL_TESTS = (
     "tests/test_numerics.py::TestCanonicalForm::test_small_fields_match_division_reference",
 )
@@ -137,6 +138,10 @@ MUTANTS = (
      '_at_least(den_exp, 0, "den_exp")', '_at_least(den_exp, -1, "den_exp")', FIELD_TESTS),
     ("exact.at-most-one", "numerics.py", "ExactProb.__init__",
      "canon_num > base**exp", "canon_num > base ** (exp + 1)", FIELD_TESTS),
+    ("exact.json-field-missing", "numerics.py", "ExactProb.from_json_dict",
+     '("num", "den_exp", "base")', '("num", "den_exp")', JSON_TESTS),
+    ("exact.json-not-a-dict", "numerics.py", "ExactProb.from_json_dict",
+     "if not isinstance(data, dict):", "if False:", JSON_TESTS),
     ("int-rule.bool-accepted", "patterns.py", "_check_int",
      "not isinstance(value, int) or isinstance(value, bool)", "not isinstance(value, int)",
      FIELD_TESTS),
@@ -157,8 +162,16 @@ MUTANTS = (
      "word.alphabet_size != L or ", "", ROUTE_WORD_TESTS),
     ("table.text-value-width", "numerics.py", "ProbTable.to_text",
      "max(14, digits + 2)", "14", TEXT_WIDTH_TESTS),
-    ("word.symbols-unchecked", "patterns.py", "Word.__init__",
-     '_check_int(sym, "symbols")', "pass", FIELD_TESTS),
+    ("word.symbols-unchecked", "patterns.py", "_within",
+     "_check_int(value, field)", "pass", FIELD_TESTS),
+    ("word.symbol-bound", "patterns.py", "Word.__init__",
+     "alphabet_size - 1,", "alphabet_size,", FIELD_TESTS),
+    ("sequence-rule.list-accepted", "patterns.py", "_within",
+     "if not isinstance(values, tuple):", "if False:", FIELD_TESTS),
+    ("sequence-rule.least-inclusive", "patterns.py", "_within",
+     "value < least", "value <= least", FIELD_TESTS),
+    ("sequence-rule.most-inclusive", "patterns.py", "_within",
+     "value > most", "value >= most", FIELD_TESTS),
     ("exact.num-unchecked", "numerics.py", "ExactProb.__init__",
      '_at_least(num, 0, "num")', '_at_least(int(num), 0, "num")', FIELD_TESTS),
     ("exact.den-exp-unchecked", "numerics.py", "ExactProb.__init__",
@@ -168,7 +181,9 @@ MUTANTS = (
     ("reach.empty-rows", "markov.py", "ReachTable.__init__",
      "if not P or any(", "if any(", FIELD_TESTS),
     ("reach.count-unchecked", "markov.py", "ReachTable.__init__",
-     '_check_int(count, "P")', "pass", FIELD_TESTS),
+     '_within(row, 0, power, "P")', "pass", FIELD_TESTS),
+    ("reach.list-accepted", "markov.py", "ReachTable.__init__",
+     "if not isinstance(P, tuple):", "if False:", FIELD_TESTS),
     ("comparison.k0-equal", "markov.py", "ChainComparison.violations",
      "k < self.k0", "k <= self.k0", VIOLATION_TESTS),
     ("comparison.expected-less", "markov.py", "ChainComparison.violations",
