@@ -235,7 +235,10 @@ def counterexample_check(alphabet_size: int = 2) -> CounterexampleReport:
     return CounterexampleReport(words, NON_AFFINE_HORIZON, counts)
 
 
-GENERATOR_NAME = "numpy-philox4x64/block2^14"
+# The stream layout: Philox blocks of 2**14 symbols (`monte_carlo`), whose
+# symbols are one raw bit each at L = 2 and numpy's integers(0, L) otherwise
+# (`_raw_symbols`).
+GENERATOR_NAME = "numpy-philox4x64/block2^14/binary-raw-bits"
 BLOCK_SYMBOLS = 2**14  # symbols per Monte Carlo draw, k permitting
 SEARCH_SYMBOLS = 2**17  # symbols per Monte Carlo search, unless one block is larger
 DEFAULT_MC_SEED = 12345
@@ -296,17 +299,26 @@ class McResult:
 
 def _raw_symbols(bits, L: int, count: int):
     """`count` symbols uniform on 0 .. L-1, for 2 <= L <= 2**32, from the raw
-    words of the Philox bit generator `bits`: an unsigned array holding the
-    values numpy's `Generator(bits).integers(0, L, size=count)` draws, uint32
-    where L is a power of two and uint64 otherwise.
+    words of the Philox bit generator `bits`, as an unsigned array.
 
-    That draw is Lemire's multiply-shift on 32-bit half words (Lemire, "Fast
-    random integer generation in an interval", ACM TOMACS 29(1), 2019). Each
-    raw word gives its low half, then its high half. A half word w gives the
-    symbol (w*L) >> 32, unless (w*L) mod 2**32 < t = (2**32 - L) mod L: then w
-    is dropped, which leaves each symbol exactly uniform.
+    At L = 2 a symbol is one raw bit: the block is one read of
+    ceil(count / 64) raw words, and symbol 64*i + j is bit j of word i,
+    counted from the least significant bit, as uint8. Every output bit of
+    a counter-based generator is uniform and independent of the others
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
+    so one bit is a fair binary symbol, and a block reads 1/32 of the raw
+    words that numpy's draw of the same symbols would read.
 
-    Where L = 2**s is a power of two, L divides 2**32, so t = 0 and nothing
+    For every other L the array holds the values numpy's
+    `Generator(bits).integers(0, L, size=count)` draws, uint32 where L is a
+    power of two and uint64 otherwise. That draw is Lemire's multiply-shift
+    on 32-bit half words (Lemire, "Fast random integer generation in an
+    interval", ACM TOMACS 29(1), 2019). Each raw word gives its low half,
+    then its high half. A half word w gives the symbol (w*L) >> 32, unless
+    (w*L) mod 2**32 < t = (2**32 - L) mod L: then w is dropped, which leaves
+    each symbol exactly uniform.
+
+    Where L = 2**s > 2 is a power of two, L divides 2**32, so t = 0 and nothing
     is dropped, and (w*L) >> 32 is w >> (32 - s): the block is one read of
     ceil(count / 2) raw words and one uint32 right shift of its first
     `count` half words, with no 64-bit product.
@@ -324,6 +336,9 @@ def _raw_symbols(bits, L: int, count: int):
     """
     import numpy as np
 
+    if L == 2:  # one raw bit a symbol, least significant bit first
+        raw = bits.random_raw((count + 63) // 64).astype("<u8", copy=False)
+        return np.unpackbits(raw.view(np.uint8), count=count, bitorder="little")
     if L & (L - 1) == 0:  # L = 2**s divides 2**32
         half = bits.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
         return half[:count] >> np.uint32(33 - L.bit_length())
@@ -348,7 +363,7 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     """Simulate seeded uniform streams and record first-occurrence times.
 
     Trials run in blocks of R = max(1, 2**14 // k). Block b holds trials
-    b*R, b*R + 1, ... and draws them in one call: an (m, k) int64 array from
+    b*R, b*R + 1, ... and draws them in one call: an (m, k) array from
     the Philox stream with key `seed` and counter `b << 128`, where m is R,
     or fewer for the last block. Draws fill the array row by row, so trial t
     sees row t % R of its block's stream whether or not later rows are
@@ -374,16 +389,18 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     a numpy call outweighs its work, so one search per 2**17 symbols makes
     about an eighth of the calls; the buffer changes no symbol and no result.
 
-    The symbols are those of numpy's int64 `Generator.integers(0, L)` on the
-    block's fresh Philox. Up to L = 2**32 they are computed from the raw
-    Philox words by `_raw_symbols`, the multiply-shift numpy itself uses
-    there, and no Generator is built; for a power-of-two L (binary data
-    among them) that multiply-shift is one 32-bit right shift of each half
-    word. Above 2**32 numpy draws whole 64-bit words with a 128-bit product,
-    which numpy has no dtype for, so `integers` draws the block. The stream
-    tests in tests/test_oracle.py (`TestMonteCarloStream`) pin every path to
-    a fresh Generator per block, and tests/test_cli.py pins the SHA-256 of
-    one `simulate` output.
+    Binary symbols are the raw bits of the block's fresh Philox, least
+    significant first, 64 to a raw word. For every other L the symbols are
+    those of numpy's int64 `Generator.integers(0, L)` on that Philox. Up to
+    L = 2**32 `_raw_symbols` computes both from the raw Philox words, the
+    others by the multiply-shift numpy itself uses there, and no Generator
+    is built; for a power-of-two L that multiply-shift is one 32-bit right
+    shift of each half word. Above 2**32 numpy draws whole 64-bit words with
+    a 128-bit product, which numpy has no dtype for, so `integers` draws the
+    block. The stream tests in tests/test_oracle.py (`TestMonteCarloStream`)
+    pin the binary path to the bits of a fresh Philox per block and every
+    other path to a fresh Generator per block, and tests/test_cli.py pins
+    the SHA-256 of one binary `simulate` output.
 
     numpy is imported here, so only callers of this function load it.
     """

@@ -161,12 +161,19 @@ class Word(_Value):
 
     @classmethod
     def parse(cls, text: str, alphabet_size: int) -> Word:
-        """Parse "10011" (alphabets up to 10) or "0,1,12,3" (larger alphabets)."""
+        """Parse "10011" (alphabets up to 10) or "0,1,12,3" (larger alphabets).
+
+        Above ten symbols a text without commas is one symbol, written as
+        `text` writes it: "5" or "10" at L = 11, but not "05" or "11".
+        """
         text = text.strip()
         if "," in text:
             return cls(_ascii_ints(text.split(","), f"word {text!r}"), alphabet_size)
         if alphabet_size > 10 and text:
-            raise ValueError(f"alphabet size {alphabet_size} needs comma-separated symbols")
+            symbol = int(text) if text.isascii() and text.isdigit() else alphabet_size
+            if symbol >= alphabet_size or str(symbol) != text:
+                raise ValueError(f"alphabet size {alphabet_size} needs comma-separated symbols")
+            return cls((symbol,), alphabet_size)
         return cls(_ascii_ints(text, f"word {text!r}"), alphabet_size)
 
     def text(self) -> str:

@@ -327,7 +327,7 @@ class TestSimulate:
         code, env, _ = run_json(capsys, "simulate", "--word", "10", "--trials", "100",
                                 "--k", "8", "--seed", "5")
         assert code == 0
-        assert env["result"]["generator"] == "numpy-philox4x64/block2^14"
+        assert env["result"]["generator"] == "numpy-philox4x64/block2^14/binary-raw-bits"
         assert env["result"]["seed"] == 5
 
     def test_word_validation(self, capsys):
@@ -394,7 +394,7 @@ assert "numpy" not in sys.modules, "refused simulate"
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert main(["simulate", "--word", "11", "--trials", "200", "--k", "10"]) == 0
-assert json.loads(out.getvalue())["result"]["generator"] == "numpy-philox4x64/block2^14"
+assert json.loads(out.getvalue())["result"]["generator"] == "numpy-philox4x64/block2^14/binary-raw-bits"
 assert "numpy" in sys.modules, "simulate"
 """
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -528,13 +528,13 @@ class TestByteIdentity:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_simulate_stdout_digest(self, capsys):
-        # Pins the Monte Carlo streams: a numpy release that draws them
-        # differently fails here.
+        # Pins the binary Monte Carlo stream, the raw bits of numpy's Philox:
+        # a numpy release whose Philox words differ fails here.
         argv = "simulate --word 11 --L 2 --trials 20000 --k 20 --seed 12345"
         code, out, _ = run(capsys, *argv.split())
         assert code == GOLDEN_CLI[argv]["exit"] == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "5ec571c2787ef93c7bc5fd150e8101dff907c790c9891f9d94077dbf363cab43"
+            "7254fb521afc6a51464071f9f0b9959e7f502f5fc1ad8b3b825156aa782ac668"
         )
 
 
@@ -618,7 +618,7 @@ class TestErrorBoundary:
     @pytest.mark.parametrize(
         "argv",
         ["bifix --word 1", "prob --word 1", "prob --word 1 --method automaton",
-         "simulate --word 1", "census --n 1"],
+         "simulate --word 1", "census --n 1", "bifix --word 5 --L 11"],
     )
     def test_one_pattern_length_rule(self, capsys, argv):
         # The library states the rule once, and every subcommand reaches it.

@@ -366,7 +366,7 @@ class TestMonteCarlo:
     def test_json_records_generator_and_seed(self):
         result = monte_carlo(w("11"), McConfig(trials=50, k=8, seed=4))
         d = result.to_json_dict()
-        assert d["generator"] == "numpy-philox4x64/block2^14"
+        assert d["generator"] == "numpy-philox4x64/block2^14/binary-raw-bits"
         assert d["seed"] == 4
 
     @pytest.mark.parametrize("L", [2**63 + 1, 2**64])
@@ -380,13 +380,29 @@ class TestMonteCarlo:
         assert result.censored == 3
 
 
+def raw_bits(seed, counter, count):
+    """The first `count` bits of Philox(key=seed, counter=counter)'s raw 64-bit
+    words, least significant bit first: bit j of word i is element 64*i + j."""
+    words = np.random.Philox(key=seed, counter=counter).random_raw(count // 64 + 1).tolist()
+    return [(word >> j) & 1 for word in words for j in range(64)][:count]
+
+
+def fresh_symbols(L, seed, counter, count):
+    """`count` symbols from a fresh Philox(key=seed, counter=counter): its raw
+    bits where L = 2, numpy's int64 integers(0, L) otherwise."""
+    if L == 2:
+        return raw_bits(seed, counter, count)
+    bits = np.random.Philox(key=seed, counter=counter)
+    return np.random.Generator(bits).integers(0, L, size=count).tolist()
+
+
 @functools.lru_cache(maxsize=1)
 def block_rows(L, seed, k, block):
     """All R = max(1, 2**14 // k) rows of a block, drawn at once as R*k
     symbols from the block's own fresh Philox."""
     rows = max(1, 2**14 // k)
-    bits = np.random.Philox(key=seed, counter=block << 128)
-    return np.random.Generator(bits).integers(0, L, size=rows * k).reshape(rows, k).tolist()
+    symbols = fresh_symbols(L, seed, block << 128, rows * k)
+    return [symbols[row * k : (row + 1) * k] for row in range(rows)]
 
 
 def block_stream(L, seed, k, trial):
@@ -397,13 +413,12 @@ def block_stream(L, seed, k, trial):
 
 def trial_stream(L, seed, k, trial):
     """A trial's k symbols from its own fresh Philox at counter trial << 128."""
-    bits = np.random.Philox(key=seed, counter=trial << 128)
-    return np.random.Generator(bits).integers(0, L, size=k).tolist()
+    return fresh_symbols(L, seed, trial << 128, k)
 
 
 def reference_monte_carlo(pattern, config, stream=block_stream):
-    """Monte Carlo with a fresh Philox and Generator per stream, stepped symbol
-    by symbol through the automaton's transition function.
+    """Monte Carlo with a fresh Philox per stream (`fresh_symbols`), stepped
+    symbol by symbol through the automaton's transition function.
 
     naive_step, not the automaton's rows, moves the state (TestAutomaton
     checks that they agree), so the reference shares no code with the
@@ -557,11 +572,17 @@ class TestMonteCarloStream:
         "L", [2, 3, 4, 256, 257, 2**16, 10**7, 3 * 2**30, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
     )
     def test_raw_symbols_are_numpy_draws(self, L, count):
+        # At L = 2 the symbols are the raw bits instead (test_binary_symbols_are_raw_bits).
         seed, counter = L + count, count << 128
-        bits = np.random.Philox(key=seed, counter=counter)
-        expected = np.random.Generator(bits).integers(0, L, size=count)
         symbols = oracle._raw_symbols(np.random.Philox(key=seed, counter=counter), L, count)
-        assert symbols.tolist() == expected.tolist()
+        assert symbols.tolist() == fresh_symbols(L, seed, counter, count)
+
+    # A block's end falls before, on and after a raw word's last bit.
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 2**14, 2**16 + 3])
+    def test_binary_symbols_are_raw_bits(self, count):
+        seed, counter = count, count << 128
+        symbols = oracle._raw_symbols(np.random.Philox(key=seed, counter=counter), 2, count)
+        assert symbols.tolist() == raw_bits(seed, counter, count)
 
     # At these L, half word `half` of Philox(key=0, counter=0) leaves exactly the
     # drop threshold (kept) or one less (dropped), so a threshold or comparison
@@ -591,11 +612,17 @@ class TestMonteCarloStream:
     @pytest.mark.parametrize("count", [1, 3, 2**14 - 1, 2**14])
     @pytest.mark.parametrize("L", [2, 2**32])
     def test_power_of_two_reads_once_and_shifts(self, L, count):
-        # Nothing is dropped, so one read of ceil(count / 2) words is exact.
+        # Nothing is dropped, so one read is exact: ceil(count / 64) words of
+        # 64 one-bit symbols at L = 2, else ceil(count / 2) words of two half
+        # words, each shifted in uint32 rather than taken through the 64-bit product.
         bits = RecordingReads(np.random.Philox(key=L, counter=count << 128))
         symbols = oracle._raw_symbols(bits, L, count)
-        assert bits.sizes == [(count + 1) // 2]
-        assert symbols.dtype == np.uint32  # the shift, not the 64-bit product
+        if L == 2:
+            assert bits.sizes == [(count + 63) // 64]
+            assert symbols.dtype == np.uint8
+        else:
+            assert bits.sizes == [(count + 1) // 2]
+            assert symbols.dtype == np.uint32
         assert len(symbols) == count
 
     # Blocks of 2**14 symbols, Philox(key=L, counter=block << 128), whose first

@@ -79,6 +79,18 @@ class TestWord:
         for text in ["01", "10011", "222", "0120"]:
             assert Word.parse(text, 3).text() == text
 
+    @pytest.mark.parametrize("L", [10, 11, 2**40])
+    def test_one_symbol_round_trip(self, L):
+        for symbol in (0, 5, L - 1):
+            word = Word((symbol,), L)
+            assert Word.parse(word.text(), L) == word
+
+    @pytest.mark.parametrize("text", ["05", "00", "11", "12", "1a", "\u0665"])
+    def test_one_symbol_text_is_as_written(self, text):
+        # Above ten symbols, a comma-less text must be exactly str(v) with v < L.
+        with pytest.raises(ValueError, match="^alphabet size 11 needs comma-separated symbols$"):
+            Word.parse(text, 11)
+
     def test_large_alphabet_needs_commas(self):
         with pytest.raises(ValueError):
             Word.parse("1011", 12)

@@ -76,6 +76,11 @@ COUNTEREXAMPLE_TESTS = (
     "tests/test_cli.py::TestByteIdentity::test_stdout_digest",
 )
 DIGEST_TESTS = ("tests/test_cli.py::TestByteIdentity::test_stdout_digest",)
+ONE_SYMBOL_TESTS = ("tests/test_patterns.py::TestWord::test_one_symbol_text_is_as_written",)
+BINARY_STREAM_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_binary_symbols_are_raw_bits",)
+READ_SIZE_TESTS = (
+    "tests/test_oracle.py::TestMonteCarloStream::test_power_of_two_reads_once_and_shifts",
+)
 ORIENT_TESTS = ("tests/test_cli.py::TestCompare::test_order_is_auto_oriented",)
 SWORD_PAIR_TESTS = ("tests/test_cli.py::TestCompare::test_sword_pair",)
 ROUTE_WORD_TESTS = (
@@ -202,6 +207,10 @@ MUTANTS = (
      "alphabet_size > 10", "alphabet_size >= 10", DIGIT_FORM_TESTS),
     ("word.parse-eleven-digits", "patterns.py", "Word.parse",
      "alphabet_size > 10", "alphabet_size > 11", DIGIT_FORM_TESTS),
+    ("word.parse-one-symbol-range", "patterns.py", "Word.parse",
+     "symbol >= alphabet_size", "symbol > alphabet_size", ONE_SYMBOL_TESTS),
+    ("word.parse-one-symbol-as-written", "patterns.py", "Word.parse",
+     " or str(symbol) != text", "", ONE_SYMBOL_TESTS),
     ("word.text-ten-commas", "patterns.py", "Word.text",
      "self.alphabet_size <= 10", "self.alphabet_size < 10", DIGIT_FORM_TESTS),
     ("word.text-eleven-digits", "patterns.py", "Word.text",
@@ -218,6 +227,14 @@ MUTANTS = (
      "c1 + c4 == c2 + c3", "c1 + c3 == c2 + c4", COUNTEREXAMPLE_TESTS),
     ("counterexample.sum-negated", "oracle.py", "CounterexampleReport.probability_sums_equal",
      "c1 + c4 == c2 + c3", "c1 + c4 != c2 + c3", DIGEST_TESTS),
+    ("mc.binary-bit-order", "oracle.py", "_raw_symbols",
+     'bitorder="little"', 'bitorder="big"', BINARY_STREAM_TESTS),
+    ("mc.binary-read-short", "oracle.py", "_raw_symbols",
+     "count + 63", "count + 62", READ_SIZE_TESTS),
+    ("mc.binary-read-double", "oracle.py", "_raw_symbols",
+     "// 64", "// 32", READ_SIZE_TESTS),
+    ("mc.binary-branch", "oracle.py", "_raw_symbols",
+     "if L == 2:", "if False:", BINARY_STREAM_TESTS),
     ("table.upto-length", "numerics.py", "ProbTable.upto",
      "len(self.C) - 1", "len(self.C)", TABLE_TESTS),
     ("table.negative-upto", "numerics.py", "ProbTable.from_counts",
