@@ -28,6 +28,7 @@ nothing more.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
@@ -225,9 +226,12 @@ class ProbTable:
     ) -> ProbTable:
         """The table of C_0 .. C_upto, the first upto + 1 counts of a stream.
 
-        A negative upto is refused before any count is pulled.
+        A negative upto, or one past the largest stop `islice` takes, is
+        refused before any count is pulled.
         """
         _at_least(upto, 0, "upto")
+        if upto >= sys.maxsize:
+            raise ValueError(f"upto must be <= {sys.maxsize - 1}, got {upto}")
         return cls(h, L, tuple(islice(counts, upto + 1)), method)
 
     @property

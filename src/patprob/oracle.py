@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from math import ceil, sqrt
+from math import ceil
 from operator import add, mul
 from typing import Iterator
 
@@ -309,49 +309,32 @@ def _raw_symbols(bits, L: int, count: int):
     so one bit is a fair binary symbol, and a block reads 1/32 of the raw
     words that numpy's draw of the same symbols would read.
 
-    For every other L the array holds the values numpy's
-    `Generator(bits).integers(0, L, size=count)` draws, uint32 where L is a
-    power of two and uint64 otherwise. That draw is Lemire's multiply-shift
-    on 32-bit half words (Lemire, "Fast random integer generation in an
-    interval", ACM TOMACS 29(1), 2019). Each raw word gives its low half,
-    then its high half. A half word w gives the symbol (w*L) >> 32, unless
-    (w*L) mod 2**32 < t = (2**32 - L) mod L: then w is dropped, which leaves
-    each symbol exactly uniform.
-
-    Where L = 2**s > 2 is a power of two, L divides 2**32, so t = 0 and nothing
-    is dropped, and (w*L) >> 32 is w >> (32 - s): the block is one read of
-    ceil(count / 2) raw words and one uint32 right shift of its first
-    `count` half words, with no 64-bit product.
-
-    Exactly t of the 2**32 values of w are dropped, so a half word is dropped
-    with probability p = t / 2**32, and reading h half words to keep m more
-    symbols drops about h*p, with variance h*p*(1 - p). A read takes
-    ceil((m + 3*sqrt(m*p)) / (2*(1 - p))) raw words, so it expects to keep m
-    symbols plus a margin of three standard deviations of the number kept,
-    sqrt(m*p), and a second read is needed about once in 740 reads (the
-    normal tail beyond three standard deviations). Reads continue the stream
-    until `count` symbols are kept. The drop test needs only (w*L) mod
-    2**32, a uint32 product, so dropped half words are removed before the
-    64-bit product, which is taken only of the half words kept and needed.
+    For every other L the array holds, as uint64, the values numpy's
+    `Generator(bits).integers(0, L, size=count)` draws. That draw is
+    Lemire's multiply-shift on 32-bit half words (Lemire, "Fast random
+    integer generation in an interval", ACM TOMACS 29(1), 2019). Each raw
+    word gives its low half, then its high half. A half word w gives the
+    symbol (w*L) >> 32, unless (w*L) mod 2**32 < t = (2**32 - L) mod L: then
+    w is dropped, which leaves each symbol exactly uniform. t is 0 for every
+    power of two, and then nothing is dropped and the drop test is skipped.
+    A read takes ceil(m * 2**31 / (2**32 - t)) raw words for the m symbols
+    still missing, and reads continue the stream until `count` are kept.
     """
     import numpy as np
 
     if L == 2:  # one raw bit a symbol, least significant bit first
         raw = bits.random_raw((count + 63) // 64).astype("<u8", copy=False)
         return np.unpackbits(raw.view(np.uint8), count=count, bitorder="little")
-    if L & (L - 1) == 0:  # L = 2**s divides 2**32
-        half = bits.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
-        return half[:count] >> np.uint32(33 - L.bit_length())
     threshold = (2**32 - L) % L
     parts, kept = [], 0
     while kept < count:
         missing = count - kept
-        margin = 3 * sqrt(missing * threshold / 2**32)
-        words = ceil((missing + margin) * 2**31 / (2**32 - threshold))
+        words = ceil(missing * 2**31 / (2**32 - threshold))
         half = bits.random_raw(words).astype("<u8", copy=False).view("<u4")
-        dropped = np.multiply(half, np.uint32(L), dtype=np.uint32) < threshold  # wraps to (w*L) mod 2**32
-        if dropped.any():
-            half = half[~dropped]
+        if threshold:  # 0 where L divides 2**32, and np.uint32(2**32) would overflow
+            dropped = np.multiply(half, np.uint32(L), dtype=np.uint32) < threshold  # wraps to (w*L) mod 2**32
+            if dropped.any():
+                half = half[~dropped]
         product = np.multiply(half[:missing], np.uint64(L), dtype=np.uint64)
         product >>= np.uint64(32)
         parts.append(product)
@@ -389,18 +372,15 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     a numpy call outweighs its work, so one search per 2**17 symbols makes
     about an eighth of the calls; the buffer changes no symbol and no result.
 
-    Binary symbols are the raw bits of the block's fresh Philox, least
-    significant first, 64 to a raw word. For every other L the symbols are
-    those of numpy's int64 `Generator.integers(0, L)` on that Philox. Up to
-    L = 2**32 `_raw_symbols` computes both from the raw Philox words, the
-    others by the multiply-shift numpy itself uses there, and no Generator
-    is built; for a power-of-two L that multiply-shift is one 32-bit right
-    shift of each half word. Above 2**32 numpy draws whole 64-bit words with
-    a 128-bit product, which numpy has no dtype for, so `integers` draws the
-    block. The stream tests in tests/test_oracle.py (`TestMonteCarloStream`)
-    pin the binary path to the bits of a fresh Philox per block and every
-    other path to a fresh Generator per block, and tests/test_cli.py pins
-    the SHA-256 of one binary `simulate` output.
+    Binary symbols are the raw bits of the block's fresh Philox. For every
+    other L the symbols are those of numpy's int64 `Generator.integers(0, L)`
+    on that Philox: up to L = 2**32 `_raw_symbols` computes both from the
+    raw Philox words, and no Generator is built. Above 2**32 numpy draws
+    whole 64-bit words with a 128-bit product, which numpy has no dtype for,
+    so `integers` draws the block. The stream tests in tests/test_oracle.py
+    (`TestMonteCarloStream`) pin the binary path to the bits of a fresh
+    Philox per block and every other path to a fresh Generator per block,
+    and tests/test_cli.py pins the SHA-256 of one binary `simulate` output.
 
     numpy is imported here, so only callers of this function load it.
     """

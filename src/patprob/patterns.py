@@ -27,13 +27,19 @@ def _ascii_ints(parts: Iterable[str], what: str) -> tuple[int, ...]:
     """Each part as an int; every part must be a nonempty str of ASCII digits 0-9.
 
     `int` alone also reads other Unicode digits, signs, underscores and
-    surrounding spaces, and `str.isdigit` accepts other Unicode digits.
+    surrounding spaces, and `str.isdigit` accepts other Unicode digits. A
+    part longer than the interpreter's integer string limit (4300 digits by
+    default) is refused with the same "malformed <what>" prefix.
     """
     values = []
     for part in parts:
         if not (isinstance(part, str) and part.isascii() and part.isdigit()):
             raise ValueError(f"malformed {what}: expected ASCII digits 0-9, got {part!r}")
-        values.append(int(part))
+        try:
+            values.append(int(part))
+        except ValueError:  # the digits are ASCII, so only the integer string limit is left
+            limit = f"{len(part)} digits exceed the integer string limit"
+            raise ValueError(f"malformed {what}: {limit}") from None
     return tuple(values)
 
 
@@ -170,7 +176,8 @@ class Word(_Value):
         if "," in text:
             return cls(_ascii_ints(text.split(","), f"word {text!r}"), alphabet_size)
         if alphabet_size > 10 and text:
-            symbol = int(text) if text.isascii() and text.isdigit() else alphabet_size
+            digits = text.isascii() and text.isdigit()
+            symbol = _ascii_ints((text,), f"word {text!r}")[0] if digits else alphabet_size
             if symbol >= alphabet_size or str(symbol) != text:
                 raise ValueError(f"alphabet size {alphabet_size} needs comma-separated symbols")
             return cls((symbol,), alphabet_size)

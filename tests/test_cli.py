@@ -679,6 +679,31 @@ class TestErrorBoundary:
                    "for --format csv, got 5000\n"
         )
 
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000, reason="5000 digits within the limit"
+    )
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("bifix", "--word", "1" * 5000, "--L", "11"), "error: malformed word '1"),
+            (("bifix", "--word", "1" * 5000 + ",1", "--L", "11"), "error: malformed word '1"),
+            (("prob", "--h", "1", "--K", "1" * 5000), "error: argument --K: malformed integer '1"),
+        ],
+    )
+    def test_run_past_the_integer_string_limit_is_refused_by_name(self, capsys, argv, field):
+        code, out, err = run(capsys, *argv)
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert (code, out, len(errors)) == (2, "", 1)
+        assert field in errors[0]
+        assert errors[0].endswith(": 5000 digits exceed the integer string limit")
+        assert "set_int_max_str_digits" not in err
+
+    def test_horizon_past_the_largest_stream_cut_is_refused_by_name(self, capsys):
+        # islice's own message ("Stop argument for islice() ...") names no argument.
+        assert run(capsys, "prob", "--h", "1", "--K", str(10**23)) == (
+            2, "", f"error: upto must be <= {sys.maxsize - 1}, got {10**23}\n"
+        )
+
     def test_digits_unbounded_without_a_limit(self, capsys, monkeypatch):
         # No limit (0), or an interpreter without the function, lets a table of
         # zeros print 5000 digits.

@@ -2,6 +2,7 @@
 `ProbTable.from_counts` is the one place where a horizon cuts it."""
 
 import ast
+import sys
 import tracemalloc
 from itertools import islice
 from pathlib import Path
@@ -87,6 +88,16 @@ def test_from_counts_refuses_a_negative_horizon_before_pulling():
 
     with pytest.raises(ValueError, match=r"^upto must be >= 0, got -1$"):
         ProbTable.from_counts(BifixIndicator.parse("0"), 2, -1, untouchable(), "none")
+
+
+@pytest.mark.parametrize("upto", [sys.maxsize, 10**23])
+def test_from_counts_refuses_a_horizon_islice_cannot_stop_at(upto):
+    def untouchable():
+        raise AssertionError("a count was pulled")
+        yield 0
+
+    with pytest.raises(ValueError, match=rf"^upto must be <= {sys.maxsize - 1}, got {upto}$"):
+        ProbTable.from_counts(BifixIndicator.parse("0"), 2, upto, untouchable(), "none")
 
 
 def test_from_counts_pulls_exactly_upto_plus_one_counts():

@@ -79,8 +79,11 @@ DIGEST_TESTS = ("tests/test_cli.py::TestByteIdentity::test_stdout_digest",)
 ONE_SYMBOL_TESTS = ("tests/test_patterns.py::TestWord::test_one_symbol_text_is_as_written",)
 BINARY_STREAM_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_binary_symbols_are_raw_bits",)
 READ_SIZE_TESTS = (
-    "tests/test_oracle.py::TestMonteCarloStream::test_power_of_two_reads_once_and_shifts",
+    "tests/test_oracle.py::TestMonteCarloStream::test_read_size_where_nothing_is_dropped",
 )
+RAW_WORD_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_raw_symbols_are_numpy_draws",)
+STREAM_CUT_TESTS = ("tests/test_streams.py::test_from_counts_refuses_a_horizon_islice_cannot_stop_at",)
+DROP_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_raw_symbols_at_the_drop_threshold",)
 ORIENT_TESTS = ("tests/test_cli.py::TestCompare::test_order_is_auto_oriented",)
 SWORD_PAIR_TESTS = ("tests/test_cli.py::TestCompare::test_sword_pair",)
 ROUTE_WORD_TESTS = (
@@ -235,10 +238,18 @@ MUTANTS = (
      "// 64", "// 32", READ_SIZE_TESTS),
     ("mc.binary-branch", "oracle.py", "_raw_symbols",
      "if L == 2:", "if False:", BINARY_STREAM_TESTS),
+    ("mc.drop-test-always", "oracle.py", "_raw_symbols",
+     "if threshold:", "if True:", RAW_WORD_TESTS),
+    ("mc.drop-test-never", "oracle.py", "_raw_symbols",
+     "if threshold:", "if False:", DROP_TESTS),
+    ("mc.read-half", "oracle.py", "_raw_symbols",
+     "missing * 2**31", "missing * 2**30", READ_SIZE_TESTS),
     ("table.upto-length", "numerics.py", "ProbTable.upto",
      "len(self.C) - 1", "len(self.C)", TABLE_TESTS),
     ("table.negative-upto", "numerics.py", "ProbTable.from_counts",
      '_at_least(upto, 0, "upto")', '_at_least(upto, -1, "upto")', TABLE_TESTS),
+    ("table.upto-past-islice", "numerics.py", "ProbTable.from_counts",
+     "upto >= sys.maxsize", "upto > sys.maxsize", STREAM_CUT_TESTS),
     ("canonical.odd-test", "numerics.py", "canonical",
      "if num & 1:", "if num & 2:", CANONICAL_TESTS),
     ("canonical.shift-width", "numerics.py", "canonical",
