@@ -6,18 +6,19 @@ pattern, all words at once: bit w of an L**k-bit integer stands for word
 number w in `itertools.product` order, so the words where symbol i equals
 c form one mask, S(i, 0) (`patterns._symbol_mask`, which the census
 shares) shifted up by c runs, and a bitwise AND of n such masks marks
-every word whose window ending at j holds the pattern. The Monte Carlo simulator searches the drawn symbols
-for the pattern. Neither consults the automaton, so the routes stay
-independent.
+every word whose window ending at j holds the pattern. The Monte Carlo
+simulator makes the same move over seeded random trials: their symbols are
+drawn as bit planes, one bit of every cell per plane, and a bitwise AND of
+shifted symbol masks marks every trial whose window ending at j holds the
+pattern. Neither consults the automaton, so the routes stay independent.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
-from math import ceil
+from math import sqrt
 from operator import add, mul
 from typing import Iterator
 
@@ -27,7 +28,6 @@ from .patterns import (
     BifixIndicator,
     Word,
     _at_least,
-    _check_int,
     _failure,
     _symbol_mask,
     _Value,
@@ -235,12 +235,9 @@ def counterexample_check(alphabet_size: int = 2) -> CounterexampleReport:
     return CounterexampleReport(words, NON_AFFINE_HORIZON, counts)
 
 
-# The stream layout: Philox blocks of 2**14 symbols (`monte_carlo`), whose
-# symbols are one raw bit each at L = 2 and numpy's integers(0, L) otherwise
-# (`_raw_symbols`).
-GENERATOR_NAME = "numpy-philox4x64/block2^14/binary-raw-bits"
-BLOCK_SYMBOLS = 2**14  # symbols per Monte Carlo draw, k permitting
-SEARCH_SYMBOLS = 2**17  # symbols per Monte Carlo search, unless one block is larger
+# The stream layout: bit planes of MT19937 words over all trials at once
+# (`monte_carlo`), one plane for each bit of a symbol.
+GENERATOR_NAME = "python-mt19937/bit-planes"
 DEFAULT_MC_SEED = 12345
 
 
@@ -252,9 +249,7 @@ class McConfig(_Value):
     def __init__(self, trials: int, k: int, seed: int) -> None:
         _at_least(trials, 1, "trials")
         _at_least(k, 1, "k")
-        _check_int(seed, "seed")
-        if not 0 <= seed < 2**128:
-            raise ValueError(f"seed must be in [0, 2**128), the Philox key range, got {seed}")
+        _at_least(seed, 0, "seed")
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "seed", seed)
@@ -297,140 +292,95 @@ class McResult:
         }
 
 
-def _raw_symbols(bits, L: int, count: int):
-    """`count` symbols uniform on 0 .. L-1, for 2 <= L <= 2**32, from the raw
-    words of the Philox bit generator `bits`, as an unsigned array.
+def _above(planes: list[int], L: int, ones: int) -> int:
+    """Mask of the cells above L - 1, whose value is bit q of `planes[q]`.
 
-    At L = 2 a symbol is one raw bit: the block is one read of
-    ceil(count / 64) raw words, and symbol 64*i + j is bit j of word i,
-    counted from the least significant bit, as uint8. Every output bit of
-    a counter-based generator is uniform and independent of the others
-    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
-    so one bit is a fair binary symbol, and a block reads 1/32 of the raw
-    words that numpy's draw of the same symbols would read.
-
-    For every other L the array holds, as uint64, the values numpy's
-    `Generator(bits).integers(0, L, size=count)` draws. That draw is
-    Lemire's multiply-shift on 32-bit half words (Lemire, "Fast random
-    integer generation in an interval", ACM TOMACS 29(1), 2019). Each raw
-    word gives its low half, then its high half. A half word w gives the
-    symbol (w*L) >> 32, unless (w*L) mod 2**32 < t = (2**32 - L) mod L: then
-    w is dropped, which leaves each symbol exactly uniform. t is 0 for every
-    power of two, and then nothing is dropped and the drop test is skipped.
-    A read takes ceil(m * 2**31 / (2**32 - t)) raw words for the m symbols
-    still missing, and reads continue the stream until `count` are kept.
+    A bit-sliced comparison, from the highest plane down: `equal` holds the
+    cells that agree with L - 1 on every plane so far, and a cell leaves it
+    for `above` where it has a 1 and L - 1 a 0. Where L is a power of two
+    every bit of L - 1 is 1, so no cell is above it.
     """
-    import numpy as np
-
-    if L == 2:  # one raw bit a symbol, least significant bit first
-        raw = bits.random_raw((count + 63) // 64).astype("<u8", copy=False)
-        return np.unpackbits(raw.view(np.uint8), count=count, bitorder="little")
-    threshold = (2**32 - L) % L
-    parts, kept = [], 0
-    while kept < count:
-        missing = count - kept
-        words = ceil(missing * 2**31 / (2**32 - threshold))
-        half = bits.random_raw(words).astype("<u8", copy=False).view("<u4")
-        if threshold:  # 0 where L divides 2**32, and np.uint32(2**32) would overflow
-            dropped = np.multiply(half, np.uint32(L), dtype=np.uint32) < threshold  # wraps to (w*L) mod 2**32
-            if dropped.any():
-                half = half[~dropped]
-        product = np.multiply(half[:missing], np.uint64(L), dtype=np.uint64)
-        product >>= np.uint64(32)
-        parts.append(product)
-        kept += len(product)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    above, equal = 0, ones
+    for q in reversed(range(len(planes))):
+        if (L - 1) >> q & 1:
+            equal &= planes[q]
+        else:
+            above |= equal & planes[q]
+            equal &= ~planes[q]
+    return above
 
 
 def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     """Simulate seeded uniform streams and record first-occurrence times.
 
-    Trials run in blocks of R = max(1, 2**14 // k). Block b holds trials
-    b*R, b*R + 1, ... and draws them in one call: an (m, k) array from
-    the Philox stream with key `seed` and counter `b << 128`, where m is R,
-    or fewer for the last block. Draws fill the array row by row, so trial t
-    sees row t % R of its block's stream whether or not later rows are
-    drawn: a trial's symbols depend on (seed, k, t) and not on `trials`.
-    Below k = 2**14 they do depend on k, because k sets R; from k = 2**14 on,
-    R = 1 and trial t draws its k symbols from counter t << 128. One bit
-    generator serves every block: before block b its state is reset to what
-    a fresh `Philox(key=seed, counter=b << 128)` holds.
+    All trials are drawn at once, as bit planes: the move `enum_counts`
+    makes over all words, with trials in place of words. `width` is
+    `trials` rounded up to a multiple of 8; cell (j, t), position j of
+    trial t, is bit j*width + t, and there are width*k cells. Plane q holds
+    bit q of every cell, for q < s = (L - 1).bit_length(), and is one
+    `getrandbits(width*k)` of `random.Random(seed)` (MT19937), drawn in the
+    order q = 0, 1, .... A cell above L - 1 (`_above`) is drawn again: while
+    any is left, s fresh planes are drawn the same way, the marked cells
+    take their bits from them, and only those cells are compared again. So
+    every symbol is exactly uniform on 0 .. L-1, and one rule serves every
+    L; where L is a power of two no cell is ever redrawn. Through `width`,
+    a trial's symbols depend on `trials` as well as on (seed, k, t).
 
-    A trial's first occurrence ends n - 1 symbols after the first column
-    where all n shifted comparisons with the pattern hold; the pattern
-    automaton is not consulted, so Monte Carlo checks the automaton route
-    independently. The search runs on several blocks at once: each block is
-    drawn as above and written, cast to the narrowest unsigned type that
-    holds L - 1 (uint8 up to L = 256, then uint16, uint32, uint64), into one
-    buffer of whole blocks, row after row, holding up to SEARCH_SYMBOLS =
-    2**17 symbols, or one block where a block is larger. The n comparisons
-    run once on the flat buffer; their result is reshaped to (rows, k) and
-    cut to its first k - n + 1 columns, so a window that runs from one
-    trial's row into the next is never counted. The first column of each
-    row, the found rows and the histogram of waits are then taken once per
-    buffer. A block of 2**14 symbols is small enough that the fixed cost of
-    a numpy call outweighs its work, so one search per 2**17 symbols makes
-    about an eighth of the calls; the buffer changes no symbol and no result.
+    A trial's first occurrence ends at the first position j where its
+    window of n symbols holds the pattern; the pattern automaton is not
+    consulted, so Monte Carlo checks the automaton route independently. For
+    each distinct pattern symbol c, one mask holds the cells equal to c
+    (the AND of each plane or its complement), and `hit` ANDs the mask of
+    b_p shifted up by (n - 1 - p)*width: a shift by `width` moves one
+    position along every trial at once, so no window runs into another
+    trial. The tally ORs position after position of `hit` into the trials
+    `seen` to hit, and the number seen by j is one `bit_count`.
 
-    Binary symbols are the raw bits of the block's fresh Philox. For every
-    other L the symbols are those of numpy's int64 `Generator.integers(0, L)`
-    on that Philox: up to L = 2**32 `_raw_symbols` computes both from the
-    raw Philox words, and no Generator is built. Above 2**32 numpy draws
-    whole 64-bit words with a 128-bit product, which numpy has no dtype for,
-    so `integers` draws the block. The stream tests in tests/test_oracle.py
-    (`TestMonteCarloStream`) pin the binary path to the bits of a fresh
-    Philox per block and every other path to a fresh Generator per block,
-    and tests/test_cli.py pins the SHA-256 of one binary `simulate` output.
-
-    numpy is imported here, so only callers of this function load it.
+    `random` is imported here, so only callers of this function load it.
     """
     L, n = pattern.alphabet_size, len(pattern)
     _at_least(n, 2, "pattern length")
-    if L > 2**63:
-        raise ValueError(f"Monte Carlo draws int64 symbols, so alphabet size L must be <= 2**63, got {L}")
-    import numpy as np
+    import random
 
-    bits = np.random.Philox(key=config.seed, counter=0)
-    fresh = bits.state  # empty buffer, no cached half word; counter set per block
-    if L <= 2**32:  # numpy's own boundary between 32-bit and 64-bit draws
-        draw = partial(_raw_symbols, bits, L)
-    else:
-        draw = partial(np.random.Generator(bits).integers, 0, L)
-    narrow = np.min_scalar_type(L - 1)
+    rng = random.Random(config.seed)
     trials, horizon = config.trials, config.k
-    per_block = max(1, BLOCK_SYMBOLS // horizon)
-    per_buffer = per_block * max(1, SEARCH_SYMBOLS // (per_block * horizon))
-    starts = horizon - n + 1  # columns where an occurrence can start
-    buffers = range(0, trials, per_buffer) if starts > 0 else ()  # k < n: no trial can hit
-    buffer = np.empty(min(per_buffer, trials) * horizon, dtype=narrow)
-    tally = np.zeros(horizon + 1, dtype=np.int64)
-    for first in buffers:
-        rows = min(per_buffer, trials - first)
-        data = buffer[: rows * horizon]
-        for row in range(0, rows, per_block):
-            fresh["state"]["counter"][2] = (first + row) // per_block  # counter block << 128
-            bits.state = fresh
-            data[row * horizon : (row + per_block) * horizon] = draw(min(per_block, rows - row) * horizon)
-        hit = data == pattern.symbols[0]
-        for i in range(1, n):
-            hit[:-i] &= data[i:] == pattern.symbols[i]
-        hit = hit.reshape(rows, horizon)[:, :starts]  # cut the windows that run past their row
-        at = hit.argmax(axis=1)
-        found = hit[np.arange(rows), at]
-        waits = np.bincount(at[found] + n)
-        tally[: len(waits)] += waits
-    waited = np.flatnonzero(tally)
-    wait_counts = dict(zip(waited.tolist(), tally[waited].tolist()))
-    censored = trials - sum(wait_counts.values())
-    # Every count is below 2**53, so these whole-array float operations round
-    # exactly as the same operations on Python ints and floats would.
-    p_hat = np.cumsum(tally) / trials
-    stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
+    width = -(-trials // 8) * 8
+    cells = width * horizon
+    ones = (1 << cells) - 1
+    s = (L - 1).bit_length()
+    planes = [rng.getrandbits(cells) for _ in range(s)]
+    redo = _above(planes, L, ones)
+    while redo:
+        fresh = [rng.getrandbits(cells) for _ in range(s)]
+        keep = ones ^ redo
+        planes = [p & keep | f & redo for p, f in zip(planes, fresh)]
+        redo &= _above(fresh, L, ones)
+    masks = {}
+    for c in set(pattern.symbols):
+        masks[c] = ones
+        for q, plane in enumerate(planes):
+            masks[c] &= plane if c >> q & 1 else ~plane
+    del planes
+    hit = ones
+    for p, c in enumerate(pattern.symbols):
+        hit &= masks[c] << (n - 1 - p) * width
+    del masks
+    row = width // 8
+    data = hit.to_bytes(cells // 8, "little")
+    del hit
+    valid = (1 << trials) - 1  # the trials past `trials` only pad the width
+    seen, seen_by = 0, [0] * (horizon + 1)  # seen_by[j]: trials hit at or before j
+    for j in range(n - 1, horizon):
+        seen |= int.from_bytes(data[j * row : (j + 1) * row], "little") & valid
+        seen_by[j + 1] = seen.bit_count()
+    wait_counts = {j: c - b for j, (b, c) in enumerate(zip(seen_by, seen_by[1:]), 1) if c != b}
+    censored = trials - seen_by[-1]
+    p_hat = tuple(c / trials for c in seen_by)
     return McResult(
         pattern,
         config,
-        tuple(p_hat.tolist()),
-        tuple(stderr.tolist()),
+        p_hat,
+        tuple(sqrt(p * (1.0 - p) / trials) for p in p_hat),
         wait_counts,
         censored,
         (sum(j * c for j, c in wait_counts.items()) + censored * horizon) / trials,

@@ -327,7 +327,7 @@ class TestSimulate:
         code, env, _ = run_json(capsys, "simulate", "--word", "10", "--trials", "100",
                                 "--k", "8", "--seed", "5")
         assert code == 0
-        assert env["result"]["generator"] == "numpy-philox4x64/block2^14/binary-raw-bits"
+        assert env["result"]["generator"] == "python-mt19937/bit-planes"
         assert env["result"]["seed"] == 5
 
     def test_word_validation(self, capsys):
@@ -376,30 +376,38 @@ class TestTopLevel:
         _, env, _ = run_json(capsys, "bifix", "--word", "11")
         assert env["version"] == "0.1.0"
 
-    def test_numpy_is_loaded_by_simulate_only(self):
-        # A fresh interpreter, since this test process has numpy loaded already.
+    def test_no_subcommand_loads_numpy(self):
+        # A fresh interpreter, since pytest's plugins may have loaded numpy here.
         script = f"""
 import contextlib, io, json, sys
 import patprob, patprob.cli
 from patprob.cli import main
 assert "numpy" not in sys.modules, "import"
 for argv in (["bifix", "--word", "10001"], ["prob", "--h", "10", "--K", "6"], ["census", "--n", "3"],
-             ["compare", "--h", "00", "--h2", "10"], ["counterexample"], ["lemmas", "--s", "0,1"]):
-    with contextlib.redirect_stdout(io.StringIO()):
+             ["compare", "--h", "00", "--h2", "10"], ["counterexample"], ["lemmas", "--s", "0,1"],
+             ["simulate", "--word", "11", "--trials", "200", "--k", "10"],
+             ["simulate", "--word", "0,1", "--L", "{2**64}"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert main(argv) == 0, argv
+    json.loads(out.getvalue())
     assert "numpy" not in sys.modules, argv
-with contextlib.redirect_stderr(io.StringIO()):
-    assert main(["simulate", "--word", "0,1", "--L", "{2**64}"]) == 2
-assert "numpy" not in sys.modules, "refused simulate"
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    assert main(["simulate", "--word", "11", "--trials", "200", "--k", "10"]) == 0
-assert json.loads(out.getvalue())["result"]["generator"] == "numpy-philox4x64/block2^14/binary-raw-bits"
-assert "numpy" in sys.modules, "simulate"
 """
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_module_imports_numpy(self):
+        # patprob has no runtime dependency: every module runs on the standard library.
+        for path in (SRC / "patprob").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(name.split(".")[0] == "numpy" for name in names), (path.name, names)
 
     @pytest.mark.parametrize("module", ["recursions", "markov", "oracle"])
     def test_route_modules_import_only_numerics_and_patterns(self, module):
@@ -528,13 +536,13 @@ class TestByteIdentity:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_simulate_stdout_digest(self, capsys):
-        # Pins the binary Monte Carlo stream, the raw bits of numpy's Philox:
-        # a numpy release whose Philox words differ fails here.
+        # Pins the Monte Carlo stream, the bit planes of MT19937's getrandbits:
+        # a Python release whose getrandbits words differ fails here.
         argv = "simulate --word 11 --L 2 --trials 20000 --k 20 --seed 12345"
         code, out, _ = run(capsys, *argv.split())
         assert code == GOLDEN_CLI[argv]["exit"] == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "7254fb521afc6a51464071f9f0b9959e7f502f5fc1ad8b3b825156aa782ac668"
+            "f4edd2d7706f031a8b3229b9562f8fcf6f2efcf0a7f1f011bb8703c5e1045081"
         )
 
 
@@ -587,7 +595,7 @@ class TestErrorBoundary:
             "prob --h 1 --digits 0 --format csv",
             "prob --h 1 --digits 0 --format table",
             "simulate --word 11 --seed -1",
-            f"simulate --word 11 --seed {2**128}",
+            "simulate --word 0,1 --trials 0",
             "simulate --word 1",
             "census --n 1",
             "census --n 3 --max-reps -1",
@@ -603,7 +611,6 @@ class TestErrorBoundary:
             "bifix --word \u0661\u0660\u0660",
             "bifix --word 1_0,1 --L 11",
             "lemmas --s 0,+1,0_1",
-            f"simulate --word 0,1 --L {2**64}",
             "compare --h 1",
             "compare --s 0,1",
             "compare --s 0,1,0 --s2 0,0,1",
@@ -614,6 +621,13 @@ class TestErrorBoundary:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [f"simulate --word 11 --seed {2**128}", f"simulate --word 0,1 --L {2**64}"])
+    def test_any_seed_and_alphabet_size_run(self, capsys, argv):
+        # Monte Carlo has no key range and no 64-bit symbol type to refuse them.
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        json.loads(out)
 
     @pytest.mark.parametrize(
         "argv",
@@ -638,7 +652,7 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("detail", ["Unable to allocate 763. MiB", ""])
     def test_out_of_memory_exits_2_with_one_error_line(self, capsys, monkeypatch, detail):
-        # numpy raises a MemoryError subclass with a message; Python's own has none.
+        # A MemoryError may carry a message; Python's own has none.
         import patprob.oracle
         import patprob.recursions
 

@@ -21,7 +21,7 @@ typo would pass as a kill), and when the unmutated tree fails.
 
     python3 tools/mutate.py            # every mutant, about 2 minutes on 2 cores
 
-Standard library only; pytest and the package's own dependencies must be
+Standard library only; pytest and the test extras of `pyproject.toml` must be
 importable by the interpreter that runs it.
 """
 
@@ -77,13 +77,10 @@ COUNTEREXAMPLE_TESTS = (
 )
 DIGEST_TESTS = ("tests/test_cli.py::TestByteIdentity::test_stdout_digest",)
 ONE_SYMBOL_TESTS = ("tests/test_patterns.py::TestWord::test_one_symbol_text_is_as_written",)
-BINARY_STREAM_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_binary_symbols_are_raw_bits",)
-READ_SIZE_TESTS = (
-    "tests/test_oracle.py::TestMonteCarloStream::test_read_size_where_nothing_is_dropped",
-)
-RAW_WORD_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_raw_symbols_are_numpy_draws",)
+STREAM_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_matches_reference",)
+REDRAW_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_cells_above_the_alphabet_are_redrawn",)
+SPAN_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_window_spanning_two_trials_is_no_hit",)
 STREAM_CUT_TESTS = ("tests/test_streams.py::test_from_counts_refuses_a_horizon_islice_cannot_stop_at",)
-DROP_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_raw_symbols_at_the_drop_threshold",)
 ORIENT_TESTS = ("tests/test_cli.py::TestCompare::test_order_is_auto_oriented",)
 SWORD_PAIR_TESTS = ("tests/test_cli.py::TestCompare::test_sword_pair",)
 ROUTE_WORD_TESTS = (
@@ -230,20 +227,18 @@ MUTANTS = (
      "c1 + c4 == c2 + c3", "c1 + c3 == c2 + c4", COUNTEREXAMPLE_TESTS),
     ("counterexample.sum-negated", "oracle.py", "CounterexampleReport.probability_sums_equal",
      "c1 + c4 == c2 + c3", "c1 + c4 != c2 + c3", DIGEST_TESTS),
-    ("mc.binary-bit-order", "oracle.py", "_raw_symbols",
-     'bitorder="little"', 'bitorder="big"', BINARY_STREAM_TESTS),
-    ("mc.binary-read-short", "oracle.py", "_raw_symbols",
-     "count + 63", "count + 62", READ_SIZE_TESTS),
-    ("mc.binary-read-double", "oracle.py", "_raw_symbols",
-     "// 64", "// 32", READ_SIZE_TESTS),
-    ("mc.binary-branch", "oracle.py", "_raw_symbols",
-     "if L == 2:", "if False:", BINARY_STREAM_TESTS),
-    ("mc.drop-test-always", "oracle.py", "_raw_symbols",
-     "if threshold:", "if True:", RAW_WORD_TESTS),
-    ("mc.drop-test-never", "oracle.py", "_raw_symbols",
-     "if threshold:", "if False:", DROP_TESTS),
-    ("mc.read-half", "oracle.py", "_raw_symbols",
-     "missing * 2**31", "missing * 2**30", READ_SIZE_TESTS),
+    ("mc.compare-bound", "oracle.py", "_above",
+     "(L - 1) >> q", "L >> q", REDRAW_TESTS),
+    ("mc.redraw-all-fresh", "oracle.py", "monte_carlo",
+     "redo &= _above(fresh, L, ones)", "redo = _above(fresh, L, ones)", REDRAW_TESTS),
+    ("mc.keep-unmasked", "oracle.py", "monte_carlo",
+     "p & keep | f & redo", "p | f & redo", STREAM_TESTS),
+    ("mc.trial-step", "oracle.py", "monte_carlo",
+     "(n - 1 - p) * width", "(n - 1 - p) * 8", SPAN_TESTS),
+    ("mc.padding-trials-counted", "oracle.py", "monte_carlo",
+     "(1 << trials) - 1", "(1 << width) - 1", STREAM_TESTS),
+    ("mc.tally-first-position", "oracle.py", "monte_carlo",
+     "range(n - 1, horizon)", "range(n, horizon)", STREAM_TESTS),
     ("table.upto-length", "numerics.py", "ProbTable.upto",
      "len(self.C) - 1", "len(self.C)", TABLE_TESTS),
     ("table.negative-upto", "numerics.py", "ProbTable.from_counts",
