@@ -8,6 +8,8 @@ probability of the bifix class that s encodes. The reach DP runs on the
 integer counts R_k(i) = L**k P_k(i), with no division, and yields one row
 per k: `reach_table` keeps every row, while the occurrence table and the
 chain comparison keep only the start-state column as the rows stream past.
+Each R_k(0) is checked against `patterns._absorbed`, the forward step that
+the pattern automaton takes too: at L = 2 that automaton is such a chain.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 from operator import add, itemgetter
 from typing import Iterable, Iterator
 
-from .patterns import BifixIndicator, SWord, _Value, _at_least, _within, comparison_threshold, s_from_h
+from .patterns import (
+    BifixIndicator, SWord, _absorbed, _at_least, _Value, _within, comparison_threshold, s_from_h
+)
 
 
 class ChainSpec(_Value):
@@ -105,28 +109,15 @@ def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
 def _start_counts(spec: ChainSpec, rows: Iterable[tuple[int, ...]]) -> Iterator[int]:
     """Yield R_k(0) of each reach row once forward evolution confirms it.
 
-    The start state's word counts evolve one step per row: each state i < n
-    sends its count to i+1 and to s_i once each and to 0 (L-2) times; state
-    n keeps its count L times. A step is the slice `dist[:n]` shifted up by
-    one state, which carries every i -> i+1 count, plus one scatter over
-    `zip(dist, targets)` for the i -> s_i counts. R_k(0) must equal the
-    count absorbed after k steps, which lies in [0, L**k] since the total
-    grows by L per step.
+    R_k(0) must equal the count in state n after k `_absorbed` steps of the
+    chain, which has no extra edge; it lies in [0, L**k].
     """
-    n, L = spec.n, spec.L
-    targets = spec.s.targets
-    dist = [1] + [0] * n
+    absorbed = _absorbed(spec.L, spec.s.targets, ())
     for k, row in enumerate(rows):
-        if k:
-            nxt = [(L - 2) * sum(dist[:n]) if L > 2 else 0, *dist[:n]]
-            nxt[n] += L * dist[n]
-            for count, target in zip(dist, targets):
-                nxt[target] += count
-            dist = nxt
-        if dist[n] != row[0]:
+        if (count := next(absorbed)) != row[0]:
             raise AssertionError(
                 f"forward evolution disagrees with reach DP at k={k}: "
-                f"{dist[n]} vs {row[0]} words of {L}^{k}"
+                f"{count} vs {row[0]} words of {spec.L}^{k}"
             )
         yield row[0]
 
@@ -225,14 +216,11 @@ class LemmaReport(_Value):
 
 def check_lemmas(spec: ChainSpec, upto: int) -> LemmaReport:
     """Verify the three reach-probability laws on the exact table."""
-    n = spec.n
+    n, L = spec.n, spec.L
     if upto < n:
         raise ValueError(f"need upto >= n = {n} to exercise the laws, got {upto}")
     table = reach_table(spec, upto)
-    L = spec.L
-    mono_k = []
-    zero_pattern = []
-    mono_i = []
+    mono_k, zero_pattern, mono_i = [], [], []
     # Counts: P_k(i) > P_{k+1}(i) iff L R_k(i) > R_{k+1}(i); one row shares L**k.
     for k in range(upto + 1):
         row = table.P[k]
@@ -242,11 +230,6 @@ def check_lemmas(spec: ChainSpec, upto: int) -> LemmaReport:
                 mono_k.append((k, i))
             if (value > 0) != (k + i >= n):
                 zero_pattern.append((k, i))
-            if i < n:
-                nxt = row[i + 1]
-                if k + i + 1 >= n:
-                    if not value < nxt:
-                        mono_i.append((k, i))
-                elif not (value == 0 and nxt == 0):
-                    mono_i.append((k, i))
+            if i < n and not (value < row[i + 1] if k + i + 1 >= n else value == row[i + 1] == 0):
+                mono_i.append((k, i))
     return LemmaReport(spec, upto, tuple(mono_k), tuple(zero_pattern), tuple(mono_i))

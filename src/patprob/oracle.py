@@ -11,6 +11,8 @@ simulator makes the same move over seeded random trials: their symbols are
 drawn as bit planes, one bit of every cell per plane, and a bitwise AND of
 shifted symbol masks marks every trial whose window ending at j holds the
 pattern. Neither consults the automaton, so the routes stay independent.
+The automaton steps its state counts with `patterns._absorbed`, the forward
+step that the Markov route checks its reach DP against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from math import sqrt
-from operator import add, mul
+from operator import add
 from typing import Iterator
 
 from .numerics import ExactProb, ProbTable
@@ -27,6 +29,7 @@ from .patterns import (
     DEFAULT_ENUM_BUDGET,
     BifixIndicator,
     Word,
+    _absorbed,
     _at_least,
     _failure,
     _symbol_mask,
@@ -120,33 +123,21 @@ def _automaton_rows(pattern: Word) -> list[dict[int, int]]:
 def _absorbed_counts(pattern: Word) -> Iterator[int]:
     """Yield how many length-j words contain the pattern, for j = 0, 1, ...
 
-    Dynamic programming over automaton states: tracks how many length-j
-    words sit in each state. A step moves every count along the edge
-    i -> i+1 at once, as the slice `state_counts[:n]` shifted up by one
-    state; scatters the count of each stored back-edge's source onto its
-    target; sends the L - len(rows[i]) other symbols of each state i to
-    state 0, one weighted sum; and keeps all L symbols of the absorbing
-    state. The back-edges are listed once from `_automaton_rows`, and a
-    string-matching automaton has at most n of them, so a step costs O(n)
-    for any alphabet size.
+    One `_absorbed` step per j: the first stored back-edge target of state i
+    is its jump, 0 when it has none (no stored edge leads to 0), and its
+    other back-edges are extra edges. At L = 2 no state has an extra edge.
     """
-    rows = _automaton_rows(pattern)
-    L, n = pattern.alphabet_size, len(rows)
-    back_edges = [  # (source, target) of every stored edge other than i -> i+1
-        (i, target)
-        for i, row in enumerate(rows)
-        for target in row.values()
-        if target != i + 1
-    ]
-    to_start = [L - len(row) for row in rows]  # symbols of each state i < n that lead to 0
-    state_counts = [1] + [0] * n
-    while True:
-        yield state_counts[n]
-        nxt = [sum(map(mul, to_start, state_counts)), *state_counts[:n]]
-        nxt[n] += L * state_counts[n]
-        for source, target in back_edges:
-            nxt[target] += state_counts[source]
-        state_counts = nxt
+    jumps, extra = [], []
+    for i, row in enumerate(_automaton_rows(pattern)):
+        jump = 0
+        for target in row.values():
+            if target <= i:  # not the edge i -> i+1
+                if jump:
+                    extra.append((i, target))
+                else:
+                    jump = target
+        jumps.append(jump)
+    return _absorbed(pattern.alphabet_size, jumps, extra)
 
 
 def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
@@ -158,12 +149,9 @@ def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
     """
     _at_least(k, 0, "k")
     L = pattern.alphabet_size
-    absorbed = tuple(islice(_absorbed_counts(pattern), k + 1))
-    first_at = [0] * (k + 1)
-    for j in range(1, k + 1):
-        fresh = absorbed[j] - L * absorbed[j - 1]  # first arrivals at step j
-        first_at[j] = fresh * L ** (k - j)
-    return OccurrenceCounts(pattern, tuple(first_at))
+    A = tuple(islice(_absorbed_counts(pattern), k + 1))
+    first_at = (0, *((A[j] - L * A[j - 1]) * L ** (k - j) for j in range(1, k + 1)))
+    return OccurrenceCounts(pattern, first_at)
 
 
 def automaton_prob_table(pattern: Word, upto: int) -> ProbTable:
@@ -373,6 +361,9 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     for j in range(n - 1, horizon):
         seen |= int.from_bytes(data[j * row : (j + 1) * row], "little") & valid
         seen_by[j + 1] = seen.bit_count()
+        if seen == valid:  # every trial is hit: no later count changes
+            seen_by[j + 2 :] = [trials] * (horizon - j - 1)
+            break
     wait_counts = {j: c - b for j, (b, c) in enumerate(zip(seen_by, seen_by[1:]), 1) if c != b}
     censored = trials - seen_by[-1]
     p_hat = tuple(c / trials for c in seen_by)

@@ -4,14 +4,15 @@ A bifix of a word is a proper prefix that is also a suffix (a border).
 The bifix indicator of a length-n pattern is the binary word h_1..h_{n-1}
 with h_i = 1 exactly when the length-i prefix equals the length-i suffix.
 Indicator positions follow the 1-based convention in all text output;
-storage is 0-based.
+storage is 0-based. The routes share the failure function, the word masks
+and `_absorbed`, the one forward step of the Markov check and the automaton.
 """
 
 from __future__ import annotations
 
 import enum
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 
 class Ordering(enum.Enum):
@@ -254,6 +255,30 @@ def _failure(b: tuple[int, ...]) -> list[int]:
             k += 1
         fail[i] = k
     return fail
+
+
+def _absorbed(L: int, jumps: Sequence[int], extra: Sequence[tuple[int, int]]) -> Iterator[int]:
+    """Yield how many length-k words take state 0 to state n = len(jumps), for k = 0, 1, ...
+
+    The forward step that the Markov check and the pattern automaton share:
+    state i < n sends one symbol to i+1, one to jumps[i] (0..i) and L - 2 to
+    0, less one per extra edge (i, t), whose symbol goes to t; state n keeps
+    all L. A step is O(n) for any L, as an automaton has at most n back-edges.
+    """
+    n = len(jumps)
+    counts = [1] + [0] * n
+    while True:
+        yield counts[n]
+        head = counts[:n]
+        nxt = [(L - 2) * sum(head) if L > 2 else 0, *head]
+        nxt[n] += L * counts[n]
+        for count, target in zip(head, jumps):
+            nxt[target] += count
+        if extra:  # the Markov check has none
+            for source, target in extra:
+                nxt[0] -= head[source]
+                nxt[target] += head[source]
+        counts = nxt
 
 
 def bifix_indicator(word: Word) -> BifixIndicator:

@@ -538,6 +538,7 @@ class TestMonteCarloStream:
             ("1,2,0", 3, 11, 10, 5461),  # a long horizon
             ("10010", 2, 4, 1305, 100),  # trials not a multiple of 8
             ("0000000000", 2, 6, 128, 1000),
+            ("11", 2, 5, 64, 2000),  # every trial hit long before the horizon
             ("3,0,3", 4, 12, 21, 300),  # a power of two: nothing redrawn
             (drawn_pattern(300, 0, 40, 20, 2, 5, 2), 300, 0, 40, 20),
             (drawn_pattern(300, 2**128 - 1, 1, 2, 0, 0, 2), 300, 2**128 - 1, 1, 2),
@@ -680,10 +681,10 @@ class TestMonteCarloStream:
         assert result.wait_counts == {start + 2: 1}
         assert result.censored == trial + 1
 
-    # Traced peaks with numpy 2.4 before the bit planes: 6.1 MiB at
-    # (64, 2**16), most of it the output tuples, and 0.29 MiB at (6000, 100),
-    # plus at most 1 MiB for the search buffer.
-    @pytest.mark.parametrize("text, trials, k, bound_mib", [("11", 64, 2**16, 6.9), ("10010", 6000, 100, 1.29)])
+    # Traced peaks on Python 3.11: 6.14 MiB at (64, 2**16), most of it the
+    # output tuples of 65537 floats beside 512 KiB bit planes and masks, and
+    # 0.54 MiB at (6000, 100), a few 73 KiB planes and masks.
+    @pytest.mark.parametrize("text, trials, k, bound_mib", [("11", 64, 2**16, 6.9), ("10010", 6000, 100, 0.8)])
     def test_traced_peak(self, text, trials, k, bound_mib):
         pattern, config = w(text), McConfig(trials=trials, k=k, seed=1)
         monte_carlo(pattern, config)  # the one-time import of random is not counted

@@ -89,6 +89,16 @@ ROUTE_WORD_TESTS = (
 TEXT_WIDTH_TESTS = (
     "tests/test_recursions.py::TestOutputFromCounts::test_text_columns_fit_their_content",
 )
+RECURSION_TESTS = (
+    "tests/test_recursions.py::TestFrozenValues",
+    "tests/test_recursions.py::TestThreeWayEquality::test_all_classes_small_n",
+)
+REACH_TESTS = ("tests/test_markov.py::TestReachTable",)
+# The Markov check steps a chain with no extra edge; only the automaton reaches that move.
+ABSORBED_TESTS = (
+    "tests/test_oracle.py::TestCounts::test_enum_equals_automaton_ternary_sample",
+    "tests/test_markov.py::TestStartColumn::test_equals_column_zero_of_reach_table",
+)
 
 # (id, file under src/patprob, function or class name, snippet, replacement, tests)
 MUTANTS = (
@@ -239,6 +249,34 @@ MUTANTS = (
      "(1 << trials) - 1", "(1 << width) - 1", STREAM_TESTS),
     ("mc.tally-first-position", "oracle.py", "monte_carlo",
      "range(n - 1, horizon)", "range(n, horizon)", STREAM_TESTS),
+    ("mc.tally-stops-at-first-hit", "oracle.py", "monte_carlo",
+     "if seen == valid:", "if seen:", STREAM_TESTS),
+    ("long.history-unscaled", "recursions.py", "_long_counts",
+     "L * history + window[0]", "history + window[0]", RECURSION_TESTS),
+    ("long.borders-dropped", "recursions.py", "_long_counts",
+     " - sum(window[i] for i in borders)", "", RECURSION_TESTS),
+    ("short.border-unscaled", "recursions.py", "_short_counts",
+     "window[i + 1] - L * window[i]", "window[i + 1] - window[i]", RECURSION_TESTS),
+    ("short.oldest-term", "recursions.py", "_short_counts",
+     "L * window[n] - window[1]", "L * window[n] - window[0]", RECURSION_TESTS),
+    ("P.power-unscaled", "recursions.py", "_iter_counts",
+     "power *= L", "power *= 2", RECURSION_TESTS),
+    ("P.border-unscaled", "recursions.py", "_iter_counts",
+     "window[i + 1] - L * window[i]", "window[i + 1] - window[i]", RECURSION_TESTS),
+    ("reach.reset-weight", "markov.py", "_reach_rows",
+     "(L - 2) * row[0]", "(L - 1) * row[0]", REACH_TESTS),
+    ("reach.reset-skipped-at-three", "markov.py", "_reach_rows",
+     "if L > 2:", "if L > 3:", REACH_TESTS),
+    ("absorbed.reset-weight", "patterns.py", "_absorbed",
+     "(L - 2) * sum(head)", "(L - 1) * sum(head)", ABSORBED_TESTS),
+    ("absorbed.reset-skipped-at-three", "patterns.py", "_absorbed",
+     "if L > 2 else 0", "if L > 3 else 0", ABSORBED_TESTS),
+    ("absorbed.absorbing-factor", "patterns.py", "_absorbed",
+     "L * counts[n]", "(L - 1) * counts[n]", ABSORBED_TESTS),
+    ("absorbed.extra-edge-stays-at-start", "patterns.py", "_absorbed",
+     "nxt[0] -= head[source]", "pass", ABSORBED_TESTS),
+    ("automaton.self-loop-dropped", "oracle.py", "_absorbed_counts",
+     "if target <= i:", "if target < i:", COUNTS_TESTS),
     ("table.upto-length", "numerics.py", "ProbTable.upto",
      "len(self.C) - 1", "len(self.C)", TABLE_TESTS),
     ("table.negative-upto", "numerics.py", "ProbTable.from_counts",
