@@ -7,8 +7,8 @@ rendering when requested). Diagnostics go to stderr.
 Exit codes: 0 success / property conforms, 1 a checked property does not
 hold, 2 usage error. Every rejected input, from argparse or from the
 library's own `ValueError` checks, is mapped to exit 2 in `main` alone, and
-so is a `MemoryError`: an input too large for the machine is not a failed
-check.
+so are `MemoryError` and `OverflowError`: an input too large for the machine
+or for an int is not a failed check.
 
 `prob` takes its routes from the package's registry: `--method` names a
 route of `patprob.ROUTE_NAMES`, whose module alone it imports, or
@@ -345,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large to build
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -4,21 +4,22 @@ From a non-absorbing state i the chain moves to i+1 with probability 1/L,
 to s_i with probability 1/L, and to 0 with probability (L-2)/L; when
 s_i = 0 the last two masses merge. State n is absorbing. P_k(i) is the
 probability of reaching n within k steps from i; P_k(0) is the occurrence
-probability of the bifix class that s encodes. The reach DP runs on the
-integer counts R_k(i) = L**k P_k(i), with no division, and yields one row
-per k: `reach_table` keeps every row, while the occurrence table and the
-chain comparison keep only the start-state column as the rows stream past.
-Each R_k(0) is checked against `patterns._absorbed`, the forward step that
-the pattern automaton takes too: at L = 2 that automaton is such a chain.
+probability of the bifix class that s encodes. The reach DP is an endless
+stream of count rows R_k(i) = L**k P_k(i), with no division, which
+`patterns._cut` cuts at a horizon; a row is yielded only once its R_k(0)
+agrees with `patterns._absorbed`, the forward step of the pattern automaton
+too (at L = 2 that automaton is such a chain). `reach_table` keeps every
+row; the occurrence table and the chain comparison keep only column 0.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from operator import add, itemgetter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .patterns import (
-    BifixIndicator, SWord, _absorbed, _at_least, _Value, _within, comparison_threshold, s_from_h
+    BifixIndicator, SWord, _absorbed, _at_least, _cut, _Value, _within, comparison_threshold, s_from_h
 )
 
 
@@ -67,28 +68,34 @@ class ReachTable(_Value):
         object.__setattr__(self, "P", P)
 
 
-def _reach_rows(spec: ChainSpec, upto: int) -> Iterator[tuple[int, ...]]:
-    """Yield the count rows R_0 ... R_upto of the reach DP (see `reach_table`).
+def _reach_rows(spec: ChainSpec) -> Iterator[tuple[int, ...]]:
+    """Yield the count rows R_0, R_1, ... of the reach DP (see `reach_table`).
 
     A step is a few whole-row operations: `row[1:]` holds R(i+1) for each
     i < n, one itemgetter gathers R(s_i), `map(add, ...)` adds the two, and
     the reset (L-2) R(0) is added to every entry only when L > 2. The
     generator holds only its current row, so a caller that keeps one
-    column holds one column.
+    column holds one column. As a transcription guard, a row is yielded
+    only once its R_k(0) equals the count in state n after k `_absorbed`
+    steps of the chain, which has no extra edge.
     """
-    _at_least(upto, 0, "upto")
     n, L = spec.n, spec.L
     targets = spec.s.targets
     # Given one index, itemgetter returns a bare value; a slice keeps a tuple.
     jump = itemgetter(*targets) if n > 1 else itemgetter(slice(0, 1))
+    absorbed = _absorbed(L, targets, ())
     row = (0,) * n + (1,)
-    yield row
-    for _ in range(upto):
+    for k in count():
+        if (forward := next(absorbed)) != row[0]:
+            raise AssertionError(
+                f"forward evolution disagrees with reach DP at k={k}: "
+                f"{forward} vs {row[0]} words of {L}^{k}"
+            )
+        yield row
         step = map(add, row[1:], jump(row))
         if L > 2:
             step = map(((L - 2) * row[0]).__add__, step)
         row = (*step, L * row[n])
-        yield row
 
 
 def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
@@ -96,38 +103,18 @@ def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
 
     P_k(i) = P_{k-1}(i+1)/L + P_{k-1}(s_i)/L + (L-2)/L * P_{k-1}(0) for i < n,
     on counts R_k(i) = R_{k-1}(i+1) + R_{k-1}(s_i) + (L-2) R_{k-1}(0).
-
-    As a transcription guard, the start-state column is cross-checked at
-    every k against forward evolution of the start state's word counts.
     """
-    table = ReachTable(spec, tuple(_reach_rows(spec, upto)))
-    for _ in _start_counts(spec, table.P):
-        pass
-    return table
+    return ReachTable(spec, tuple(_cut(_reach_rows(spec), upto)))
 
 
-def _start_counts(spec: ChainSpec, rows: Iterable[tuple[int, ...]]) -> Iterator[int]:
-    """Yield R_k(0) of each reach row once forward evolution confirms it.
-
-    R_k(0) must equal the count in state n after k `_absorbed` steps of the
-    chain, which has no extra edge; it lies in [0, L**k].
-    """
-    absorbed = _absorbed(spec.L, spec.s.targets, ())
-    for k, row in enumerate(rows):
-        if (count := next(absorbed)) != row[0]:
-            raise AssertionError(
-                f"forward evolution disagrees with reach DP at k={k}: "
-                f"{count} vs {row[0]} words of {spec.L}^{k}"
-            )
-        yield row[0]
+_start = itemgetter(0)  # R_k(0) of a reach row
 
 
 def chain_prob_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """Occurrence-probability table of a bifix class via its chain."""
     from .numerics import ProbTable  # here, so that compare and lemmas load no numerics
 
-    spec = ChainSpec(s_from_h(h), L)
-    counts = _start_counts(spec, _reach_rows(spec, upto))
+    counts = map(_start, _reach_rows(ChainSpec(s_from_h(h), L)))
     return ProbTable.from_counts(h, L, upto, counts, "markov")
 
 
@@ -169,11 +156,11 @@ def compare_chains(s: SWord, s_prime: SWord, L: int, upto: int) -> ChainComparis
     independently and streamed side by side.
     """
     k0 = comparison_threshold(s, s_prime)  # also validates strict order
-    spec, spec_prime = ChainSpec(s, L), ChainSpec(s_prime, L)
-    counts = _start_counts(spec, _reach_rows(spec, upto))
-    counts_prime = _start_counts(spec_prime, _reach_rows(spec_prime, upto))
+    counts = map(_start, _reach_rows(ChainSpec(s, L)))
+    counts_prime = map(_start, _reach_rows(ChainSpec(s_prime, L)))
     # Both columns count words over the same L**k.
-    relations = tuple(">" if a > b else "=" if a == b else "<" for a, b in zip(counts, counts_prime))
+    pairs = _cut(zip(counts, counts_prime), upto)
+    relations = tuple(">" if a > b else "=" if a == b else "<" for a, b in pairs)
     return ChainComparison(s, s_prime, L, k0, relations)
 
 

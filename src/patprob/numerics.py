@@ -6,8 +6,9 @@ them directly; `ExactProb(count, k, L)` is only the value that leaves a
 route, for equality, `<` and JSON. Keeping the denominator as an
 exponent of a fixed base makes equality checks exact and cheap and avoids
 gcd churn. `ProbTable.from_counts` cuts a route's stream of counts
-C_k = L**k P_k at a horizon; the table checks them and writes them as JSON,
-CSV or a text table, the one place that decides how a result is written.
+C_k = L**k P_k at a horizon with `patterns._cut`, the one rule that cuts a
+stream; the table checks them and writes them as JSON, CSV or a text
+table, the one place that decides how a result is written.
 Its `p` and `P` columns are lazy `_ProbView` sequences that build an
 `ExactProb` only for the element read and keep nothing.
 
@@ -18,9 +19,9 @@ decimal strings.
 
 From the package this module imports only `patterns._Value`, the base
 that gives `ExactProb` and `_ProbView` their equality, hash, repr and
-immutability, `patterns._ascii_ints`, which reads a JSON numerator, and
+immutability, `patterns._ascii_ints`, which reads a JSON numerator,
 `patterns._at_least` and `patterns._within`, the one bound rule for an int
-field and for a tuple of ints.
+field and for a tuple of ints, and `patterns._cut`.
 `ProbTable` only reads `h.n` and `h.text()` of its indicator, and its
 annotations stay unevaluated strings, so naming `BifixIndicator` imports
 nothing more.
@@ -28,13 +29,11 @@ nothing more.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator
 
-from .patterns import _Value, _ascii_ints, _at_least, _within
+from .patterns import _Value, _ascii_ints, _at_least, _cut, _within
 
 
 def canonical(num: int, den_exp: int, base: int) -> tuple[int, int]:
@@ -224,15 +223,9 @@ class ProbTable:
     def from_counts(
         cls, h: BifixIndicator, L: int, upto: int, counts: Iterable[int], method: str
     ) -> ProbTable:
-        """The table of C_0 .. C_upto, the first upto + 1 counts of a stream.
-
-        A negative upto, or one past the largest stop `islice` takes, is
-        refused before any count is pulled.
-        """
-        _at_least(upto, 0, "upto")
-        if upto >= sys.maxsize:
-            raise ValueError(f"upto must be <= {sys.maxsize - 1}, got {upto}")
-        return cls(h, L, tuple(islice(counts, upto + 1)), method)
+        """The table of C_0 .. C_upto, the first upto + 1 counts of a stream
+        (`patterns._cut`, which refuses a bad upto before any count is pulled)."""
+        return cls(h, L, tuple(_cut(counts, upto)), method)
 
     @property
     def P(self) -> _ProbView:

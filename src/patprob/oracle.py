@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from math import sqrt
 from operator import add
 from typing import Iterator
@@ -31,6 +30,7 @@ from .patterns import (
     Word,
     _absorbed,
     _at_least,
+    _cut,
     _failure,
     _symbol_mask,
     _Value,
@@ -147,9 +147,8 @@ def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
     a_j = A_j - L A_{j-1} at step j, each followed by any k - j symbols,
     telescope to the absorbed count A_k.
     """
-    _at_least(k, 0, "k")
     L = pattern.alphabet_size
-    A = tuple(islice(_absorbed_counts(pattern), k + 1))
+    A = tuple(_cut(_absorbed_counts(pattern), k, "k"))
     first_at = (0, *((A[j] - L * A[j - 1]) * L ** (k - j) for j in range(1, k + 1)))
     return OccurrenceCounts(pattern, first_at)
 

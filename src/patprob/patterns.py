@@ -4,13 +4,16 @@ A bifix of a word is a proper prefix that is also a suffix (a border).
 The bifix indicator of a length-n pattern is the binary word h_1..h_{n-1}
 with h_i = 1 exactly when the length-i prefix equals the length-i suffix.
 Indicator positions follow the 1-based convention in all text output;
-storage is 0-based. The routes share the failure function, the word masks
-and `_absorbed`, the one forward step of the Markov check and the automaton.
+storage is 0-based. The routes share the failure function, the word masks,
+`_absorbed`, the one forward step of the Markov check and the automaton, and
+`_cut`, the one place where a horizon cuts an endless stream.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -82,6 +85,19 @@ def _within(values: object, least: int, most: int | None, field: str) -> None:
             raise ValueError(f"{field} must be >= {least}, got {value}")
         if most is not None and value > most:
             raise ValueError(f"{field} must be <= {most}, got {value}")
+
+
+def _cut(stream: Iterable, upto: int, field: str = "upto") -> Iterator:
+    """The first upto + 1 items of an endless stream, for k = 0 .. upto.
+
+    The one horizon rule: `upto`, named `field` in the messages, must be at
+    least 0 and below the largest stop `islice` takes. Both are checked when
+    this is called, before any item is pulled.
+    """
+    _at_least(upto, 0, field)
+    if upto >= sys.maxsize:
+        raise ValueError(f"{field} must be <= {sys.maxsize - 1}, got {upto}")
+    return islice(stream, upto + 1)
 
 
 class _Value:

@@ -718,6 +718,25 @@ class TestErrorBoundary:
             2, "", f"error: upto must be <= {sys.maxsize - 1}, got {10**23}\n"
         )
 
+    @pytest.mark.parametrize("command", ["compare --h 0 --h2 1", "lemmas --s 0,1"])
+    def test_chain_horizon_past_the_largest_stream_cut_is_refused_at_once(self, capsys, command):
+        # compare and lemmas build no ProbTable; they cut the reach rows by the same rule.
+        start = time.perf_counter()
+        assert run(capsys, *command.split(), "--K", str(10**23)) == (
+            2, "", f"error: upto must be <= {sys.maxsize - 1}, got {10**23}\n"
+        )
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("sizes", [("--trials", "1", "--k", str(10**23)),
+                                       ("--trials", str(10**23), "--k", "2")])
+    def test_monte_carlo_past_the_largest_int_is_refused(self, capsys, sizes):
+        # Its trials * k cells do not fit one int: an OverflowError, not a traceback.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "simulate", "--word", "11", *sizes)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_digits_unbounded_without_a_limit(self, capsys, monkeypatch):
         # No limit (0), or an interpreter without the function, lets a table of
         # zeros print 5000 digits.
@@ -770,14 +789,17 @@ class TestErrorBoundary:
         assert err == b""
 
 
-# Argv fuzzing: bounded values keep every run small (large K, trials and k
-# are unbounded work, which no budget refuses yet).
-_NON_NUMERIC = st.sampled_from(["x", "1.5", "", "0x10", "\u0661", "1_0", "+3", " 3"])
+# Argv fuzzing: bounded values keep every run small. Now and then --K is
+# 2**63 - 1 or 10**23 and --k or --trials is 10**23, sizes that are refused
+# before anything is allocated (--trials 2**63 - 1 would reach malloc, so it is
+# not drawn); a large K, trials or k below them is unbounded work, which no
+# budget refuses yet.
+_NON_NUMERIC = ["x", "1.5", "", "0x10", "\u0661", "1_0", "+3", " 3"]
 
 
-def _int(lo, hi):
-    """Mostly an integer in [lo, hi], now and then a token argparse refuses."""
-    return st.tuples(st.integers(0, 4), st.integers(lo, hi), _NON_NUMERIC).map(
+def _int(lo, hi, *huge):
+    """Mostly an integer in [lo, hi], now and then a token argparse refuses or one of `huge`."""
+    return st.tuples(st.integers(0, 4), st.integers(lo, hi), st.sampled_from([*_NON_NUMERIC, *huge])).map(
         lambda t: t[2] if t[0] == 0 else str(t[1])
     )
 
@@ -793,7 +815,7 @@ _SWORDS = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
     lambda xs: ",".join(str(min(x, i)) for i, x in enumerate(xs))
 ) | st.text("0123,x ", max_size=6)
 _L = _int(-1, 4)
-_K = _int(-3, 40)
+_K = _int(-3, 40, str(2**63 - 1), str(10**23))
 
 # (subcommand, flags always given, flags given half the time); each flag maps to
 # the strategy for its value, or to None when it takes no value. Flags that
@@ -825,8 +847,8 @@ _CALLS = [
         {"--word": _WORDS},
         {
             "--L": _L,
-            "--trials": _int(-2, 30),
-            "--k": _int(-2, 20),
+            "--trials": _int(-2, 30, str(10**23)),
+            "--k": _int(-2, 20, str(10**23)),
             "--seed": st.sampled_from(["-1", "0", "5", str(2**128)]),
         },
     ),

@@ -5,12 +5,11 @@ import tracemalloc
 
 import pytest
 
-from patprob import markov
+from patprob import markov, patterns
 from patprob.markov import (
     ChainComparison,
     ChainSpec,
     ReachTable,
-    _start_counts,
     chain_prob_table,
     check_lemmas,
     compare_chains,
@@ -27,6 +26,17 @@ def ep(num, exp, base=2):
 
 def spec(targets, L=2):
     return ChainSpec(SWord(targets), L)
+
+
+def _absorbed_off_by_one_at(k):
+    """`patterns._absorbed` with its count at step k one too high; the reach
+    DP's R_k(0) is checked against it, so either side off by one is caught."""
+
+    def absorbed(L, jumps, extra):
+        for j, count in enumerate(patterns._absorbed(L, jumps, extra)):
+            yield count + (j == k)
+
+    return absorbed
 
 
 def _step_counts(spec: ChainSpec) -> tuple[tuple[int, ...], ...]:
@@ -165,38 +175,29 @@ class TestReachTableInvariants:
         with pytest.raises(ValueError, match=r"^reach table needs >= 1 row of n\+1 counts$"):
             self.build(sp, rows)
 
-    def test_forward_cross_check_catches_in_range_corruption(self):
-        sp, rows = self.rows(upto=10)
-        assert list(_start_counts(sp, rows)) == [row[0] for row in rows]  # untouched rows pass
+    def test_forward_cross_check_catches_in_range_corruption(self, monkeypatch):
+        sp = spec((0, 1, 0))
+        rows = reach_table(sp, 10).P  # untouched rows pass
         assert 0 < rows[6][0] < 2**6
-        rows[6][0] += 1
-        self.build(sp, rows)  # still within [0, 1]
-        checked = _start_counts(sp, rows)
-        assert [next(checked) for _ in range(6)] == [row[0] for row in rows[:6]]
+        monkeypatch.setattr(markov, "_absorbed", _absorbed_off_by_one_at(6))
+        checked = markov._reach_rows(sp)
+        assert [next(checked) for _ in range(6)] == list(rows[:6])
         with pytest.raises(AssertionError, match="k=6"):
-            next(checked)  # the wrong count is never yielded
+            next(checked)  # the row that disagrees is never yielded
 
     @pytest.mark.parametrize("k", [3, 0])
-    def test_forward_cross_check_compares_every_k(self, k):
-        # One in-range wrong count at any k is caught: k = 3 lies between the
+    def test_forward_cross_check_compares_every_k(self, monkeypatch, k):
+        # One in-range disagreement at any k is caught: k = 3 lies between the
         # horizons a check at ten evenly spaced k of upto = 25 would compare,
         # and k = 0 is the count the evolution starts from.
-        sp, rows = self.rows(upto=25)
-        rows[k][0] += 1
-        assert rows[k][0] <= 2**k
+        monkeypatch.setattr(markov, "_absorbed", _absorbed_off_by_one_at(k))
         with pytest.raises(AssertionError, match=rf"k={k}\b"):
-            list(_start_counts(sp, rows))
+            reach_table(spec((0, 1, 0)), 25)
 
     def test_every_path_runs_the_forward_check(self, monkeypatch):
-        # A wrong count in column 0 that the table checks accept is caught
-        # on each path that reads the DP, the column paths included.
-        rows = markov._reach_rows
-
-        def off_by_one_at_k3(spec, upto):
-            for k, row in enumerate(rows(spec, upto)):
-                yield (row[0] + 1,) + row[1:] if k == 3 else row
-
-        monkeypatch.setattr(markov, "_reach_rows", off_by_one_at_k3)
+        # A disagreement in column 0 is caught on each path that reads the
+        # DP, the column paths included.
+        monkeypatch.setattr(markov, "_absorbed", _absorbed_off_by_one_at(3))
         for call in (
             lambda: reach_table(spec((0, 1, 1)), 8),
             lambda: chain_prob_table(BifixIndicator((0, 0)), 2, 8),
@@ -304,7 +305,7 @@ class TestCompareChains:
         # No valid pair deviates (that is the theorem), so the comparison is
         # fed two count streams that do: still equal at k0 = 3, reversed at k = 4.
         columns = iter([(0, 0, 1, 3, 7, 15), (0, 0, 1, 3, 8, 14)])
-        monkeypatch.setattr(markov, "_start_counts", lambda spec, rows: iter(next(columns)))
+        monkeypatch.setattr(markov, "_reach_rows", lambda spec: ((c,) for c in next(columns)))
         report = compare_chains(SWord((0, 1)), SWord((0, 0)), 2, 5)
         assert report.k0 == 3
         assert report.relations == ("=", "=", "=", "=", "<", ">")

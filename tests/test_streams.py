@@ -1,5 +1,7 @@
 """Every route is an endless stream of counts C_0, C_1, ..., and
-`ProbTable.from_counts` is the one place where a horizon cuts it."""
+`patterns._cut` is the one place where a horizon cuts it: `ProbTable.from_counts`
+cuts a route's counts, and the Markov comparison and reach table cut the
+reach DP's rows with it too."""
 
 import ast
 import sys
@@ -9,29 +11,28 @@ from pathlib import Path
 
 import pytest
 
-from patprob import markov, oracle, recursions
+from patprob import markov, oracle, patterns, recursions
 from patprob.numerics import ProbTable
 from patprob.patterns import BifixIndicator, Word, bifix_indicator, s_from_h
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "patprob"
 
 
-def _markov_counts(h, L, upto):
-    spec = markov.ChainSpec(s_from_h(h), L)
-    return markov._start_counts(spec, markov._reach_rows(spec, upto))
+def _markov_counts(h, L):
+    return (row[0] for row in markov._reach_rows(markov.ChainSpec(s_from_h(h), L)))
 
 
-# (route, stream of (h, L, horizon the stream may need), table builder (h, L, upto));
-# the automaton runs on `word`, whose class is h.
+# (route, stream of (h, L), table builder (h, L, upto)); the automaton runs on
+# `word`, whose class is h.
 def _routes(word):
     return [
-        ("long", lambda h, L, _: recursions._long_counts(h, L), recursions.p_table_long),
-        ("short", lambda h, L, _: recursions._short_counts(h, L), recursions.p_table_short),
-        ("P", lambda h, L, _: recursions._iter_counts(h, L), recursions.P_table),
+        ("long", recursions._long_counts, recursions.p_table_long),
+        ("short", recursions._short_counts, recursions.p_table_short),
+        ("P", recursions._iter_counts, recursions.P_table),
         ("markov", _markov_counts, markov.chain_prob_table),
         (
             "automaton",
-            lambda h, L, _: oracle._absorbed_counts(Word(word, L)),
+            lambda h, L: oracle._absorbed_counts(Word(word, L)),
             lambda h, L, upto: oracle.automaton_prob_table(Word(word, L), upto),
         ),
     ]
@@ -48,7 +49,7 @@ def test_a_stream_does_not_depend_on_the_horizon(word, L):
     for name, stream, build in _routes(word):
         for upto in sorted({0, n - 1, n, n + 1, 2 * n, 3 * n + 2}):
             table = build(h, L, upto)
-            assert tuple(islice(stream(h, L, upto + 7), upto + 1)) == table.C, (name, upto)
+            assert tuple(islice(stream(h, L), upto + 1)) == table.C, (name, upto)
             assert build(h, L, upto + 7).C[: upto + 1] == table.C, (name, upto)
 
 
@@ -69,16 +70,33 @@ def test_a_negative_count_stops_the_stream_at_its_k(monkeypatch, n, borders, L, 
             build(h, L, 40)
 
 
-def test_the_markov_stream_names_both_counts_of_a_disagreement():
+def test_the_markov_stream_names_both_counts_of_a_disagreement(monkeypatch):
     spec = markov.ChainSpec(s_from_h(BifixIndicator.parse("01")), 3)
-    rows = [list(row) for row in markov._reach_rows(spec, 8)]
-    good = rows[5][0]
-    rows[5][0] += 1
+    good = markov.reach_table(spec, 8).P[5][0]
+
+    def absorbed(L, jumps, extra):  # the forward count at k = 5 one too high
+        for k, count in enumerate(patterns._absorbed(L, jumps, extra)):
+            yield count + (k == 5)
+
+    monkeypatch.setattr(markov, "_absorbed", absorbed)
     with pytest.raises(AssertionError) as info:
-        list(markov._start_counts(spec, rows))
+        list(islice(markov._reach_rows(spec), 9))
     assert str(info.value) == (
-        f"forward evolution disagrees with reach DP at k=5: {good} vs {good + 1} words of 3^5"
+        f"forward evolution disagrees with reach DP at k=5: {good + 1} vs {good} words of 3^5"
     )
+
+
+@pytest.mark.parametrize("upto", [-1, sys.maxsize])
+def test_the_markov_paths_cut_their_rows_by_the_one_rule(upto):
+    # compare and lemmas reach no from_counts; a huge horizon must not start the DP.
+    bound = "upto must be >= 0" if upto < 0 else f"upto must be <= {sys.maxsize - 1}"
+    spec = markov.ChainSpec(s_from_h(BifixIndicator.parse("0")), 2)
+    for call in (
+        lambda: markov.reach_table(spec, upto),
+        lambda: markov.compare_chains(patterns.SWord((0, 1)), patterns.SWord((0, 0)), 2, upto),
+    ):
+        with pytest.raises(ValueError, match=rf"^{bound}, got {upto}$"):
+            call()
 
 
 def test_from_counts_refuses_a_negative_horizon_before_pulling():
@@ -123,7 +141,7 @@ def test_streams_hold_a_window_not_the_history():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for _ in islice(stream(h, 2, 4000), 4001):
+            for _ in islice(stream(h, 2), 4001):
                 pass
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:

@@ -19,7 +19,7 @@ mutant's snippet does not occur exactly once in its function or its source
 does not compile (a module that cannot be imported fails every test, so a
 typo would pass as a kill), and when the unmutated tree fails.
 
-    python3 tools/mutate.py            # every mutant, about 2 minutes on 2 cores
+    python3 tools/mutate.py            # every mutant, about 3 minutes on 2 cores
 
 Standard library only; pytest and the test extras of `pyproject.toml` must be
 importable by the interpreter that runs it.
@@ -81,6 +81,14 @@ STREAM_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_matches_refere
 REDRAW_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_cells_above_the_alphabet_are_redrawn",)
 SPAN_TESTS = ("tests/test_oracle.py::TestMonteCarloStream::test_window_spanning_two_trials_is_no_hit",)
 STREAM_CUT_TESTS = ("tests/test_streams.py::test_from_counts_refuses_a_horizon_islice_cannot_stop_at",)
+CUT_LENGTH_TESTS = ("tests/test_streams.py::test_from_counts_pulls_exactly_upto_plus_one_counts",)
+FORWARD_CHECK_TESTS = (
+    "tests/test_markov.py::TestReachTableInvariants::test_forward_cross_check_catches_in_range_corruption",
+)
+MASK_TESTS = (*COUNTS_TESTS, "tests/test_patterns.py::TestCensus::test_symbol_masks_mark_their_words")
+WRITER_TESTS = ("tests/test_recursions.py::TestOutputFromCounts",)
+SERIES_TESTS = ("tests/test_recursions.py::TestExpectedWait",)
+RESOLVER_TESTS = ("tests/test_cli.py::TestProb::test_check_all_disagreement_exits_1",)
 ORIENT_TESTS = ("tests/test_cli.py::TestCompare::test_order_is_auto_oriented",)
 SWORD_PAIR_TESTS = ("tests/test_cli.py::TestCompare::test_sword_pair",)
 ROUTE_WORD_TESTS = (
@@ -267,6 +275,10 @@ MUTANTS = (
      "(L - 2) * row[0]", "(L - 1) * row[0]", REACH_TESTS),
     ("reach.reset-skipped-at-three", "markov.py", "_reach_rows",
      "if L > 2:", "if L > 3:", REACH_TESTS),
+    # The same as yielding every row before its check: a row that agrees is
+    # yielded once either way.
+    ("reach.yield-before-check", "markov.py", "_reach_rows",
+     "raise AssertionError(", "yield row\n            raise AssertionError(", FORWARD_CHECK_TESTS),
     ("absorbed.reset-weight", "patterns.py", "_absorbed",
      "(L - 2) * sum(head)", "(L - 1) * sum(head)", ABSORBED_TESTS),
     ("absorbed.reset-skipped-at-three", "patterns.py", "_absorbed",
@@ -279,10 +291,25 @@ MUTANTS = (
      "if target <= i:", "if target < i:", COUNTS_TESTS),
     ("table.upto-length", "numerics.py", "ProbTable.upto",
      "len(self.C) - 1", "len(self.C)", TABLE_TESTS),
-    ("table.negative-upto", "numerics.py", "ProbTable.from_counts",
-     '_at_least(upto, 0, "upto")', '_at_least(upto, -1, "upto")', TABLE_TESTS),
-    ("table.upto-past-islice", "numerics.py", "ProbTable.from_counts",
+    ("table.negative-upto", "patterns.py", "_cut",
+     "_at_least(upto, 0, field)", "_at_least(upto, -1, field)", TABLE_TESTS),
+    ("table.upto-past-islice", "patterns.py", "_cut",
      "upto >= sys.maxsize", "upto > sys.maxsize", STREAM_CUT_TESTS),
+    ("cut.one-short", "patterns.py", "_cut",
+     "islice(stream, upto + 1)", "islice(stream, upto)", CUT_LENGTH_TESTS),
+    ("mask.run-length", "patterns.py", "_symbol_mask",
+     "run = L ** (k - 1 - i)", "run = L ** (k - i)", MASK_TESTS),
+    ("enum.shift-exponent", "oracle.py", "enum_counts",
+     "c * L ** (k - 1 - p)", "c * L ** (k - p)", COUNTS_TESTS),
+    ("writer.rows-p-and-P-swapped", "numerics.py", "ProbTable._rows",
+     "p_num, p_exp, a / power, P_num, P_exp, c / power",
+     "P_num, P_exp, c / power, p_num, p_exp, a / power", WRITER_TESTS),
+    ("writer.json-p-approx-from-P", "numerics.py", "ProbTable.json_text",
+     '"approx": {p_approx!r}', '"approx": {P_approx!r}', WRITER_TESTS),
+    ("series.stops-at-tol", "recursions.py", "expected_wait_series",
+     "q * stop < tol_num * power", "q * stop <= tol_num * power", SERIES_TESTS),
+    ("route.resolved-through-the-package", "__init__.py", "_route",
+     'import_module(f".{_EXPORTS[builder]}", __name__)', "import_module(__name__)", RESOLVER_TESTS),
     ("canonical.odd-test", "numerics.py", "canonical",
      "if num & 1:", "if num & 2:", CANONICAL_TESTS),
     ("canonical.shift-width", "numerics.py", "canonical",
