@@ -9,7 +9,8 @@ stream of count rows R_k(i) = L**k P_k(i), with no division, which
 `patterns._cut` cuts at a horizon; a row is yielded only once its R_k(0)
 agrees with `patterns._absorbed`, the forward step of the pattern automaton
 too (at L = 2 that automaton is such a chain). `reach_table` keeps every
-row; the occurrence table and the chain comparison keep only column 0.
+row; the occurrence table and the chain comparison keep only column 0,
+the count stream `_chain_counts`.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ def _reach_rows(spec: ChainSpec) -> Iterator[tuple[int, ...]]:
         row = (*step, L * row[n])
 
 
+def _chain_counts(s: SWord, L: int) -> Iterator[int]:
+    """Yield R_k(0), column 0 of the reach rows, for k = 0, 1, ..."""
+    return map(itemgetter(0), _reach_rows(ChainSpec(s, L)))
+
+
 def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
     """Exact DP fill of R_k(i) = L**k P_k(i) by increasing k.
 
@@ -107,15 +113,11 @@ def reach_table(spec: ChainSpec, upto: int) -> ReachTable:
     return ReachTable(spec, tuple(_cut(_reach_rows(spec), upto)))
 
 
-_start = itemgetter(0)  # R_k(0) of a reach row
-
-
 def chain_prob_table(h: BifixIndicator, L: int, upto: int) -> ProbTable:
     """Occurrence-probability table of a bifix class via its chain."""
     from .numerics import ProbTable  # here, so that compare and lemmas load no numerics
 
-    counts = map(_start, _reach_rows(ChainSpec(s_from_h(h), L)))
-    return ProbTable.from_counts(h, L, upto, counts, "markov")
+    return ProbTable.from_counts(h, L, upto, _chain_counts(s_from_h(h), L), "markov")
 
 
 class ChainComparison(_Value):
@@ -156,10 +158,8 @@ def compare_chains(s: SWord, s_prime: SWord, L: int, upto: int) -> ChainComparis
     independently and streamed side by side.
     """
     k0 = comparison_threshold(s, s_prime)  # also validates strict order
-    counts = map(_start, _reach_rows(ChainSpec(s, L)))
-    counts_prime = map(_start, _reach_rows(ChainSpec(s_prime, L)))
     # Both columns count words over the same L**k.
-    pairs = _cut(zip(counts, counts_prime), upto)
+    pairs = _cut(zip(_chain_counts(s, L), _chain_counts(s_prime, L)), upto)
     relations = tuple(">" if a > b else "=" if a == b else "<" for a, b in pairs)
     return ChainComparison(s, s_prime, L, k0, relations)
 

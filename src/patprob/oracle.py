@@ -4,15 +4,15 @@ and a seeded Monte Carlo stream simulator.
 The enumeration oracle compares every window of every word with the
 pattern, all words at once: bit w of an L**k-bit integer stands for word
 number w in `itertools.product` order, so the words where symbol i equals
-c form one mask, S(i, 0) (`patterns._symbol_mask`, which the census
-shares) shifted up by c runs, and a bitwise AND of n such masks marks
-every word whose window ending at j holds the pattern. The Monte Carlo
-simulator makes the same move over seeded random trials: their symbols are
-drawn as bit planes, one bit of every cell per plane, and a bitwise AND of
-shifted symbol masks marks every trial whose window ending at j holds the
-pattern. Neither consults the automaton, so the routes stay independent.
-The automaton steps its state counts with `patterns._absorbed`, the forward
-step that the Markov route checks its reach DP against.
+c form one mask, S(i, 0) (`patterns._symbol_mask`) shifted up by c runs,
+and a bitwise AND of n such masks marks every word whose window ending at
+j holds the pattern; it returns the counts C_0 .. C_k every route streams.
+The Monte Carlo simulator makes the same move over seeded random trials:
+their symbols are drawn as bit planes, one bit of every cell per plane, and
+a bitwise AND of shifted symbol masks marks every trial whose window ending
+at j holds the pattern. Neither consults the automaton, so the routes stay
+independent. The automaton steps its state counts with `patterns._absorbed`,
+the forward step that the Markov route checks its reach DP against.
 """
 
 from __future__ import annotations
@@ -40,22 +40,26 @@ from .patterns import (
 
 
 class OccurrenceCounts(_Value):
-    """Exact counts over all L**k words of length k = len(first_at) - 1.
+    """C[j] of the L**j words of length j contain the pattern, j = 0 .. k.
 
-    first_at: index j holds the number of words whose first occurrence
-    ends exactly at position j (entry 0 is unused and zero).
-    contains: words with at least one occurrence, the sum of first_at.
+    Derived: k = len(C) - 1, contains = C_k, and first_at[j], the length-k
+    words whose first occurrence ends at j, a_j L**(k-j) with a_j = C_j - L C_(j-1).
     """
 
-    __slots__ = ("pattern", "first_at")
+    __slots__ = ("pattern", "C")
 
     @property
     def k(self) -> int:
-        return len(self.first_at) - 1
+        return len(self.C) - 1
 
     @property
     def contains(self) -> int:
-        return sum(self.first_at)
+        return self.C[-1]
+
+    @property
+    def first_at(self) -> tuple[int, ...]:
+        L, k, C = self.pattern.alphabet_size, self.k, self.C
+        return (0, *((C[j] - L * C[j - 1]) * L ** (k - j) for j in range(1, k + 1)))
 
 
 def enum_counts(pattern: Word, k: int) -> OccurrenceCounts:
@@ -66,19 +70,19 @@ def enum_counts(pattern: Word, k: int) -> OccurrenceCounts:
     S(p, 0), "symbol p is 0", once; S(p, c) is S(p, 0) shifted up by c runs
     of L**(k-1-p) bits. For each end position j, `hit` ANDs the shifted
     masks of positions j-n .. j-1 with the pattern's symbols, so it marks
-    the words whose window ending at j holds the pattern; the words in
-    `hit` but not yet in `found` first hit at j. A call builds k masks and
-    keeps a window of the last n of them, so between operations at most
-    n + 2 masks are live: the window, `hit` and `found`. At k = 24, L = 2
-    each is 2 MiB; past that size, DEFAULT_ENUM_BUDGET = 2**24 words, the
-    call raises EnumerationBudgetError.
+    the words whose window ending at j holds the pattern. `found` ORs them
+    up, L**(k-j) words for each length-j word that holds the pattern, so C_j
+    is its count over L**(k-j). A call builds k masks and keeps a window of
+    the last n, so at most n + 2 masks are live between operations: the
+    window, `hit` and `found`. At k = 24, L = 2 each is 2 MiB; past that
+    size, DEFAULT_ENUM_BUDGET = 2**24 words, it raises EnumerationBudgetError.
     """
     _at_least(k, 0, "k")
     L = pattern.alphabet_size
     n = len(pattern)
     check_enum_budget(L, k, DEFAULT_ENUM_BUDGET, f"enum_counts(len {k}, L={L})")
     symbols = pattern.symbols
-    first_at = [0] * (k + 1)
+    C = [0] * (k + 1)
     found = 0
     window: deque[int] = deque()  # S(p, 0) for p = j-n .. j-1
     for j in range(1, k + 1):
@@ -89,11 +93,10 @@ def enum_counts(pattern: Word, k: int) -> OccurrenceCounts:
         hit = window.popleft() << symbols[0] * L ** (k - 1 - (j - n))
         for p, (mask, c) in enumerate(zip(window, symbols[1:]), j - n + 1):
             hit &= mask << c * L ** (k - 1 - p)
-        before = found.bit_count()
         found |= hit
         del hit  # not live while the next mask is built
-        first_at[j] = found.bit_count() - before
-    return OccurrenceCounts(pattern, tuple(first_at))
+        C[j] = found.bit_count() // L ** (k - j)
+    return OccurrenceCounts(pattern, tuple(C))
 
 
 def _automaton_rows(pattern: Word) -> list[dict[int, int]]:
@@ -141,16 +144,8 @@ def _absorbed_counts(pattern: Word) -> Iterator[int]:
 
 
 def automaton_counts(pattern: Word, k: int) -> OccurrenceCounts:
-    """Occurrence counts via dynamic programming over automaton states.
-
-    Must agree with enum_counts wherever both run. The first arrivals
-    a_j = A_j - L A_{j-1} at step j, each followed by any k - j symbols,
-    telescope to the absorbed count A_k.
-    """
-    L = pattern.alphabet_size
-    A = tuple(_cut(_absorbed_counts(pattern), k, "k"))
-    first_at = (0, *((A[j] - L * A[j - 1]) * L ** (k - j) for j in range(1, k + 1)))
-    return OccurrenceCounts(pattern, first_at)
+    """Occurrence counts from the automaton's state counts; must agree with enum_counts."""
+    return OccurrenceCounts(pattern, tuple(_cut(_absorbed_counts(pattern), k, "k")))
 
 
 def automaton_prob_table(pattern: Word, upto: int) -> ProbTable:
@@ -311,7 +306,9 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     take their bits from them, and only those cells are compared again. So
     every symbol is exactly uniform on 0 .. L-1, and one rule serves every
     L; where L is a power of two no cell is ever redrawn. Through `width`,
-    a trial's symbols depend on `trials` as well as on (seed, k, t).
+    a trial's symbols depend on `trials` as well as on (seed, k, t). The planes
+    come before any other mask: a size that `getrandbits` refuses (past a C int
+    on CPython 3.11) raises a ValueError naming `trials` and `k`.
 
     A trial's first occurrence ends at the first position j where its
     window of n symbols holds the pattern; the pattern automaton is not
@@ -333,9 +330,12 @@ def monte_carlo(pattern: Word, config: McConfig) -> McResult:
     trials, horizon = config.trials, config.k
     width = -(-trials // 8) * 8
     cells = width * horizon
-    ones = (1 << cells) - 1
     s = (L - 1).bit_length()
-    planes = [rng.getrandbits(cells) for _ in range(s)]
+    try:  # before any mask of `cells` bits is built
+        planes = [rng.getrandbits(cells) for _ in range(s)]
+    except OverflowError:
+        raise ValueError(f"trials * k is too large to draw: trials = {trials}, k = {horizon}") from None
+    ones = (1 << cells) - 1
     redo = _above(planes, L, ones)
     while redo:
         fresh = [rng.getrandbits(cells) for _ in range(s)]

@@ -18,7 +18,6 @@ from patprob.numerics import ExactProb
 from patprob.oracle import (
     DEFAULT_MC_SEED,
     McConfig,
-    automaton_counts,
     counterexample_check,
     enum_counts,
     monte_carlo,
@@ -152,11 +151,7 @@ def test_criterion_1_known_indicators():
 
 def _tables_agree_everywhere(word, upto):
     tables = route_tables(bifix_indicator(word), word.alphabet_size, upto, word)
-    if len({t.C for t in tables.values()}) != 1:
-        return False
-    enum = enum_counts(word, upto)
-    machine = automaton_counts(word, upto)
-    return enum.contains == machine.contains and enum.first_at == machine.first_at
+    return len({t.C for t in tables.values()} | {enum_counts(word, upto).C}) == 1
 
 
 def test_criterion_2_method_and_oracle_equality():

@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -154,15 +156,16 @@ class TestProb:
         real = recursions.p_table_long
 
         def one_count_off(h, L, upto):
+            # Off at the last two ks, so the message must name the first.
             table = real(h, L, upto)
-            C = table.C[:-1] + (table.C[-1] + 1,)
+            C = table.C[:-2] + (table.C[-2] + 1, table.C[-1] + 1)
             return ProbTable(table.h, table.L, C, table.method)
 
         monkeypatch.setattr(recursions, "p_table_long", one_count_off)
         code, env, err = run_json(capsys, "prob", "--h", "1", "--K", "6", "--check-all")
         assert code == 1
         assert env["result"]["agreement"] is False
-        assert err == "methods disagree: long differ from P (first at k=6)\n"
+        assert err == "methods disagree: long differ from P (first at k=5)\n"
         code, env, _ = run_json(capsys, "prob", "--h", "1", "--K", "6", "--method", "long")
         assert code == 0
         assert env["result"]["table"]["rows"][-1]["P"]["num"] == str(one_count_off(h, 2, 6).P[6].num)
@@ -728,14 +731,31 @@ class TestErrorBoundary:
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("sizes", [("--trials", "1", "--k", str(10**23)),
-                                       ("--trials", str(10**23), "--k", "2")])
-    def test_monte_carlo_past_the_largest_int_is_refused(self, capsys, sizes):
-        # Its trials * k cells do not fit one int: an OverflowError, not a traceback.
+                                       ("--trials", str(10**23), "--k", "2"),
+                                       ("--trials", "8", "--k", str(2**28))])
+    def test_monte_carlo_past_the_largest_int_is_refused(self, capsys, monkeypatch, sizes):
+        # Each bit plane is one getrandbits of (trials rounded up to 8) * k bits, which
+        # takes a C int on CPython 3.11. The stand-in refuses 2**31 bits on every interpreter, so
+        # no test draws 256 MiB; the draw comes before any mask of that size.
+        class CIntRandom(random.Random):
+            def getrandbits(self, bits):
+                if bits >= 2**31:
+                    raise OverflowError("Python int too large to convert to C int")
+                return super().getrandbits(bits)
+
+        monkeypatch.setattr(random, "Random", CIntRandom)
         start = time.perf_counter()
-        code, out, err = run(capsys, "simulate", "--word", "11", *sizes)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "simulate", "--word", "11", *sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert time.perf_counter() - start < 1.0
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert peak < 2**24
+        assert (code, out, err) == (
+            2, "", f"error: trials * k is too large to draw: trials = {sizes[1]}, k = {sizes[3]}\n"
+        )
 
     def test_digits_unbounded_without_a_limit(self, capsys, monkeypatch):
         # No limit (0), or an interpreter without the function, lets a table of

@@ -43,17 +43,19 @@ def naive_step(pattern, state, symbol):
 
 
 def enum_counts_reference(pattern, k):
-    """The per-word loop that enum_counts replaced: (contains, first_at)."""
+    """The per-word loop that enum_counts replaced: (C, first_at).
+
+    C_j counts the length-j words that hold the pattern, each the start of
+    L**(k - j) length-k words whose first occurrence ends by j.
+    """
     L, n, target = pattern.alphabet_size, len(pattern), pattern.symbols
     first_at = [0] * (k + 1)
-    contains = 0
     for word in itertools.product(range(L), repeat=k):
         for j in range(n, k + 1):
             if word[j - n : j] == target:
                 first_at[j] += 1
-                contains += 1
                 break
-    return contains, tuple(first_at)
+    return tuple(sum(first_at[: j + 1]) // L ** (k - j) for j in range(k + 1)), tuple(first_at)
 
 
 def _reference_cases():
@@ -128,27 +130,24 @@ class TestAutomaton:
 
 class TestCounts:
     def test_double_one_in_three_flips(self):
-        assert enum_counts(w("11"), 3).contains == 3  # 011, 110, 111
+        assert enum_counts(w("11"), 3).C == (0, 0, 1, 3)  # 011, 110, 111
 
     def test_one_zero_in_three_flips(self):
-        assert enum_counts(w("10"), 3).contains == 4  # 010, 100, 101, 110
+        assert enum_counts(w("10"), 3).C == (0, 0, 1, 4)  # 010, 100, 101, 110
 
     def test_pattern_longer_than_word(self):
-        counts = enum_counts(w("101"), 2)
-        assert counts.contains == 0
-        assert all(c == 0 for c in counts.first_at)
+        assert enum_counts(w("101"), 2).C == (0, 0, 0)
 
     def test_exact_fit(self):
         for text in ["110", "0101"]:
             assert automaton_counts(w(text), len(text)).contains == 1
 
     def test_first_at_sums_to_contains(self):
-        # contains is the sum of first_at; the automaton's first arrivals
-        # telescope to the count its table absorbs at k.
+        # The first arrivals derived from the counts telescope back to C_k.
         for text, k in [("11", 8), ("100", 9)]:
             counts = automaton_counts(w(text), k)
             assert counts.k == k
-            assert counts.contains == automaton_prob_table(w(text), k).C[k]
+            assert sum(counts.first_at) == counts.contains == automaton_prob_table(w(text), k).C[k]
 
     def test_budget_error_names_budget(self):
         with pytest.raises(EnumerationBudgetError, match="budget of 16777216"):
@@ -165,7 +164,7 @@ class TestCounts:
     def test_matches_per_word_reference(self):
         for word, k in _reference_cases():
             counts = enum_counts(word, k)
-            assert (counts.contains, counts.first_at) == enum_counts_reference(word, k), (word, k)
+            assert (counts.C, counts.first_at) == enum_counts_reference(word, k), (word, k)
 
     @pytest.mark.parametrize("text", ONE_WORD_PER_CLASS_N4)
     def test_enum_equals_automaton_at_k20(self, text):
@@ -185,28 +184,18 @@ class TestCounts:
         for n in range(2, 5):
             for symbols in itertools.product((0, 1), repeat=n):
                 word = Word(symbols, 2)
-                e = enum_counts(word, 10)
-                a = automaton_counts(word, 10)
-                assert e.contains == a.contains
-                assert e.first_at == a.first_at
+                assert enum_counts(word, 10).C == automaton_counts(word, 10).C
 
     def test_enum_equals_automaton_ternary_sample(self):
         rng = random.Random(808)
         for _ in range(25):
             n = rng.randrange(2, 5)
             word = Word(tuple(rng.randrange(3) for _ in range(n)), 3)
-            e = enum_counts(word, 8)
-            a = automaton_counts(word, 8)
-            assert e.contains == a.contains
-            assert e.first_at == a.first_at
+            assert enum_counts(word, 8).C == automaton_counts(word, 8).C
 
     def test_counts_match_recursion_table(self):
         word = w("10000")
-        counts = automaton_counts(word, 12)
-        table = P_table(bifix_indicator(word), 2, 12)
-        assert ExactProb(counts.contains, 12, 2) == table.P[12]
-        for j in range(1, 13):
-            assert ExactProb(counts.first_at[j], 12, 2) == table.p[j]
+        assert automaton_counts(word, 12).C == P_table(bifix_indicator(word), 2, 12).C
 
     @pytest.mark.parametrize(
         "call,message",
@@ -241,7 +230,7 @@ class TestEnumerationWork:
         word = Word(tuple(random.Random(n).randrange(2) for _ in range(n)), 2)
         counts = enum_counts(word, k)
         assert sorted(position for _, _, position in built) == list(range(k))
-        assert (counts.contains, counts.first_at) == enum_counts_reference(word, k)
+        assert counts.C == enum_counts_reference(word, k)[0]
 
     @pytest.mark.parametrize("n,bound", [(20, 22), (8, 11.25)])
     def test_masks_live_at_once(self, n, bound):

@@ -217,7 +217,8 @@ class TestCompare:
 class TestK0:
     @pytest.mark.parametrize(
         "h,h2,expected",
-        [("0000", "1000", 6), ("0100", "1100", 6), ("00", "01", 5)],
+        # 0000 < 1100 differ at positions 1 and 2: the first counts.
+        [("0000", "1000", 6), ("0100", "1100", 6), ("00", "01", 5), ("0000", "1100", 6)],
     )
     def test_first_difference_formula(self, h, h2, expected):
         assert k0_of_pair(BifixIndicator.parse(h), BifixIndicator.parse(h2)) == expected

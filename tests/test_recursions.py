@@ -115,17 +115,12 @@ class TestAgainstEnumeration:
         word = Word.parse(text, 2)
         h = BifixIndicator.parse(bits)
         assert bifix_indicator(word) == h
-        counts = enum_counts(word, 12)
-        table = p_table_short(h, 2, 12)
-        assert table.P[12] == ExactProb(counts.contains, 12, 2)
+        assert p_table_short(h, 2, 12).C == enum_counts(word, 12).C
 
     def test_full_distribution_matches_brute_force(self):
         word = Word.parse("110", 2)
         h = bifix_indicator(word)
-        counts = enum_counts(word, 9)
-        table = P_table(h, 2, 9)
-        for j in range(1, 10):
-            assert table.p[j] == ExactProb(counts.first_at[j], 9, 2)
+        assert P_table(h, 2, 9).C == enum_counts(word, 9).C
 
 
 class TestTableInvariants:
@@ -143,9 +138,10 @@ class TestTableInvariants:
             ProbTable(H1, 2, (0, 1, 3, 7, 15), "P-recursion")
 
     def test_P_above_one_rejected(self):
-        # C_3 = 9 > 2**3: more length-3 words than there are
+        # C_3 = 9 > 2**3: more length-3 words than there are; C_3 = 2**3 is the edge, P = 1.
         with pytest.raises(ValueError, match="P exceeded 1"):
             ProbTable(H1, 2, (0, 0, 1, 9), "P-recursion")
+        assert ProbTable(H1, 2, (0, 0, 1, 8), "P-recursion").P[3] == ExactProb(1, 0, 2)
 
     def test_from_counts_rejects_decreasing_counts(self):
         # C_3 < 2 C_2 would make the first-occurrence count a_3 negative
@@ -206,7 +202,7 @@ class TestEdgeHorizons:
         word = Word.parse(text, L)
         n = len(word)
         for upto in range(n + 2):
-            expected = tuple(enum_counts(word, k).contains for k in range(upto + 1))
+            expected = enum_counts(word, upto).C
             tables = route_tables(bifix_indicator(word), L, upto, word)
             assert list(tables) == [*ROUTE_NAMES, "automaton"]
             for name, table in tables.items():
@@ -512,17 +508,11 @@ class TestExpectedWait:
 def test_class_determines_table():
     # Two distinct members of one class produce identical exact counts,
     # whether counted by brute force or by the state-count recursion.
-    from patprob.oracle import automaton_counts
-
     classes = census(4, 2)
     multi = [cls for cls in classes.values() if cls.count >= 2]
     assert multi
     for cls in multi:
         a, b = cls.representatives[0], cls.representatives[1]
         assert a != b
-        ca, cb = enum_counts(a, 10), enum_counts(b, 10)
-        assert ca.contains == cb.contains
-        assert ca.first_at == cb.first_at
-        fa, fb = automaton_counts(a, 14), automaton_counts(b, 14)
-        assert fa.contains == fb.contains
-        assert fa.first_at == fb.first_at
+        assert enum_counts(a, 10).C == enum_counts(b, 10).C
+        assert automaton_counts(a, 14).C == automaton_counts(b, 14).C

@@ -18,10 +18,6 @@ from patprob.patterns import BifixIndicator, Word, bifix_indicator, s_from_h
 SRC = Path(__file__).resolve().parent.parent / "src" / "patprob"
 
 
-def _markov_counts(h, L):
-    return (row[0] for row in markov._reach_rows(markov.ChainSpec(s_from_h(h), L)))
-
-
 # (route, stream of (h, L), table builder (h, L, upto)); the automaton runs on
 # `word`, whose class is h.
 def _routes(word):
@@ -29,7 +25,7 @@ def _routes(word):
         ("long", recursions._long_counts, recursions.p_table_long),
         ("short", recursions._short_counts, recursions.p_table_short),
         ("P", recursions._iter_counts, recursions.P_table),
-        ("markov", _markov_counts, markov.chain_prob_table),
+        ("markov", lambda h, L: markov._chain_counts(s_from_h(h), L), markov.chain_prob_table),
         (
             "automaton",
             lambda h, L: oracle._absorbed_counts(Word(word, L)),

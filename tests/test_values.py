@@ -79,9 +79,9 @@ CASES = [
      (SPEC, 1, (), (), ()), (SPEC, 1, (), ((0, 0),), ()),
      "LemmaReport(spec=ChainSpec(s=SWord(targets=(0,)), L=2), upto=1, monotone_k_violations=(), "
      "zero_pattern_violations=(), monotone_i_violations=())"),
-    (OccurrenceCounts, ("pattern", "first_at"),
+    (OccurrenceCounts, ("pattern", "C"),
      (Word((1, 1), 2), (0, 0, 1)), (Word((1, 1), 2), (0, 0, 2)),
-     "OccurrenceCounts(pattern=Word(symbols=(1, 1), alphabet_size=2), first_at=(0, 0, 1))"),
+     "OccurrenceCounts(pattern=Word(symbols=(1, 1), alphabet_size=2), C=(0, 0, 1))"),
     (CounterexampleReport, ("words", "horizon", "counts"),
      ((Word((1, 0), 2),), 12, (2048,)), ((Word((1, 0), 2),), 12, (2047,)),
      "CounterexampleReport(words=(Word(symbols=(1, 0), alphabet_size=2),), horizon=12, "

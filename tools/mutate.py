@@ -102,6 +102,14 @@ RECURSION_TESTS = (
     "tests/test_recursions.py::TestThreeWayEquality::test_all_classes_small_n",
 )
 REACH_TESTS = ("tests/test_markov.py::TestReachTable",)
+BIFIX_TESTS = ("tests/test_patterns.py::TestBifixIndicator",)
+SWORD_TESTS = ("tests/test_patterns.py::TestSWords",)
+ORDER_TESTS = ("tests/test_patterns.py::TestCompare",)
+CENSUS_TESTS = ("tests/test_patterns.py::TestCensus",)
+AUTOMATON_TESTS = ("tests/test_oracle.py::TestAutomaton",)
+ARITHMETIC_TESTS = ("tests/test_numerics.py::TestArithmetic",)
+DECIMAL_TESTS = ("tests/test_numerics.py::TestRendering",)
+CHAIN_COUNT_TESTS = ("tests/test_markov.py::TestStartColumn",)
 # The Markov check steps a chain with no extra edge; only the automaton reaches that move.
 ABSORBED_TESTS = (
     "tests/test_oracle.py::TestCounts::test_enum_equals_automaton_ternary_sample",
@@ -240,7 +248,11 @@ MUTANTS = (
     ("lemmas.row-skipped", "markov.py", "check_lemmas",
      "k + 1 <= upto", "k + 2 <= upto", LEMMA_TESTS),
     ("counts.k-length", "oracle.py", "OccurrenceCounts.k",
-     "len(self.first_at) - 1", "len(self.first_at)", COUNTS_TESTS),
+     "len(self.C) - 1", "len(self.C)", COUNTS_TESTS),
+    ("counts.first-at-unscaled", "oracle.py", "OccurrenceCounts.first_at",
+     "L * C[j - 1]", "C[j - 1]", COUNTS_TESTS),
+    ("enum.count-scale", "oracle.py", "enum_counts",
+     "L ** (k - j)", "L ** (k - 1 - j)", COUNTS_TESTS),
     ("counterexample.sum-pairs", "oracle.py", "CounterexampleReport.probability_sums_equal",
      "c1 + c4 == c2 + c3", "c1 + c3 == c2 + c4", COUNTEREXAMPLE_TESTS),
     ("counterexample.sum-negated", "oracle.py", "CounterexampleReport.probability_sums_equal",
@@ -271,6 +283,8 @@ MUTANTS = (
      "power *= L", "power *= 2", RECURSION_TESTS),
     ("P.border-unscaled", "recursions.py", "_iter_counts",
      "window[i + 1] - L * window[i]", "window[i + 1] - window[i]", RECURSION_TESTS),
+    ("chain.column", "markov.py", "_chain_counts",
+     "itemgetter(0)", "itemgetter(1)", CHAIN_COUNT_TESTS),
     ("reach.reset-weight", "markov.py", "_reach_rows",
      "(L - 2) * row[0]", "(L - 1) * row[0]", REACH_TESTS),
     ("reach.reset-skipped-at-three", "markov.py", "_reach_rows",
@@ -329,6 +343,36 @@ MUTANTS = (
      "num //= base", "num //= base - 1", CANONICAL_TESTS),
     ("canonical.loop-step", "numerics.py", "canonical",
      "den_exp -= 1", "den_exp -= 2", CANONICAL_TESTS),
+    ("k0.last-difference", "patterns.py", "k0_of_pair",
+     "min(_strict_positions", "max(_strict_positions", K0_TESTS),
+    ("check-all.last-difference", "cli.py", "cmd_prob",
+     "k = min(k for m in differ", "k = max(k for m in differ", RESOLVER_TESTS),
+    ("table.P-one-refused", "numerics.py", "ProbTable.__post_init__",
+     "prev > L**self.upto", "prev >= L**self.upto", TABLE_TESTS),
+    ("failure.no-fallback", "patterns.py", "_failure",
+     "k = fail[k - 1]", "k = 0", BIFIX_TESTS),
+    ("bifix.chain-cut", "patterns.py", "bifix_indicator",
+     "length = fail[length - 1]", "length = 0", BIFIX_TESTS),
+    ("s-from-h.unreversed", "patterns.py", "s_from_h",
+     "h.bits[n - i - 1]", "h.bits[i - 1]", SWORD_TESTS),
+    ("realizable.period-reach", "patterns.py", "is_realizable",
+     "j >= period", "j > period", BIFIX_TESTS),
+    ("threshold.plus-one-dropped", "patterns.py", "comparison_threshold",
+     "s.n + 1 + min", "s.n + min", SWORD_TESTS),
+    ("wait-closed.power", "patterns.py", "expected_wait_closed",
+     "sum(L**i for", "sum(L ** (i + 1) for", SERIES_TESTS),
+    ("automaton.row-copied-from-previous", "oracle.py", "_automaton_rows",
+     "rows[fail[i - 1]]", "rows[i - 1]", AUTOMATON_TESTS),
+    ("census.representatives-unskipped", "patterns.py", "_lowest_words",
+     "index, symbols = skip + w, []", "index, symbols = w, []", CENSUS_TESTS),
+    ("census.border-offset", "patterns.py", "census",
+     "first_symbol[n - i + t]", "first_symbol[n - i + t - 1]", CENSUS_TESTS),
+    ("order.strict-le", "patterns.py", "_componentwise",
+     "all(a <= b", "all(a < b", ORDER_TESTS),
+    ("decimal.ties-to-odd", "numerics.py", "decimal_string",
+     "q % 2 == 1", "q % 2 == 0", DECIMAL_TESTS),
+    ("exact.lt-inclusive", "numerics.py", "ExactProb.__lt__",
+     "return x < y", "return x <= y", ARITHMETIC_TESTS),
     ("k0_sharp.min", "patterns.py", "k0_sharp",
      "max(_strict_positions", "min(_strict_positions", K0_TESTS),
     ("k0_sharp.minus-one", "patterns.py", "k0_sharp",
